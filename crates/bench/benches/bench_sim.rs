@@ -1,13 +1,11 @@
 //! Simulator benchmarks: slot rate per MAC protocol on a 50-node geometric
 //! network — how much wall-clock one simulated second costs — plus a
-//! steady-state allocation audit of the step loop and a parallel-vs-serial
-//! replication sweep.
+//! parallel-vs-serial replication sweep. The steady-state allocation audit
+//! of the step loop is an integration test (`tests/alloc_audit.rs`).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use ttdc_core::construct::PartitionStrategy;
 use ttdc_protocols::{SlottedAlohaMac, TsmaMac, TtdcMac};
 use ttdc_sim::{
@@ -17,59 +15,6 @@ use ttdc_sim::{
 const N: usize = 50;
 const D: usize = 4;
 const SLOTS: u64 = 5_000;
-
-/// Counts this thread's heap allocations so the steady-state audit ignores
-/// whatever the pool's worker threads are doing.
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOC_COUNT: Cell<u64> = const { Cell::new(0) };
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_COUNT.with(|c| c.set(c.get() + 1));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_COUNT.with(|c| c.set(c.get() + 1));
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-/// The simulator's per-slot scratch (`transmitting`, `tx_queue_idx`, the
-/// `successes` list) is hoisted into the `Simulator`, so once queues and
-/// scratch have grown to their working capacity the step loop must not
-/// touch the heap at all. The offered load (0.002) is deliberately below
-/// the schedule's service rate: at an unstable load the backlog — and so
-/// queue capacity and the latency histogram's bucket range — grows without
-/// bound and no warm-up suffices. Deterministic (fixed seed), checked on
-/// every `cargo bench` run before the timings.
-fn assert_zero_alloc_steady_state() {
-    let mac = TtdcMac::new(N, D, 2, 4, PartitionStrategy::RoundRobin);
-    let mut sim = SimulatorBuilder::new(topo(), TrafficPattern::PoissonUnicast { rate: 0.002 })
-        .build()
-        .unwrap();
-    sim.run(&mac, 60_000); // warm-up: queues, scratch, histogram reach capacity
-    let before = ALLOC_COUNT.with(Cell::get);
-    sim.run(&mac, 5_000);
-    let after = ALLOC_COUNT.with(Cell::get);
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state sim step loop allocated {} time(s)",
-        after - before
-    );
-    println!("sim/steady_state_allocs                            0 (asserted)");
-}
 
 fn topo() -> Topology {
     let mut rng = SmallRng::seed_from_u64(3);
@@ -151,13 +96,8 @@ fn bench_replications_parallel(c: &mut Criterion) {
     g.finish();
 }
 
-fn steady_state_alloc_audit(_c: &mut Criterion) {
-    assert_zero_alloc_steady_state();
-}
-
 criterion_group!(
     benches,
-    steady_state_alloc_audit,
     bench_protocol_slot_rate,
     bench_saturated_mode,
     bench_replications_parallel

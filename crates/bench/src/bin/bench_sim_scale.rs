@@ -1,30 +1,34 @@
-//! Simulator scaling: dense all-nodes scan vs the sleep-sparse slot-plan
-//! path vs the event-driven time-skipping engine, by network size.
+//! Simulator scaling: the per-slot roster scan vs precomputed slot-plan
+//! rosters vs the event-driven time-skipping engine, by network size.
 //!
 //! For each `n` the same duty-cycled scenario runs through
-//! `Simulator::run_dense` — the historical O(n)-per-slot scan — and through
-//! `Simulator::run`, which dispatches to the sparse pipeline iterating only
-//! the slot's scheduled rosters. The schedule is a round-robin duty cycle
-//! with frame `L = n / 4`: slot `i` wakes transmitter group `i` and
-//! listener group `(i + 1) mod L` (four nodes each), so the awake roster is
-//! eight nodes per slot *regardless of `n`* — the regime the sparse path is
-//! built for, and the one duty-cycled WSN schedules actually produce (most
-//! nodes asleep in most slots).
+//! `Simulator::run_dense` — which forces the roster scan, asking the MAC
+//! about all `n` nodes every slot — and through `Simulator::run`, which
+//! takes the slot's rosters from a precomputed `SlotPlan` (the "dense" and
+//! "sparse" columns of the JSON). Both feed the same phases. The schedule
+//! is a round-robin duty cycle with frame `L = n / 4`: slot `i` wakes
+//! transmitter group `i` and listener group `(i + 1) mod L` (four nodes
+//! each), so the awake roster is eight nodes per slot *regardless of
+//! `n`* — the regime the plan source is built for, and the one
+//! duty-cycled WSN schedules actually produce (most nodes asleep in most
+//! slots).
 //!
 //! The two reports are asserted **equal in full** (every counter, per-node
 //! energy, latency bits, trace) at every sweep point before any timing is
 //! trusted; `results_identical` in the JSON records that the assertion ran.
 //! The headline claims pinned by `BENCH_sim_scale.json`:
 //!
-//! * sparse per-slot cost stays near-flat as `n` grows: the phase work
-//!   tracks the awake roster (which the schedule caps, not the node
+//! * plan-sourced per-slot cost stays near-flat as `n` grows: the phase
+//!   work tracks the awake roster (which the schedule caps, not the node
 //!   count); all that remains per sleeping node is the memory-bound bulk
-//!   sleep-charge sweep, a few ns per node versus the full per-node
-//!   pipeline the dense scan pays;
-//! * sparse-vs-dense speedup is at least 5× from `n = 256` up (asserted).
+//!   sleep-charge sweep, a few ns per node versus the two MAC queries per
+//!   node the scan pays every slot;
+//! * plan-vs-scan ("sparse-vs-dense") speedup is at least 5× from
+//!   `n = 256` up (asserted).
 //!
 //! The **low-traffic family** measures the time-skipping engine
-//! (`Simulator::run_skipping`) against the forced sparse path on the
+//! (`Simulator::run_skipping`) against forced plan-roster stepping
+//! (`Simulator::run_sparse`, the "sparse" column) on the
 //! workload it exists for: a fully duty-cycled schedule (frame `L = n`,
 //! one transmitter and one listener per slot over a perfect-matching
 //! topology) under CBR traffic with per-node arrival ~10⁻⁴/slot at
@@ -94,7 +98,7 @@ fn report(topo: &Topology, mac: &dyn MacProtocol, slots: u64, dense: bool) -> Si
 }
 
 /// Mean awake (scheduled transmitter or listener) nodes per frame slot —
-/// the quantity the sparse path's cost actually tracks.
+/// the quantity the plan source's cost actually tracks.
 fn mean_awake_per_slot(mac: &dyn MacProtocol, n: usize) -> f64 {
     let frame = mac.frame_length() as u64;
     let awake: usize = (0..frame)
@@ -121,7 +125,7 @@ fn run_point(n: usize, slots: u64, iters: usize) -> (Value, f64) {
     let (sparse_ms, sparse_report) = measure(iters, || report(&topo, &mac, slots, false));
     assert_eq!(
         sparse_report, dense_report,
-        "n={n}: sparse and dense reports must be identical"
+        "n={n}: plan-sourced and scan-sourced reports must be identical"
     );
     let speedup = dense_ms / sparse_ms;
     eprintln!(
@@ -303,8 +307,8 @@ fn main() {
     let horizon = horizon_slots.map(|h| run_horizon_row(1024, h));
 
     let doc = json!({
-        "description": "sleep-sparse simulation scaling: dense all-nodes slot scan vs precomputed slot-plan roster iteration, by network size (round-robin duty-cycled schedule with frame n/4 and 8 awake nodes per slot, saturated broadcast, single thread)",
-        "note": "dense per-slot cost grows with n (full per-node pipeline); sparse phase work tracks mean_awake_per_slot, which the duty-cycled schedule caps at 8, leaving only the memory-bound bulk sleep-charge sweep (a few ns per sleeping node) to grow with n. results_identical means the full SimReport (counters, per-node energy, latency bits, trace) matched between the two paths at that point.",
+        "description": "roster-source simulation scaling: per-slot MAC scan over all n nodes (dense, Simulator::run_dense) vs precomputed slot-plan rosters (sparse, Simulator::run), both feeding the same roster-driven phases, by network size (round-robin duty-cycled schedule with frame n/4 and 8 awake nodes per slot, saturated broadcast, single thread)",
+        "note": "dense per-slot cost grows with n (two MAC queries per node per slot to build the rosters); sparse phase work tracks mean_awake_per_slot, which the duty-cycled schedule caps at 8, leaving only the memory-bound bulk sleep-charge sweep (a few ns per sleeping node) to grow with n. results_identical means the full SimReport (counters, per-node energy, latency bits, trace) matched between the two sources at that point.",
         "rows": rows,
         "low_traffic_note": "event-driven time-skipping vs forced sparse on a fully duty-cycled matching schedule (frame L = n, 1 tx + 1 rx per slot) under CBR unicast with per-node arrival ~1e-4/slot at n=64 (period scaled with n so network load is flat). Sparse pays the per-slot CBR gate over all n nodes; the skip engine's calendar jumps straight between generation and backlog slots, touching only the slot's lone listener in between. results_identical is the same full-SimReport assertion as above, run at every point.",
         "low_traffic_rows": low_rows,

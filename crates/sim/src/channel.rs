@@ -94,8 +94,8 @@ impl<'a> LinkFading<'a> {
 /// randomness belongs to the engine's streams), and must uphold the fading
 /// contract of [`resolve`]: exactly one [`LinkFading::delivers`] draw per
 /// decoded reception, none otherwise. The provided `resolve` does this for
-/// any [`decode`]; override it only for models where erasure interacts
-/// with decoding itself.
+/// any [`decode`] (reached through `decode_masked`); override it only for
+/// models where erasure interacts with decoding itself.
 ///
 /// [`resolve`]: ChannelModel::resolve
 /// [`decode`]: ChannelModel::decode
@@ -104,24 +104,6 @@ pub trait ChannelModel: std::fmt::Debug + Send {
     /// per-node `transmitting` flags? Pure collision resolution: never
     /// reports [`Reception::Faded`].
     fn decode(&self, y: usize, topo: &Topology, transmitting: &[bool]) -> Reception;
-
-    /// Full resolution: [`decode`](ChannelModel::decode), then subject a
-    /// decoded transmission to injected link fading.
-    fn resolve(
-        &self,
-        y: usize,
-        slot: u64,
-        topo: &Topology,
-        transmitting: &[bool],
-        fading: &mut LinkFading<'_>,
-    ) -> Reception {
-        match self.decode(y, topo, transmitting) {
-            Reception::Decoded { from } if !fading.delivers(from, y, slot) => {
-                Reception::Faded { from }
-            }
-            r => r,
-        }
-    }
 
     /// [`decode`](ChannelModel::decode) with the transmitter set also
     /// available as a word mask (`tx_mask.contains(v) ⟺ transmitting[v]`
@@ -140,10 +122,9 @@ pub trait ChannelModel: std::fmt::Debug + Send {
         self.decode(y, topo, transmitting)
     }
 
-    /// [`resolve`](ChannelModel::resolve) routed through
-    /// [`decode_masked`](ChannelModel::decode_masked) — same fading
-    /// contract: exactly one draw per decoded reception, none otherwise.
-    fn resolve_masked(
+    /// Full resolution: [`decode_masked`](ChannelModel::decode_masked),
+    /// then subject a decoded transmission to injected link fading.
+    fn resolve(
         &self,
         y: usize,
         slot: u64,
@@ -364,24 +345,25 @@ mod tests {
     #[test]
     fn resolve_fades_only_decoded_receptions() {
         let topo = Topology::star(3);
+        let resolve = |ch: &dyn ChannelModel, slot, txs: &[usize], fading: &mut LinkFading| {
+            let mask = ttdc_util::BitSet::from_iter(3, txs.iter().copied());
+            ch.resolve(0, slot, &topo, &star_flags(3, txs), &mask, fading)
+        };
         // Total loss: every decoded reception fades; collisions stay
         // collisions (no fade draw is spent on them).
         let mut state = FaultState::new(FaultPlan::lossy(1.0), 3, 1);
         let mut fading = LinkFading::new(&mut state, true);
         let ch = IdealChannel;
         assert_eq!(
-            ch.resolve(0, 0, &topo, &star_flags(3, &[1]), &mut fading),
+            resolve(&ch, 0, &[1], &mut fading),
             Reception::Faded { from: 1 }
         );
-        assert_eq!(
-            ch.resolve(0, 1, &topo, &star_flags(3, &[1, 2]), &mut fading),
-            Reception::Collision
-        );
+        assert_eq!(resolve(&ch, 1, &[1, 2], &mut fading), Reception::Collision);
         // Inactive fading passes everything through untouched.
         let mut state = FaultState::new(FaultPlan::none(), 3, 1);
         let mut off = LinkFading::new(&mut state, false);
         assert_eq!(
-            ch.resolve(0, 0, &topo, &star_flags(3, &[1]), &mut off),
+            resolve(&ch, 0, &[1], &mut off),
             Reception::Decoded { from: 1 }
         );
     }

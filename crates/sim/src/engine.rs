@@ -1,7 +1,7 @@
 //! The slot-synchronous simulation engine (thin orchestrator).
 //!
 //! Time advances in slots (the paper assumes loose synchronization and
-//! describes behaviour per slot, §1/§3). Each [`Simulator::step`] runs the
+//! describes behaviour per slot, §1/§3). Each stepped slot runs the
 //! seven-phase pipeline (one internal module per phase under
 //! `crates/sim/src/phases/`):
 //!
@@ -13,6 +13,13 @@
 //!    a reception at `y` succeeds iff **exactly one** of its neighbours
 //!    transmits;
 //! 5. handoff delivery; 6. bounded ARQ; 7. energy and battery depletion.
+//!
+//! Election, channel and energy visit only the slot's rosters — who may
+//! transmit, who may listen, who is awake — in ascending order. A
+//! [`SlotPlan`] supplies them for frame-periodic MACs without clock
+//! drift; otherwise a per-slot scan asks the MAC about every node at its
+//! drift-perceived slot ([`Simulator::run_dense`] forces the scan). Both
+//! sources give bit-identical runs; the choice is only about speed.
 //!
 //! Anything observable is announced as a [`SlotEvent`] to the attached
 //! [`SlotObserver`]s; the built-in metrics and trace observers assemble
@@ -35,6 +42,7 @@ use crate::metrics::SimReport;
 use crate::observer::{MetricsObserver, SlotEvent, SlotObserver, TraceObserver};
 use crate::phases;
 use crate::plan::SlotPlan;
+use crate::roster::{PlanRoster, Roster, ScanRoster};
 use crate::topology::Topology;
 use crate::traffic::{Packet, TrafficPattern};
 use rand::rngs::SmallRng;
@@ -113,23 +121,21 @@ pub struct Simulator {
     pub(crate) listening: Vec<bool>,
     pub(crate) tx_queue_idx: Vec<usize>,
     pub(crate) successes: Vec<(usize, usize)>,
-    /// Nodes that actually transmitted this slot, ascending. Maintained by
-    /// both election paths: the sparse step clears only these flags
-    /// instead of all `n`, and the ARQ pass iterates them instead of
-    /// scanning every node.
+    /// Nodes that actually transmitted this slot, ascending. The election
+    /// clears only these flags instead of all `n`, and the ARQ pass
+    /// iterates them instead of scanning every node.
     pub(crate) active_tx: Vec<usize>,
     /// Nodes that actually listened this slot, ascending (same role as
     /// `active_tx` for the `listening` flags).
     pub(crate) active_rx: Vec<usize>,
-    /// `active_tx` as a word mask; the sparse channel phase resolves
-    /// receptions by intersecting neighbourhoods against it.
+    /// `active_tx` as a word mask; the channel phase resolves receptions
+    /// by intersecting neighbourhoods against it.
     pub(crate) tx_mask: BitSet,
-    /// `perceived[v]` = the slot node `v` believes it is in, refreshed
-    /// once per slot after the fault phase (election and channel both
-    /// read it; under zero drift it equals the true slot).
-    pub(crate) perceived: Vec<u64>,
-    /// Cached sleep-sparse slot plan, rebuilt in place by [`Simulator::run`]
-    /// whenever the sparse path is eligible (rebuilding reuses buffers, so
+    /// Per-slot roster scan buffers for runs no plan can represent
+    /// (non-periodic MACs, clock drift); reused across slots and runs.
+    scan: ScanRoster,
+    /// Cached slot plan, rebuilt in place by [`Simulator::run`] whenever
+    /// the plan source is eligible (rebuilding reuses buffers, so
     /// steady-state runs stay allocation-free).
     plan_cache: Option<SlotPlan>,
     /// Cached time-skipping calendar state, buffer-reused like the plan.
@@ -177,7 +183,7 @@ impl Simulator {
             rng: SmallRng::seed_from_u64(config.seed),
             // Pre-reserved so a stable offered load never triggers a
             // mid-run doubling (capacity growth would make the step loop
-            // allocate; bench_sim asserts it doesn't). Loads that backlog
+            // allocate; the alloc_audit test asserts it doesn't). Loads that backlog
             // deeper than this still grow on demand.
             queues: (0..n).map(|_| VecDeque::with_capacity(64)).collect(),
             routing: vec![usize::MAX; n],
@@ -196,7 +202,7 @@ impl Simulator {
             active_tx: Vec::with_capacity(n),
             active_rx: Vec::with_capacity(n),
             tx_mask: BitSet::new(n),
-            perceived: vec![0; n],
+            scan: ScanRoster::default(),
             plan_cache: None,
             skip_cache: None,
         };
@@ -306,42 +312,32 @@ impl Simulator {
         }
     }
 
-    /// Advances one slot under `mac`: runs the seven-phase pipeline (the
-    /// module-level docs list the phases) and closes the slot for every
-    /// observer. This is the dense reference path — every phase scans all
-    /// `n` nodes; [`Simulator::run`] prefers the bit-identical
-    /// sleep-sparse step when the MAC allows it.
+    /// Advances one slot under `mac` on the per-slot roster scan — the
+    /// source [`Simulator::run_dense`] forces, valid for any MAC and any
+    /// fault plan — and closes the slot for every observer.
     pub fn step(&mut self, mac: &dyn MacProtocol) {
+        self.run_dense(mac, 1);
+    }
+
+    /// Advances one slot: the fault phase, then `roster` is loaded (after
+    /// the drift the fault phase accrued), then traffic, the roster-driven
+    /// exchange and energy, and the slot closes for every observer.
+    fn step_on<R: Roster>(&mut self, mac: &dyn MacProtocol, roster: &mut R) {
         phases::faults::run(self);
-        self.refresh_perceived();
+        roster.load(mac, &self.faults, self.slot);
         phases::traffic::run(self);
-        phases::election::run(self, mac);
-        phases::channel::run(self, mac);
-        phases::delivery::run(self);
-        phases::arq::run(self);
-        phases::energy::run(self);
+        self.exchange(mac, roster);
+        phases::energy::run(self, roster.awake());
         self.close_slot();
     }
 
-    /// Advances one slot through the sleep-sparse pipeline: election walks
-    /// only `plan`'s transmitter roster, channel only its listener roster
-    /// (resolving receptions against the word-level transmitter mask), ARQ
-    /// only the actual transmitters, and energy charges the roster
-    /// complement as sleepers in bulk. Caller guarantees eligibility
-    /// (periodic MAC, zero clock drift), under which every gate and RNG
-    /// draw matches the dense [`Simulator::step`] exactly.
-    fn step_sparse(&mut self, mac: &dyn MacProtocol, plan: &SlotPlan) {
-        phases::faults::run(self);
-        // Zero drift: every node perceives the true slot, so the
-        // `perceived` scratch refresh is skipped (nothing reads it on
-        // this path).
-        phases::traffic::run(self);
-        phases::election::run_sparse(self, mac, plan);
-        phases::channel::run_sparse(self, plan);
+    /// The roster-driven middle of every stepped slot, shared with the
+    /// time-skipping engine: election, channel, delivery, ARQ.
+    fn exchange<R: Roster>(&mut self, mac: &dyn MacProtocol, roster: &R) {
+        phases::election::run(self, mac, roster);
+        phases::channel::run(self, roster.listeners());
         phases::delivery::run(self);
-        phases::arq::run_sparse(self);
-        phases::energy::run_sparse(self, plan);
-        self.close_slot();
+        phases::arq::run(self);
     }
 
     /// Announces the slot boundary to every observer and advances time.
@@ -355,27 +351,17 @@ impl Simulator {
         self.slot += 1;
     }
 
-    /// Recomputes each node's drift-perceived slot once for the whole
-    /// slot; the election and channel phases read the scratch instead of
-    /// re-deriving it per phase.
-    fn refresh_perceived(&mut self) {
-        let slot = self.slot;
-        for (v, p) in self.perceived.iter_mut().enumerate() {
-            *p = self.faults.perceived_slot(v, slot);
-        }
-    }
-
-    /// `true` when the sleep-sparse path reproduces the dense pipeline
-    /// bit for bit: the MAC must genuinely be frame-periodic (so rosters
-    /// precomputed at `slot % L` are the schedule), and clock drift must
-    /// be off (a drifted node consults the schedule at its *perceived*
-    /// slot, which no per-frame plan can represent).
-    fn sparse_eligible(&self, mac: &dyn MacProtocol) -> bool {
+    /// `true` when a [`SlotPlan`] can supply the rosters: the MAC must
+    /// genuinely be frame-periodic (so rosters precomputed at `slot % L`
+    /// are the schedule), and clock drift must be off (a drifted node
+    /// consults the schedule at its *perceived* slot, which no per-frame
+    /// plan can represent). Otherwise the per-slot scan supplies them.
+    fn plan_eligible(&self, mac: &dyn MacProtocol) -> bool {
         mac.frame_periodic() && mac.frame_length() > 0 && self.faults.plan().clock_drift == 0.0
     }
 
     /// `true` when the time-skipping engine reproduces the slot-by-slot
-    /// pipelines bit for bit. On top of sparse eligibility this requires
+    /// pipeline bit for bit. On top of plan eligibility this requires
     /// that *boring* slots (no scheduled transmitter with a backlog, no
     /// traffic generation) provably consume no randomness and emit no
     /// event, so the clock can jump over them:
@@ -401,7 +387,7 @@ impl Simulator {
                 let mj = e.slot_energy_mj(s);
                 mj.is_finite() && mj >= 0.0
             });
-        self.sparse_eligible(mac)
+        self.plan_eligible(mac)
             && self.config.miss_probability == 0.0
             && self.faults.plan().crash.is_none()
             && self.extra_observers.is_empty()
@@ -414,16 +400,16 @@ impl Simulator {
 
     /// Runs `slots` consecutive slots under `mac`.
     ///
-    /// Dispatches to the fastest eligible pipeline: the event-driven
+    /// Dispatches to the fastest eligible path: the event-driven
     /// time-skipping engine when the run is deterministic enough for a
     /// slot calendar ([`Simulator::run_skipping`]) and long enough to
-    /// amortise its eager frame fill, then the sleep-sparse pipeline when
-    /// `mac` is frame-periodic and clock drift is inactive
-    /// ([`Simulator::run_sparse`]), and the dense per-node scan otherwise
-    /// ([`Simulator::run_dense`] forces the latter). All paths produce
-    /// bit-identical reports and traces — the golden fixtures and the
-    /// equivalence proptests pin this — so the dispatch is purely a
-    /// performance decision.
+    /// amortise its eager frame fill, otherwise the slot-by-slot pipeline
+    /// on a [`SlotPlan`]'s rosters when `mac` is frame-periodic and clock
+    /// drift is inactive ([`Simulator::run_sparse`]), and on the per-slot
+    /// roster scan otherwise ([`Simulator::run_dense`] forces the scan).
+    /// All paths produce bit-identical reports and traces — the golden
+    /// fixtures and the equivalence proptests pin this — so the dispatch
+    /// is purely a performance decision.
     pub fn run(&mut self, mac: &dyn MacProtocol, slots: u64) {
         if slots == 0 {
             return;
@@ -437,47 +423,54 @@ impl Simulator {
         }
     }
 
-    /// Runs `slots` consecutive slots through the sleep-sparse pipeline,
-    /// never time-skipping (falls back to the dense scan when the MAC is
-    /// not frame-periodic or clock drift is active). This is the
-    /// reference the skipping engine is measured and verified against;
+    /// Runs `slots` consecutive slots on a [`SlotPlan`]'s rosters, never
+    /// time-skipping (falls back to the per-slot scan when the MAC is not
+    /// frame-periodic or clock drift is active). This is the reference
+    /// the skipping engine is measured and verified against;
     /// [`Simulator::run`] normally picks the fastest eligible path.
     pub fn run_sparse(&mut self, mac: &dyn MacProtocol, slots: u64) {
         if slots == 0 {
             return;
         }
-        if !self.sparse_eligible(mac) {
+        if !self.plan_eligible(mac) {
             self.run_dense(mac, slots);
             return;
         }
         // Build the plan into the cached buffers: the refill allocates
         // only when the frame/node shape actually grew, so repeated runs
         // under the same MAC keep the whole loop heap-silent.
-        let n = self.topo.num_nodes();
-        match &mut self.plan_cache {
-            Some(plan) => plan.rebuild(mac, n),
-            None => self.plan_cache = Some(SlotPlan::build(mac, n)),
-        }
-        // Move the plan out while stepping (phases borrow the simulator
-        // mutably) and restore it afterwards.
-        let mut plan = self.plan_cache.take().expect("plan was just built");
+        let mut plan = self.take_plan(mac);
+        let mut roster = PlanRoster::new(&mut plan);
         for _ in 0..slots {
-            // Lazy fill: rosters materialise the first time a frame slot
-            // is visited, so short runs under huge frames (TTDC's frame
-            // grows ~n^2.25) never pay for slots they don't reach.
-            plan.ensure_filled(mac, plan.slot_index(self.slot));
-            self.step_sparse(mac, &plan);
+            self.step_on(mac, &mut roster);
         }
         self.plan_cache = Some(plan);
     }
 
-    /// Runs `slots` consecutive slots through the dense per-node pipeline
-    /// unconditionally — the reference path the sparse one is measured
-    /// and verified against (`bench_sim_scale`, the equivalence
-    /// proptests).
+    /// Runs `slots` consecutive slots on the per-slot roster scan
+    /// unconditionally: each slot asks the MAC about every node at its
+    /// perceived slot. The only source for non-periodic MACs and drifted
+    /// runs, and the reference the plan source is measured and verified
+    /// against (`bench_sim_scale`, the equivalence proptests).
     pub fn run_dense(&mut self, mac: &dyn MacProtocol, slots: u64) {
+        // Moved out while stepping (phases borrow the simulator mutably).
+        let mut scan = std::mem::take(&mut self.scan);
         for _ in 0..slots {
-            self.step(mac);
+            self.step_on(mac, &mut scan);
+        }
+        self.scan = scan;
+    }
+
+    /// The cached plan rebound to `mac`, moved out of the simulator while
+    /// it is stepped (the caller puts it back).
+    fn take_plan(&mut self, mac: &dyn MacProtocol) -> SlotPlan {
+        let n = self.topo.num_nodes();
+        match self.plan_cache.take() {
+            Some(mut plan) => {
+                plan.rebuild(mac, n);
+                plan
+            }
+            None => SlotPlan::build(mac, n),
         }
     }
 
@@ -496,7 +489,7 @@ impl Simulator {
     /// each skip window is bounded so that no node can possibly deplete
     /// inside it (half the minimum live headroom at the most expensive
     /// radio state), and when a depletion is near the engine drops to the
-    /// slot-by-slot sparse pipeline for a window so deaths land on
+    /// slot-by-slot pipeline for a window so deaths land on
     /// exactly the slot they would in every other mode.
     pub fn run_skipping(&mut self, mac: &dyn MacProtocol, slots: u64) {
         if slots == 0 {
@@ -509,14 +502,10 @@ impl Simulator {
         // Below this many slots of guaranteed headroom, step instead of
         // opening another (flush_all-bracketed) epoch.
         const MIN_EPOCH: u64 = 16;
-        // How many slots to sparse-step when a depletion is imminent.
-        const SPARSE_WINDOW: u64 = 64;
+        // How many slots to step when a depletion is imminent.
+        const STEP_WINDOW: u64 = 64;
         let n = self.topo.num_nodes();
-        match &mut self.plan_cache {
-            Some(plan) => plan.rebuild(mac, n),
-            None => self.plan_cache = Some(SlotPlan::build(mac, n)),
-        }
-        let mut plan = self.plan_cache.take().expect("plan was just built");
+        let mut plan = self.take_plan(mac);
         // Eager fill: the calendar's frame summaries need every roster.
         plan.ensure_filled(mac, plan.frame_length() - 1);
         let mut skip = self.skip_cache.take().unwrap_or_default();
@@ -530,12 +519,13 @@ impl Simulator {
                 Some(cap) => {
                     let h = self.battery_epoch_slots(cap);
                     if h < MIN_EPOCH {
-                        // Depletion imminent: run the slot-by-slot sparse
+                        // Depletion imminent: run the slot-by-slot
                         // pipeline so the death lands on its exact slot,
                         // then re-sync the calendar.
-                        let w = SPARSE_WINDOW.min(end - self.slot);
+                        let w = STEP_WINDOW.min(end - self.slot);
+                        let mut roster = PlanRoster::new(&mut plan);
                         for _ in 0..w {
-                            self.step_sparse(mac, &plan);
+                            self.step_on(mac, &mut roster);
                         }
                         skip.resettle(self.slot, &self.queues, &self.dead);
                         continue;
@@ -562,7 +552,7 @@ impl Simulator {
                     break;
                 }
                 skip.pop_due(self.slot);
-                self.step_skip(mac, &plan, &mut skip);
+                self.step_skip(mac, &mut PlanRoster::new(&mut plan), &mut skip);
                 skip.rearm_after_step(
                     &plan,
                     self.slot - 1,
@@ -621,15 +611,13 @@ impl Simulator {
     /// fault phase is elided outright: skip eligibility guarantees no
     /// crash plan and zero drift, under which it draws nothing and
     /// changes nothing. Traffic runs the calendar-aware pass, energy the
-    /// debt-settling one; the middle of the pipeline is exactly the
-    /// sleep-sparse step.
-    fn step_skip(&mut self, mac: &dyn MacProtocol, plan: &SlotPlan, skip: &mut SkipState) {
+    /// debt-settling one; the exchange between them is the ordinary
+    /// step's.
+    fn step_skip(&mut self, mac: &dyn MacProtocol, roster: &mut PlanRoster, skip: &mut SkipState) {
+        roster.load(mac, &self.faults, self.slot);
         phases::traffic::run_skip(self);
-        phases::election::run_sparse(self, mac, plan);
-        phases::channel::run_sparse(self, plan);
-        phases::delivery::run(self);
-        phases::arq::run_sparse(self);
-        phases::energy::run_skip(self, plan, &mut skip.last_flush);
+        self.exchange(mac, roster);
+        phases::energy::run_skip(self, roster.awake(), &mut skip.last_flush);
         self.close_slot();
     }
 

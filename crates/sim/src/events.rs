@@ -1,6 +1,6 @@
 //! The time-skipping calendar: which future slot can anything happen in?
 //!
-//! The sleep-sparse engine (PR 5) made each slot cheap; this module makes
+//! The roster-driven slot pipeline makes each slot cheap; this module makes
 //! most slots *free*. A slot is **interesting** — must actually run the
 //! phase pipeline — only if something observable or RNG-consuming can
 //! occur in it:
@@ -83,7 +83,7 @@ impl SkipState {
         self.resettle(now, queues, dead);
     }
 
-    /// Re-synchronises after slots ran outside the skip loop (a sparse
+    /// Re-synchronises after slots ran outside the skip loop (a stepped
     /// battery window, or run entry): the ledger is settled at `now` and
     /// the heap is reseeded from scratch (packets may have been generated
     /// or dropped, nodes may have died).

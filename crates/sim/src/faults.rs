@@ -316,6 +316,11 @@ impl FaultState {
         &self.plan
     }
 
+    /// The node count the state was built for.
+    pub(crate) fn num_nodes(&self) -> usize {
+        self.crashed.len()
+    }
+
     /// `true` if `v` is transiently down.
     pub(crate) fn is_crashed(&self, v: usize) -> bool {
         self.crashed[v]

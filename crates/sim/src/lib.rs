@@ -77,6 +77,7 @@ pub mod montecarlo;
 pub mod observer;
 mod phases;
 pub mod plan;
+mod roster;
 pub mod topology;
 pub mod trace;
 pub mod traffic;

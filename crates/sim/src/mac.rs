@@ -20,9 +20,16 @@ pub trait MacProtocol: Send + Sync {
     fn frame_length(&self) -> usize;
 
     /// May `node` transmit in `slot`?
+    ///
+    /// Must be a pure function of `(node, slot)`, like
+    /// [`may_receive`](MacProtocol::may_receive): the engine builds its
+    /// per-slot rosters from these answers outside the RNG sequence —
+    /// ahead of time for a [`SlotPlan`](crate::SlotPlan), and for every
+    /// node, dead and crashed ones included, in the per-slot scan.
     fn may_transmit(&self, node: usize, slot: u64) -> bool;
 
-    /// May `node` listen in `slot`?
+    /// May `node` listen in `slot`? A pure function of `(node, slot)`
+    /// (see [`may_transmit`](MacProtocol::may_transmit)).
     fn may_receive(&self, node: usize, slot: u64) -> bool;
 
     /// Declares that [`may_transmit`] and [`may_receive`] depend on the
@@ -30,8 +37,8 @@ pub trait MacProtocol: Send + Sync {
     /// really is periodic with period [`frame_length`].
     ///
     /// The engine uses this to precompute a per-frame
-    /// [`SlotPlan`](crate::SlotPlan) and iterate only scheduled nodes
-    /// (the sleep-sparse fast path). Defaults to `false` because the
+    /// [`SlotPlan`](crate::SlotPlan) instead of scanning every node each
+    /// slot (the fast roster source). Defaults to `false` because the
     /// claim cannot be checked cheaply: a protocol that hashes the
     /// *absolute* slot (e.g. an asynchronous random-wakeup baseline)
     /// reports `frame_length() == 1` without being periodic, and a plan

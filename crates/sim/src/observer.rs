@@ -16,7 +16,7 @@
 //!
 //! Events are small `Copy` values and dispatch is a direct method call, so
 //! observation adds no steady-state allocations to the step loop (the
-//! allocation audit in `bench_sim` covers this).
+//! allocation audit in `ttdc-bench`'s `alloc_audit` test covers this).
 //!
 //! [`on_slot_end`]: SlotObserver::on_slot_end
 //! [`SimReport`]: crate::SimReport

@@ -9,71 +9,15 @@
 
 use crate::channel::{LinkFading, Reception};
 use crate::engine::Simulator;
-use crate::mac::MacProtocol;
 use crate::observer::SlotEvent;
-use crate::plan::SlotPlan;
 use rand::Rng;
 
-pub(crate) fn run(sim: &mut Simulator, mac: &dyn MacProtocol) {
-    let n = sim.topo.num_nodes();
-    let saturated = sim.pattern.is_saturated();
-    let miss = sim.config.miss_probability;
-    let lossy_links = sim.faults.plan().has_link_loss();
-    sim.successes.clear();
-    sim.active_rx.clear();
-    for y in 0..n {
-        sim.listening[y] = false;
-        if sim.dead[y]
-            || sim.faults.is_crashed(y)
-            || sim.transmitting[y]
-            || !mac.may_receive(y, sim.perceived[y])
-            || (miss > 0.0 && sim.rng.gen_bool(miss))
-        {
-            continue;
-        }
-        sim.listening[y] = true;
-        sim.active_rx.push(y);
-        let reception = {
-            let mut fading = LinkFading::new(&mut sim.faults, lossy_links);
-            sim.channel
-                .resolve(y, sim.slot, &sim.topo, &sim.transmitting, &mut fading)
-        };
-        settle(sim, y, saturated, reception);
-    }
-}
-
-/// Applies one listener's resolved reception to the metrics and the
-/// success list — shared verbatim by the dense and sparse scans.
-#[inline]
-fn settle(sim: &mut Simulator, y: usize, saturated: bool, reception: Reception) {
-    match reception {
-        Reception::Idle => {}
-        Reception::Collision => sim.emit(SlotEvent::Collision { at: y }),
-        Reception::Faded { from } => {
-            sim.emit(SlotEvent::LinkDropped { from, to: y });
-        }
-        Reception::Decoded { from: x } => {
-            if saturated {
-                sim.emit(SlotEvent::LinkSuccess { from: x, to: y });
-            } else {
-                let qi = sim.tx_queue_idx[x];
-                let pkt = sim.queues[x][qi];
-                if sim.next_hop(x, &pkt) == y {
-                    sim.successes.push((x, y));
-                }
-            }
-        }
-    }
-}
-
-/// The sleep-sparse listen scan: identical gates and draws to [`run`],
-/// but only `plan`'s listener roster for this slot is visited (every node
-/// outside it fails the `may_receive` gate before its sync-miss draw, so
-/// skipping them consumes no randomness), and receptions resolve through
-/// [`ChannelModel::resolve_masked`](crate::ChannelModel::resolve_masked)
-/// — for the ideal channel that intersects `neighbors(y)` against the
-/// actual-transmitter word mask instead of filtering all candidates.
-pub(crate) fn run_sparse(sim: &mut Simulator, plan: &SlotPlan) {
+/// Visits only the slot's listener candidates, ascending: a node off the
+/// roster fails the schedule gate before its sync-miss draw, so skipping
+/// it consumes no randomness. Receptions resolve against the
+/// actual-transmitter word mask (for the ideal channel, `neighbors(y)`
+/// intersected word by word).
+pub(crate) fn run(sim: &mut Simulator, listeners: &[u32]) {
     let saturated = sim.pattern.is_saturated();
     let miss = sim.config.miss_probability;
     let lossy_links = sim.faults.plan().has_link_loss();
@@ -84,8 +28,7 @@ pub(crate) fn run_sparse(sim: &mut Simulator, plan: &SlotPlan) {
         sim.listening[prev] = false;
     }
     sim.active_rx.clear();
-    let si = plan.slot_index(sim.slot);
-    for &y in plan.listeners(si) {
+    for &y in listeners {
         let y = y as usize;
         if sim.dead[y]
             || sim.faults.is_crashed(y)
@@ -98,7 +41,7 @@ pub(crate) fn run_sparse(sim: &mut Simulator, plan: &SlotPlan) {
         sim.active_rx.push(y);
         let reception = {
             let mut fading = LinkFading::new(&mut sim.faults, lossy_links);
-            sim.channel.resolve_masked(
+            sim.channel.resolve(
                 y,
                 sim.slot,
                 &sim.topo,
@@ -107,6 +50,23 @@ pub(crate) fn run_sparse(sim: &mut Simulator, plan: &SlotPlan) {
                 &mut fading,
             )
         };
-        settle(sim, y, saturated, reception);
+        match reception {
+            Reception::Idle => {}
+            Reception::Collision => sim.emit(SlotEvent::Collision { at: y }),
+            Reception::Faded { from } => {
+                sim.emit(SlotEvent::LinkDropped { from, to: y });
+            }
+            Reception::Decoded { from: x } => {
+                if saturated {
+                    sim.emit(SlotEvent::LinkSuccess { from: x, to: y });
+                } else {
+                    let qi = sim.tx_queue_idx[x];
+                    let pkt = sim.queues[x][qi];
+                    if sim.next_hop(x, &pkt) == y {
+                        sim.successes.push((x, y));
+                    }
+                }
+            }
+        }
     }
 }

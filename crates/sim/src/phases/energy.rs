@@ -13,24 +13,6 @@ use crate::engine::Simulator;
 use crate::observer::SlotEvent;
 use crate::plan::SlotPlan;
 
-pub(crate) fn run(sim: &mut Simulator) {
-    let n = sim.topo.num_nodes();
-    for v in 0..n {
-        if sim.dead[v] {
-            continue;
-        }
-        let state = if sim.transmitting[v] {
-            RadioState::Transmit
-        } else if sim.listening[v] {
-            RadioState::Listen
-        } else {
-            RadioState::Sleep
-        };
-        sim.energy.record(&sim.config.energy, v, state);
-        charge_battery(sim, v);
-    }
-}
-
 /// Depletes `v`'s battery if its cumulative draw just crossed the
 /// capacity — the shared tail of every energy charge.
 #[inline]
@@ -43,74 +25,69 @@ fn charge_battery(sim: &mut Simulator, v: usize) {
     }
 }
 
-/// The sleep-sparse energy pass: identical charges to [`run`], but the
-/// per-node radio-state branch only runs for `plan`'s awake roster. The
-/// walk advances through the roster and charges every index gap — nodes
-/// the schedule guarantees asleep — with the sleep floor directly, no
-/// flag reads. Interleaving gaps with roster entries (rather than two
-/// separate loops) keeps `NodeDied` emission ascending in the node
-/// index, exactly like the dense scan. When no battery capacity is
-/// configured the gap charges additionally drop the per-node death
-/// checks and go through the bulk range sweep (nothing can die, so the
-/// checks are statically dead).
-pub(crate) fn run_sparse(sim: &mut Simulator, plan: &SlotPlan) {
+/// The radio state `v` occupied this slot, from the election and channel
+/// flags. A node on the awake roster can still have slept: crashed,
+/// missed sync, or lost the p-persistence roll.
+#[inline]
+fn radio_state(sim: &Simulator, v: usize) -> RadioState {
+    if sim.transmitting[v] {
+        RadioState::Transmit
+    } else if sim.listening[v] {
+        RadioState::Listen
+    } else {
+        RadioState::Sleep
+    }
+}
+
+/// The per-node radio-state branch only runs for the slot's `awake`
+/// roster. The walk advances through the roster and charges every index
+/// gap — nodes the schedule guarantees asleep — with the sleep floor
+/// directly, no flag reads. Interleaving gaps with roster entries (rather
+/// than two separate loops) keeps `NodeDied` emission ascending in the
+/// node index. When no battery capacity is configured the gap charges
+/// additionally drop the per-node death checks and go through the bulk
+/// range sweep (nothing can die, so the checks are statically dead).
+pub(crate) fn run(sim: &mut Simulator, awake: &[u32]) {
     let n = sim.topo.num_nodes();
-    let si = plan.slot_index(sim.slot);
     if sim.config.battery_capacity_mj.is_none() {
         // Without a battery cap no node ever dies (`dead` is set nowhere
         // but the depletion check), so every gap charge reduces to the
         // same two array bumps — take them in bulk per gap instead of a
         // guarded call per node. The per-node f64 work is unchanged (one
         // `+= sleep_mj` per slot, same order), so reports stay
-        // bit-identical; this is what makes the sparse energy pass cheap
-        // when nearly everyone sleeps.
+        // bit-identical; this is what makes the energy pass cheap when
+        // nearly everyone sleeps.
         let sleep_mj = sim.config.energy.slot_energy_mj(RadioState::Sleep);
         let mut next = 0usize;
-        for &a in plan.awake(si) {
+        for &a in awake {
             let a = a as usize;
             sim.energy.charge_sleep_range(sleep_mj, next..a);
             next = a + 1;
-            // A roster node can still have slept: crashed, missed sync,
-            // or lost the p-persistence roll — the flags decide.
-            let state = if sim.transmitting[a] {
-                RadioState::Transmit
-            } else if sim.listening[a] {
-                RadioState::Listen
-            } else {
-                RadioState::Sleep
-            };
+            let state = radio_state(sim, a);
             sim.energy.record(&sim.config.energy, a, state);
         }
         sim.energy.charge_sleep_range(sleep_mj, next..n);
         return;
     }
     let mut next = 0usize;
-    for &a in plan.awake(si) {
+    for &a in awake {
         let a = a as usize;
-        for v in next..a {
-            if sim.dead[v] {
-                continue;
-            }
-            sim.energy.record(&sim.config.energy, v, RadioState::Sleep);
-            charge_battery(sim, v);
-        }
+        sleep_gap(sim, next..a);
         next = a + 1;
         if sim.dead[a] {
             continue;
         }
-        // A roster node can still have slept: crashed, missed sync, or
-        // lost the p-persistence roll — the flags decide, as in `run`.
-        let state = if sim.transmitting[a] {
-            RadioState::Transmit
-        } else if sim.listening[a] {
-            RadioState::Listen
-        } else {
-            RadioState::Sleep
-        };
+        let state = radio_state(sim, a);
         sim.energy.record(&sim.config.energy, a, state);
         charge_battery(sim, a);
     }
-    for v in next..n {
+    sleep_gap(sim, next..n);
+}
+
+/// Charges the sleep floor to every live node of `gap`, ascending, with
+/// the battery check after each.
+fn sleep_gap(sim: &mut Simulator, gap: std::ops::Range<usize>) {
+    for v in gap {
         if sim.dead[v] {
             continue;
         }
@@ -124,14 +101,13 @@ pub(crate) fn run_sparse(sim: &mut Simulator, plan: &SlotPlan) {
 /// every uncharged slot of a live node in skip mode is a guaranteed sleep
 /// — via the bit-exact bulk charge, then records this slot's actual radio
 /// state. Per node the resulting `f64` addition sequence is exactly what
-/// the dense scan would have produced, in the same order; sleeping
+/// the slot-by-slot pipeline would have produced, in the same order; sleeping
 /// non-roster nodes are left to their debt counters. No battery checks:
 /// the engine's epoch bounds guarantee nobody can deplete inside a skip
 /// window.
-pub(crate) fn run_skip(sim: &mut Simulator, plan: &SlotPlan, last_flush: &mut [u64]) {
-    let si = plan.slot_index(sim.slot);
+pub(crate) fn run_skip(sim: &mut Simulator, awake: &[u32], last_flush: &mut [u64]) {
     let sleep_mj = sim.config.energy.slot_energy_mj(RadioState::Sleep);
-    for &a in plan.awake(si) {
+    for &a in awake {
         let a = a as usize;
         if sim.dead[a] {
             continue;
@@ -140,13 +116,7 @@ pub(crate) fn run_skip(sim: &mut Simulator, plan: &SlotPlan, last_flush: &mut [u
         if debt > 0 {
             sim.energy.charge_sleep_slots(sleep_mj, a, debt);
         }
-        let state = if sim.transmitting[a] {
-            RadioState::Transmit
-        } else if sim.listening[a] {
-            RadioState::Listen
-        } else {
-            RadioState::Sleep
-        };
+        let state = radio_state(sim, a);
         sim.energy.record(&sim.config.energy, a, state);
         last_flush[a] = sim.slot + 1;
     }

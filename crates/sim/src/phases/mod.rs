@@ -1,7 +1,7 @@
 //! The slot-phase pipeline.
 //!
-//! One simulated slot is seven phases, run in fixed order by
-//! [`Simulator::step`](crate::Simulator::step):
+//! One simulated slot is seven phases, run in fixed order by the engine's
+//! step:
 //!
 //! 1. [`faults`] — crash/recovery transitions and clock-drift accrual;
 //! 2. [`traffic`] — workload packet generation;
@@ -18,19 +18,18 @@
 //! than recorded inline. Phases communicate only through per-slot scratch
 //! on the `Simulator` (`transmitting`, `listening`, `tx_queue_idx`,
 //! `successes`, the `active_tx`/`active_rx` rosters with the `tx_mask`
-//! word mask, and the hoisted `perceived` slot table — each node's
-//! drift-perceived slot is computed once per slot, between the fault and
-//! traffic phases, instead of once per consulting phase), all
-//! pre-allocated — the steady-state step loop performs zero heap
-//! allocations (asserted by `bench_sim`).
+//! word mask), all pre-allocated — the steady-state step loop performs
+//! zero heap allocations (asserted by `ttdc-bench`'s `alloc_audit` test).
 //!
-//! The election, channel, ARQ, and energy phases each also ship a
-//! `run_sparse` twin driven by a [`SlotPlan`](crate::SlotPlan): same
-//! decisions and draws, but iterating only the slot's scheduled rosters.
-//! [`Simulator::run`](crate::Simulator::run) dispatches whole runs to the
-//! sparse pipeline when the MAC is frame-periodic and clock drift is off;
-//! the golden fixtures and the sparse/dense equivalence proptest pin the
-//! two pipelines bit-identical.
+//! Election, channel, ARQ and energy each have one implementation, and
+//! none of them visits all `n` nodes: they walk the slot's ascending
+//! rosters (the `roster` module) — transmitter candidates, listener
+//! candidates, actual transmitters, the awake union. The rosters come
+//! from a [`SlotPlan`](crate::SlotPlan) for frame-periodic, drift-free
+//! runs and from a per-slot MAC scan otherwise; the time-skipping engine
+//! reuses the same phases on plan rosters with its own traffic and energy
+//! passes. The golden fixtures and the plan-vs-scan equivalence proptests
+//! pin every source bit-identical.
 //!
 //! **RNG-draw-order compatibility rule** (see `DESIGN.md`): phases consume
 //! the main RNG stream in pipeline order, node-index order within a phase,

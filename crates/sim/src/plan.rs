@@ -1,7 +1,7 @@
-//! Precomputed per-frame slot rosters: the sleep-sparse fast path.
+//! Precomputed per-frame slot rosters: the fast roster source.
 //!
 //! The paper's whole point is that under an `(α_T, α_R)`-schedule almost
-//! every node sleeps in almost every slot — yet a dense slot loop still
+//! every node sleeps in almost every slot — yet a per-slot scan still
 //! pays O(n) per slot asking every node "are you scheduled?". For a MAC
 //! that is genuinely periodic ([`MacProtocol::frame_periodic`]), the
 //! answer for slot `s` depends only on `s mod L`, so it can be asked once
@@ -14,12 +14,8 @@
 //!   iterates only these), plus the same set as a word-level [`BitSet`]
 //!   (the schedule-aware sender probe becomes one bit test instead of a
 //!   virtual `may_receive` call),
-//! * the ascending **awake** union and the **sleeper** complement (the
-//!   energy phase charges sleep for the gaps between awake nodes in bulk
-//!   instead of branching per node),
-//! * the scheduled-transmitter set as a [`BitSet`] (the word-mask that
-//!   seeds channel resolution; the engine intersects the *actual*
-//!   transmitter mask against neighbourhoods word by word).
+//! * the ascending **awake** union (the energy phase charges sleep for
+//!   the gaps between awake nodes in bulk instead of branching per node).
 //!
 //! Node indices are stored as `u32` — half the cache traffic of `usize`
 //! on 64-bit hosts, and the engine caps node counts far below 2³².
@@ -32,11 +28,11 @@
 //! are bounded by the slots actually visited (at most `L`).
 //!
 //! The engine keeps one plan cached and *rebuilds it in place* at the
-//! start of every sparse [`run`](crate::Simulator::run): rebuilding only
-//! resets the validity watermark and refilling a slot clears and repushes
-//! into retained buffers, so repeated runs under the same MAC never
-//! allocate once capacities have grown (the steady-state allocation audit
-//! in `bench_sim` covers the sparse path).
+//! start of every plan-sourced [`run`](crate::Simulator::run): rebuilding
+//! only resets the validity watermark and refilling a slot clears and
+//! repushes into retained buffers, so repeated runs under the same MAC
+//! never allocate once capacities have grown (the steady-state allocation
+//! audit in `ttdc-bench`'s `alloc_audit` test covers the plan source).
 //!
 //! [`MacProtocol::frame_periodic`]: crate::MacProtocol::frame_periodic
 
@@ -53,11 +49,6 @@ struct PlanSlot {
     /// `tx ∪ rx`, ascending (the sets may overlap: contention MACs are
     /// awake for both).
     awake: Vec<u32>,
-    /// The complement of `awake`, ascending — every node guaranteed
-    /// asleep this frame slot.
-    sleepers: Vec<u32>,
-    /// `tx` as a word mask.
-    tx_mask: BitSet,
     /// `rx` as a word mask.
     rx_mask: BitSet,
 }
@@ -68,8 +59,6 @@ impl PlanSlot {
             tx: Vec::new(),
             rx: Vec::new(),
             awake: Vec::new(),
-            sleepers: Vec::new(),
-            tx_mask: BitSet::new(n),
             rx_mask: BitSet::new(n),
         }
     }
@@ -80,12 +69,9 @@ impl PlanSlot {
         self.tx.clear();
         self.rx.clear();
         self.awake.clear();
-        self.sleepers.clear();
-        if self.tx_mask.universe() == n {
-            self.tx_mask.clear();
+        if self.rx_mask.universe() == n {
             self.rx_mask.clear();
         } else {
-            self.tx_mask = BitSet::new(n);
             self.rx_mask = BitSet::new(n);
         }
         let slot = i as u64;
@@ -94,7 +80,6 @@ impl PlanSlot {
             let r = mac.may_receive(v, slot);
             if t {
                 self.tx.push(v as u32);
-                self.tx_mask.insert(v);
             }
             if r {
                 self.rx.push(v as u32);
@@ -102,8 +87,6 @@ impl PlanSlot {
             }
             if t || r {
                 self.awake.push(v as u32);
-            } else {
-                self.sleepers.push(v as u32);
             }
         }
     }
@@ -111,7 +94,7 @@ impl PlanSlot {
 
 /// Per-frame slot rosters for a periodic MAC over `n` nodes — built once
 /// per `(schedule, n)` pair, consulted every simulated slot by the
-/// sleep-sparse step (see the module docs).
+/// roster-driven step (see the module docs).
 #[derive(Clone, Debug)]
 pub struct SlotPlan {
     frame_len: usize,
@@ -150,7 +133,7 @@ impl SlotPlan {
     /// roster buffers. When the MAC and `n` are unchanged each refill
     /// pushes exactly the previous element counts, so no buffer grows and
     /// nothing allocates — this is what keeps repeated
-    /// [`Simulator::run`](crate::Simulator::run) calls on the sparse path
+    /// [`Simulator::run`](crate::Simulator::run) calls on the plan source
     /// heap-silent.
     pub fn rebuild(&mut self, mac: &dyn MacProtocol, n: usize) {
         let frame = mac.frame_length();
@@ -229,27 +212,6 @@ impl SlotPlan {
             "frame slot {i} not filled; call ensure_filled"
         );
         &self.slots[i].awake
-    }
-
-    /// Guaranteed sleepers of frame slot `i` (the awake complement),
-    /// ascending.
-    #[inline]
-    pub fn sleepers(&self, i: usize) -> &[u32] {
-        debug_assert!(
-            i < self.valid,
-            "frame slot {i} not filled; call ensure_filled"
-        );
-        &self.slots[i].sleepers
-    }
-
-    /// Scheduled transmitters of frame slot `i` as a word mask.
-    #[inline]
-    pub fn transmitter_mask(&self, i: usize) -> &BitSet {
-        debug_assert!(
-            i < self.valid,
-            "frame slot {i} not filled; call ensure_filled"
-        );
-        &self.slots[i].tx_mask
     }
 
     /// Scheduled listeners of frame slot `i` as a word mask.
@@ -344,28 +306,16 @@ mod tests {
         assert_eq!(plan.transmitters(0), &[0, 3]);
         assert_eq!(plan.listeners(0), &[1]);
         assert_eq!(plan.awake(0), &[0, 1, 3]);
-        assert_eq!(plan.sleepers(0), &[2, 4]);
         assert_eq!(plan.transmitters(1), &[2]);
         assert_eq!(plan.listeners(1), &[0, 4]);
         assert_eq!(plan.awake(1), &[0, 2, 4]);
-        assert_eq!(plan.sleepers(1), &[1, 3]);
         // Absolute slots wrap into the frame.
         assert_eq!(plan.slot_index(0), 0);
         assert_eq!(plan.slot_index(7), 1);
-        // Masks agree with the lists, and awake/sleepers partition [0, n).
+        // The listener mask agrees with the list.
         for i in 0..2 {
-            let tx: Vec<u32> = plan.transmitter_mask(i).iter().map(|v| v as u32).collect();
-            assert_eq!(tx, plan.transmitters(i));
             let rx: Vec<u32> = plan.listener_mask(i).iter().map(|v| v as u32).collect();
             assert_eq!(rx, plan.listeners(i));
-            let mut all: Vec<u32> = plan
-                .awake(i)
-                .iter()
-                .chain(plan.sleepers(i))
-                .copied()
-                .collect();
-            all.sort_unstable();
-            assert_eq!(all, (0..5).collect::<Vec<u32>>());
         }
     }
 
@@ -388,8 +338,6 @@ mod tests {
             assert_eq!(reused.transmitters(i), fresh.transmitters(i));
             assert_eq!(reused.listeners(i), fresh.listeners(i));
             assert_eq!(reused.awake(i), fresh.awake(i));
-            assert_eq!(reused.sleepers(i), fresh.sleepers(i));
-            assert_eq!(reused.transmitter_mask(i), fresh.transmitter_mask(i));
             assert_eq!(reused.listener_mask(i), fresh.listener_mask(i));
         }
     }

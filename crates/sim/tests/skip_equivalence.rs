@@ -215,7 +215,7 @@ proptest! {
 
     /// Every configuration whose randomness the calendar cannot represent
     /// must fall back transparently: `run_skipping()` (and the `run()`
-    /// dispatcher) still equal the dense reference under clock drift,
+    /// dispatcher) still equal the forced scan under clock drift,
     /// sync-miss, crash plans, and Poisson-style traffic.
     #[test]
     fn non_calendar_randomness_falls_back(

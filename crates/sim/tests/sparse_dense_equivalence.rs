@@ -1,12 +1,14 @@
-//! The sleep-sparse pipeline must be bit-identical to the dense scan.
+//! Both roster sources must drive the slot pipeline bit-identically.
 //!
-//! [`Simulator::run`] dispatches eligible runs (frame-periodic MAC, zero
-//! clock drift) through the [`SlotPlan`]-driven sparse phases;
-//! [`Simulator::run_dense`] forces the historical all-nodes scan. The
-//! properties here pin the two paths to the same *full* [`SimReport`] —
-//! every counter, the per-node energy ledger, the latency histogram bit
-//! patterns, and the retained event trace — across random topologies,
-//! schedules, fault plans, and 1- vs 4-thread rayon pools.
+//! Every phase walks the slot's rosters; [`Simulator::run`] takes them
+//! from a precomputed [`SlotPlan`](ttdc_sim::SlotPlan) when the run is
+//! eligible (frame-periodic MAC, zero clock drift), and
+//! [`Simulator::run_dense`] forces the per-slot scan that asks the MAC
+//! about every node at its perceived slot. The properties here pin the
+//! two sources to the same *full* [`SimReport`] — every counter, the
+//! per-node energy ledger, the latency histogram bit patterns, and the
+//! retained event trace — across random topologies, schedules, fault
+//! plans, and 1- vs 4-thread rayon pools.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -41,7 +43,7 @@ fn parallel_pool() -> &'static ThreadPool {
 }
 
 /// A randomized [`FaultPlan`] spanning every axis *except* clock drift —
-/// drift is the dense-fallback trigger and gets its own property below.
+/// drift forces the scan source and gets its own property below.
 fn arb_driftless_fault_plan() -> impl Strategy<Value = FaultPlan> {
     (
         prop_oneof![Just(0.0f64), 0.0f64..0.9],
@@ -122,7 +124,8 @@ fn fresh(
     )
 }
 
-/// `run()` (sparse-dispatched) and `run_dense()` on identical inputs.
+/// `run()` (plan-sourced when eligible) and `run_dense()` (the forced
+/// scan) on identical inputs.
 fn both_reports(
     topo: &Topology,
     mac: &dyn MacProtocol,
@@ -142,10 +145,10 @@ fn both_reports(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Zero drift + periodic MAC: the sparse pipeline engages and must
-    /// reproduce the dense report bit for bit, on a 1-thread and a
+    /// Zero drift + periodic MAC: the plan source engages and must
+    /// reproduce the scan's report bit for bit, on a 1-thread and a
     /// 4-thread rayon pool alike. The optional battery cap exercises both
-    /// tiers of the sparse energy pass (the bulk no-battery sweep and the
+    /// tiers of the energy pass (the bulk no-battery sweep and the
     /// death-checked gap walk).
     #[test]
     fn sparse_path_is_bit_identical_to_dense(
@@ -169,8 +172,8 @@ proptest! {
         prop_assert!(sparse_seq.trace.enabled());
     }
 
-    /// With clock drift active the dispatcher must fall back to the dense
-    /// scan — `run()` and `run_dense()` stay interchangeable.
+    /// With clock drift active the dispatcher must take the scan source —
+    /// `run()` and `run_dense()` stay interchangeable.
     #[test]
     fn drift_falls_back_to_dense(
         (topo, mac) in arb_scenario(),
@@ -184,8 +187,8 @@ proptest! {
         prop_assert_eq!(via_run, via_dense);
     }
 
-    /// Mode transitions on one simulator: a dense segment followed by a
-    /// sparse segment (and the reverse) must equal one uninterrupted run —
+    /// Source switches on one simulator: a scan segment followed by a
+    /// plan segment (and the reverse) must equal one uninterrupted run —
     /// the per-slot scratch (`transmitting`/`listening` flags, rosters,
     /// word mask, queue indices) survives the handoff in both directions.
     #[test]
