@@ -5,7 +5,9 @@
 //! buffers) lives in the `Simulator` and is reused, so once queues and
 //! scratch have grown to their working capacity a run must not touch the
 //! heap at all. Each case warms a simulator up, then counts this thread's
-//! allocations over a further run and asserts there were none.
+//! allocations over a further run and asserts there were none. The cases
+//! cover every roster source: slot plans, the per-slot scan, and the
+//! time-skipping calendar.
 //!
 //! The offered loads are deliberately below each schedule's service rate:
 //! at an unstable load the backlog — and so queue capacity and the latency
@@ -100,4 +102,26 @@ fn drifted_steady_state_is_allocation_free() {
 #[test]
 fn nonperiodic_steady_state_is_allocation_free() {
     assert_zero_alloc_steady_state(&RandomWakeupMac::new(0.3, 17), 0.0005, FaultPlan::default());
+}
+
+/// Sparse CBR traffic on a frame-periodic schedule runs on the
+/// time-skipping calendar, which fills the whole slot plan eagerly and
+/// rebuilds its per-node transmit-slot summaries on every run. A reused
+/// simulator must redo both in its retained buffers.
+#[test]
+fn ttdc_cbr_skip_path_is_allocation_free() {
+    let mac = ttdc();
+    let frames = 5 * mac.frame_length() as u64;
+    let traffic = TrafficPattern::CbrUnicast { period: 50_000 };
+    let mut sim = SimulatorBuilder::new(topo(), traffic).build().unwrap();
+    sim.run(&mac, 200_000); // warm-up: four CBR periods
+    let before = ALLOC_COUNT.with(Cell::get);
+    sim.run(&mac, frames);
+    let after = ALLOC_COUNT.with(Cell::get);
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state skip-path run of {frames} slots allocated {} time(s)",
+        after - before
+    );
 }

@@ -3,6 +3,7 @@
 use ttdc_core::tsma::{build_polynomial, NonSleepingSchedule};
 use ttdc_core::Schedule;
 use ttdc_sim::{MacProtocol, ScheduleMac};
+use ttdc_util::BitSet;
 
 /// The polynomial (orthogonal-array) topology-transparent schedule with all
 /// nodes awake in every slot — maximum throughput, maximum energy.
@@ -51,6 +52,10 @@ impl MacProtocol for TsmaMac {
 
     fn may_receive(&self, node: usize, slot: u64) -> bool {
         self.inner.may_receive(node, slot)
+    }
+
+    fn frame_slot_masks(&self, n: usize, i: usize, tx: &mut BitSet, rx: &mut BitSet) {
+        self.inner.frame_slot_masks(n, i, tx, rx)
     }
 }
 

@@ -4,6 +4,7 @@ use ttdc_core::construct::PartitionStrategy;
 use ttdc_core::tsma::build_duty_cycled;
 use ttdc_core::{Construction, Schedule};
 use ttdc_sim::{MacProtocol, ScheduleMac};
+use ttdc_util::BitSet;
 
 /// The topology-transparent `(α_T, α_R)`-schedule of Figure 2, driven
 /// periodically. Built from the polynomial non-sleeping schedule for
@@ -66,6 +67,10 @@ impl MacProtocol for TtdcMac {
 
     fn may_receive(&self, node: usize, slot: u64) -> bool {
         self.inner.may_receive(node, slot)
+    }
+
+    fn frame_slot_masks(&self, n: usize, i: usize, tx: &mut BitSet, rx: &mut BitSet) {
+        self.inner.frame_slot_masks(n, i, tx, rx)
     }
 }
 

@@ -4,16 +4,60 @@
 use proptest::prelude::*;
 use ttdc_core::construct::PartitionStrategy;
 use ttdc_protocols::{
-    NaiveDutyCycleMac, RandomWakeupMac, SlottedAlohaMac, SmacLikeMac, TsmaMac, TtdcMac,
+    ColoringTdmaMac, NaiveDutyCycleMac, RandomWakeupMac, SlottedAlohaMac, SmacLikeMac, TsmaMac,
+    TtdcMac,
 };
-use ttdc_sim::MacProtocol;
+use ttdc_sim::{MacProtocol, Topology};
+use ttdc_util::BitSet;
 
 fn receive_duty(mac: &dyn MacProtocol, node: usize, horizon: u64) -> f64 {
     (0..horizon).filter(|&s| mac.may_receive(node, s)).count() as f64 / horizon as f64
 }
 
+/// Checks `frame_slot_masks` at every frame slot against the per-node
+/// `may_transmit`/`may_receive` answers over `n` nodes. The masks start
+/// full, so a method that fails to overwrite them shows up too.
+fn masks_match_probes(mac: &dyn MacProtocol, n: usize) -> Result<(), TestCaseError> {
+    prop_assert!(mac.frame_periodic());
+    let (mut tx, mut rx) = (BitSet::full(n), BitSet::full(n));
+    for i in 0..mac.frame_length() {
+        mac.frame_slot_masks(n, i, &mut tx, &mut rx);
+        let slot = i as u64;
+        let want_tx = BitSet::from_iter(n, (0..n).filter(|&v| mac.may_transmit(v, slot)));
+        let want_rx = BitSet::from_iter(n, (0..n).filter(|&v| mac.may_receive(v, slot)));
+        prop_assert_eq!(&tx, &want_tx, "{} slot {} over {} nodes", mac.name(), i, n);
+        prop_assert_eq!(&rx, &want_rx, "{} slot {} over {} nodes", mac.name(), i, n);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every frame-periodic MAC's slot masks equal its own probes. The
+    /// schedule-backed ones (which copy bit-mask words) are also checked
+    /// over more and fewer nodes than the schedule has.
+    #[test]
+    fn frame_slot_masks_match_probes(
+        n in 8usize..24,
+        d in 2usize..4,
+        side in 2usize..6,
+        period in 1u64..12,
+        p in 0.05f64..1.0,
+    ) {
+        let ttdc = TtdcMac::new(n, d, 2, 3, PartitionStrategy::RoundRobin);
+        let tsma = TsmaMac::new(n, d);
+        for mac in [&ttdc as &dyn MacProtocol, &tsma] {
+            for sim_n in [n, n + 65, n / 2] {
+                masks_match_probes(mac, sim_n)?;
+            }
+        }
+        let tdma = ColoringTdmaMac::new(&Topology::grid(side, side + 1));
+        masks_match_probes(&tdma, side * (side + 1))?;
+        let active = (period / 2).max(1);
+        masks_match_probes(&SmacLikeMac::new(period, active, p), n)?;
+        masks_match_probes(&SlottedAlohaMac::new(p), n)?;
+    }
 
     /// Schedule-based protocols are exactly periodic in their frame.
     #[test]

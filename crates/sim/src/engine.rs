@@ -414,7 +414,7 @@ impl Simulator {
         if slots == 0 {
             return;
         }
-        // Time skipping pays an eager O(L·n) frame fill up front; only
+        // Time skipping pays an eager fill of all L frame slots up front; only
         // worth it when the run visits at least a frame's worth of slots.
         if slots >= mac.frame_length() as u64 && self.skip_eligible(mac) {
             self.run_skipping(mac, slots);

@@ -105,7 +105,7 @@ impl SkipState {
         if self.in_heap[v] {
             return;
         }
-        if let Some(s) = next_occurrence(&self.active.tx_slots_by_node[v], from, self.frame_len) {
+        if let Some(s) = next_occurrence(self.active.tx_slots_of(v), from, self.frame_len) {
             self.heap.push(Reverse((s, v as u32)));
             self.in_heap[v] = true;
         }

@@ -9,6 +9,7 @@
 //! baselines live in `ttdc-protocols`.
 
 use ttdc_core::Schedule;
+use ttdc_util::BitSet;
 
 /// A slotted MAC protocol: per-slot eligibility plus an optional
 /// persistence probability.
@@ -51,6 +52,35 @@ pub trait MacProtocol: Send + Sync {
     /// [`frame_length`]: MacProtocol::frame_length
     fn frame_periodic(&self) -> bool {
         false
+    }
+
+    /// Writes frame slot `i`'s transmit set into `tx` and its listen set
+    /// into `rx`, over nodes `0..n` (both sets have universe `n`; their
+    /// previous contents are overwritten).
+    ///
+    /// The contract: the result must equal the probes, i.e. `tx` holds
+    /// exactly the `v < n` with `may_transmit(v, i)` and `rx` exactly those
+    /// with `may_receive(v, i)`. The engine calls it only for
+    /// [`frame_periodic`](MacProtocol::frame_periodic) MACs with
+    /// `i < frame_length()`, to fill a [`SlotPlan`](crate::SlotPlan).
+    ///
+    /// The default probes every node, O(n) virtual calls per slot. A MAC
+    /// that already stores its slot sets as bit masks should override it
+    /// with a word copy, which makes the plan fill proportional to the
+    /// awake nodes.
+    fn frame_slot_masks(&self, n: usize, i: usize, tx: &mut BitSet, rx: &mut BitSet) {
+        debug_assert!(tx.universe() == n && rx.universe() == n);
+        tx.clear();
+        rx.clear();
+        let slot = i as u64;
+        for v in 0..n {
+            if self.may_transmit(v, slot) {
+                tx.insert(v);
+            }
+            if self.may_receive(v, slot) {
+                rx.insert(v);
+            }
+        }
     }
 
     /// Probability that a node with pending traffic actually uses a
@@ -107,12 +137,21 @@ impl MacProtocol for ScheduleMac {
     fn frame_periodic(&self) -> bool {
         true
     }
+
+    /// Copies the words of `T_i` and `R_i`. When `n` differs from the
+    /// schedule's node count, only the overlapping words are copied and
+    /// the tail is masked, which is exactly what the probes answer (nodes
+    /// outside the schedule never transmit or listen).
+    fn frame_slot_masks(&self, n: usize, i: usize, tx: &mut BitSet, rx: &mut BitSet) {
+        debug_assert!(tx.universe() == n && rx.universe() == n);
+        tx.copy_truncated(self.schedule.transmitters(i));
+        rx.copy_truncated(self.schedule.receivers(i));
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ttdc_util::BitSet;
 
     #[test]
     fn schedule_mac_wraps_periodically() {

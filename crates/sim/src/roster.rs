@@ -94,11 +94,11 @@ impl Roster for PlanRoster<'_> {
         self.slot
     }
 
-    /// One bit test against the plan's listener mask instead of a virtual
-    /// `may_receive` call (the sender's slot is the true slot).
+    /// One bit test against the plan's listener words instead of a
+    /// virtual `may_receive` call (the sender's slot is the true slot).
     #[inline]
     fn listens(&self, _mac: &dyn MacProtocol, node: usize, _pslot: u64) -> bool {
-        self.plan.listener_mask(self.index).contains(node)
+        self.plan.listens(self.index, node)
     }
 }
 

@@ -133,6 +133,23 @@ impl BitSet {
         self.blocks.iter_mut().for_each(|b| *b = 0);
     }
 
+    /// Overwrites `self` with `other ∩ [0, self.universe())`, keeping
+    /// `self`'s universe: the overlapping words are copied, any words past
+    /// `other`'s end are zeroed, and the final word is masked to the
+    /// universe. Unlike the binary operations, the universes may differ.
+    #[inline]
+    pub fn copy_truncated(&mut self, other: &BitSet) {
+        let k = self.blocks.len().min(other.blocks.len());
+        self.blocks[..k].copy_from_slice(&other.blocks[..k]);
+        self.blocks[k..].fill(0);
+        let tail = self.universe % BITS;
+        if tail != 0 {
+            if let Some(last) = self.blocks.last_mut() {
+                *last &= (1u64 << tail) - 1;
+            }
+        }
+    }
+
     /// In-place union: `self ∪= other`.
     pub fn union_with(&mut self, other: &BitSet) {
         debug_assert_eq!(self.universe, other.universe);
@@ -518,6 +535,20 @@ mod tests {
         let s: BitSet = [3usize, 9, 1].into_iter().collect();
         assert_eq!(s.universe(), 10);
         assert_eq!(s.len(), 3);
+    }
+
+    #[test]
+    fn copy_truncated_matches_contains_across_universes() {
+        let src = BitSet::from_iter(130, [0, 5, 63, 64, 65, 100, 127, 128, 129]);
+        for u in [0usize, 1, 63, 64, 65, 129, 130, 131, 200] {
+            let mut dst = BitSet::full(u);
+            dst.copy_truncated(&src);
+            assert_eq!(dst.universe(), u);
+            let want: Vec<usize> = (0..u).filter(|&e| src.contains(e)).collect();
+            assert_eq!(dst.iter().collect::<Vec<_>>(), want, "universe {u}");
+            let popcount: u32 = dst.words().iter().map(|w| w.count_ones()).sum();
+            assert_eq!(popcount as usize, want.len(), "no stray bits, universe {u}");
+        }
     }
 
     #[test]
