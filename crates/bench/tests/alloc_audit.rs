@@ -1,13 +1,13 @@
 //! Steady-state allocation audit of the simulator's slot loop.
 //!
 //! The per-slot scratch (flags, queue indices, the success list, the
-//! actual-transmitter rosters, the slot plan and the per-slot scan
-//! buffers) lives in the `Simulator` and is reused, so once queues and
-//! scratch have grown to their working capacity a run must not touch the
-//! heap at all. Each case warms a simulator up, then counts this thread's
-//! allocations over a further run and asserts there were none. The cases
-//! cover every roster source: slot plans, the per-slot scan, and the
-//! time-skipping calendar.
+//! actual-transmitter rosters, the slot plan, the skew groups and the
+//! per-slot scan buffers) lives in the `Simulator` and is reused, so once
+//! queues and scratch have grown to their working capacity a run must not
+//! touch the heap at all. Each case warms a simulator up, then counts this
+//! thread's allocations over a further run and asserts there were none.
+//! The cases cover every roster source: slot plans, skew groups, the
+//! per-slot scan, and the time-skipping calendar.
 //!
 //! The offered loads are deliberately below each schedule's service rate:
 //! at an unstable load the backlog — and so queue capacity and the latency
@@ -89,12 +89,30 @@ fn ttdc_poisson_steady_state_is_allocation_free() {
     assert_zero_alloc_steady_state(&ttdc(), 0.002, FaultPlan::default());
 }
 
-/// Clock drift moves a frame-periodic schedule onto the per-slot roster
-/// scan. The non-sleeping TSMA schedule keeps every non-transmitter
+/// Clock drift moves a frame-periodic schedule onto the skew-group
+/// rosters. The non-sleeping TSMA schedule keeps every non-transmitter
 /// listening, so drifted clocks still rendezvous and the load is served.
 #[test]
 fn drifted_steady_state_is_allocation_free() {
     let faults = FaultPlan::default().with_drift(5e-4);
+    assert_zero_alloc_steady_state(&TsmaMac::new(N, D), 0.002, faults);
+}
+
+/// At drift 0.2 some skew changes in almost every slot, so the steady
+/// state re-examines the skew groups nearly every slot. By then the skews
+/// span far more values than groups pay for, and the roster hands every
+/// slot to the per-node scan; neither may allocate.
+#[test]
+fn high_drift_steady_state_is_allocation_free() {
+    let faults = FaultPlan::default().with_drift(0.2);
+    assert_zero_alloc_steady_state(&TsmaMac::new(N, D), 0.002, faults);
+}
+
+/// At drift 2·10⁻⁵ every skew stays within ±1 slot over the whole run,
+/// so every slot, warm-up included, reads its rosters from skew groups.
+#[test]
+fn skew_group_steady_state_is_allocation_free() {
+    let faults = FaultPlan::default().with_drift(2e-5);
     assert_zero_alloc_steady_state(&TsmaMac::new(N, D), 0.002, faults);
 }
 

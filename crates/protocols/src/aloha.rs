@@ -1,6 +1,7 @@
 //! p-persistent slotted ALOHA (always-on contention baseline).
 
 use ttdc_sim::MacProtocol;
+use ttdc_util::BitSet;
 
 /// Every node may transmit and listen in every slot; a node with pending
 /// traffic transmits with probability `p`. No sleeping — the energy
@@ -41,6 +42,12 @@ impl MacProtocol for SlottedAlohaMac {
 
     fn may_receive(&self, _node: usize, _slot: u64) -> bool {
         true
+    }
+
+    /// Everyone may transmit and listen: a full word fill.
+    fn frame_slot_masks(&self, _n: usize, _i: usize, tx: &mut BitSet, rx: &mut BitSet) {
+        tx.fill();
+        rx.fill();
     }
 
     fn transmit_probability(&self, _node: usize, _slot: u64) -> f64 {

@@ -8,6 +8,7 @@
 //! active window — the contention analogue of the naive 1-in-k problem.
 
 use ttdc_sim::MacProtocol;
+use ttdc_util::BitSet;
 
 /// Coordinated listen/sleep with in-window contention.
 pub struct SmacLikeMac {
@@ -53,6 +54,17 @@ impl MacProtocol for SmacLikeMac {
 
     fn may_receive(&self, _node: usize, slot: u64) -> bool {
         self.awake(slot)
+    }
+
+    /// The whole network shares one window: every node awake, or none.
+    fn frame_slot_masks(&self, _n: usize, i: usize, tx: &mut BitSet, rx: &mut BitSet) {
+        if self.awake(i as u64) {
+            tx.fill();
+            rx.fill();
+        } else {
+            tx.clear();
+            rx.clear();
+        }
     }
 
     fn transmit_probability(&self, _node: usize, _slot: u64) -> f64 {

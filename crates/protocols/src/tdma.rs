@@ -16,9 +16,11 @@ use ttdc_util::BitSet;
 pub struct ColoringTdmaMac {
     colors: Vec<usize>,
     num_colors: usize,
-    /// `listen[v]`: the colour slots in which `v` has a transmitting
-    /// neighbour (universe `num_colors`).
-    listen: Vec<BitSet>,
+    /// `tx_by_color[c]`: the nodes of colour `c` (universe `n`).
+    tx_by_color: Vec<BitSet>,
+    /// `rx_by_color[c]`: the nodes that listen in colour slot `c` — those
+    /// of another colour with a neighbour of colour `c` (universe `n`).
+    rx_by_color: Vec<BitSet>,
 }
 
 impl ColoringTdmaMac {
@@ -42,13 +44,21 @@ impl ColoringTdmaMac {
             colors[v] = (0..).find(|&c| !used[c]).unwrap();
         }
         let num_colors = colors.iter().copied().max().unwrap_or(0) + 1;
-        let listen = (0..n)
-            .map(|v| BitSet::from_iter(num_colors, topo.neighbors(v).iter().map(|w| colors[w])))
-            .collect();
+        let mut tx_by_color = vec![BitSet::new(n); num_colors];
+        let mut rx_by_color = vec![BitSet::new(n); num_colors];
+        for v in 0..n {
+            tx_by_color[colors[v]].insert(v);
+            for w in topo.neighbors(v) {
+                if colors[w] != colors[v] {
+                    rx_by_color[colors[w]].insert(v);
+                }
+            }
+        }
         ColoringTdmaMac {
             colors,
             num_colors,
-            listen,
+            tx_by_color,
+            rx_by_color,
         }
     }
 
@@ -82,7 +92,13 @@ impl MacProtocol for ColoringTdmaMac {
 
     fn may_receive(&self, node: usize, slot: u64) -> bool {
         let c = (slot % self.num_colors as u64) as usize;
-        c != self.colors[node] && self.listen[node].contains(c)
+        self.rx_by_color[c].contains(node)
+    }
+
+    /// Copies the per-colour masks, cut to the first `n` nodes.
+    fn frame_slot_masks(&self, _n: usize, i: usize, tx: &mut BitSet, rx: &mut BitSet) {
+        tx.copy_truncated(&self.tx_by_color[i]);
+        rx.copy_truncated(&self.rx_by_color[i]);
     }
 }
 

@@ -15,11 +15,12 @@
 //! 5. handoff delivery; 6. bounded ARQ; 7. energy and battery depletion.
 //!
 //! Election, channel and energy visit only the slot's rosters — who may
-//! transmit, who may listen, who is awake — in ascending order. A
-//! [`SlotPlan`] supplies them for frame-periodic MACs without clock
-//! drift; otherwise a per-slot scan asks the MAC about every node at its
-//! drift-perceived slot ([`Simulator::run_dense`] forces the scan). Both
-//! sources give bit-identical runs; the choice is only about speed.
+//! transmit, who may listen, who is awake — in ascending order. For a
+//! frame-periodic MAC a [`SlotPlan`] supplies them without clock drift,
+//! and per-skew-group reads of the MAC's slot masks supply them under
+//! drift; for any other MAC a per-slot scan asks the MAC about every node
+//! at its drift-perceived slot ([`Simulator::run_dense`] forces the scan).
+//! All sources give bit-identical runs; the choice is only about speed.
 //!
 //! Anything observable is announced as a [`SlotEvent`] to the attached
 //! [`SlotObserver`]s; the built-in metrics and trace observers assemble
@@ -42,7 +43,7 @@ use crate::metrics::SimReport;
 use crate::observer::{MetricsObserver, SlotEvent, SlotObserver, TraceObserver};
 use crate::phases;
 use crate::plan::SlotPlan;
-use crate::roster::{PlanRoster, Roster, ScanRoster};
+use crate::roster::{PlanRoster, Roster, ScanRoster, SkewRoster};
 use crate::topology::Topology;
 use crate::traffic::{Packet, TrafficPattern};
 use rand::rngs::SmallRng;
@@ -131,9 +132,12 @@ pub struct Simulator {
     /// `active_tx` as a word mask; the channel phase resolves receptions
     /// by intersecting neighbourhoods against it.
     pub(crate) tx_mask: BitSet,
-    /// Per-slot roster scan buffers for runs no plan can represent
-    /// (non-periodic MACs, clock drift); reused across slots and runs.
+    /// Per-slot roster scan buffers for non-periodic MACs and forced
+    /// scans; reused across slots and runs.
     scan: ScanRoster,
+    /// Skew-group roster for frame-periodic MACs under clock drift;
+    /// reused across slots and runs like `scan`.
+    skew: SkewRoster,
     /// Cached slot plan, rebuilt in place by [`Simulator::run`] whenever
     /// the plan source is eligible (rebuilding reuses buffers, so
     /// steady-state runs stay allocation-free).
@@ -203,6 +207,7 @@ impl Simulator {
             active_rx: Vec::with_capacity(n),
             tx_mask: BitSet::new(n),
             scan: ScanRoster::default(),
+            skew: SkewRoster::default(),
             plan_cache: None,
             skip_cache: None,
         };
@@ -351,21 +356,23 @@ impl Simulator {
         self.slot += 1;
     }
 
-    /// `true` when a [`SlotPlan`] can supply the rosters: the MAC must
-    /// genuinely be frame-periodic (so rosters precomputed at `slot % L`
-    /// are the schedule), and clock drift must be off (a drifted node
-    /// consults the schedule at its *perceived* slot, which no per-frame
-    /// plan can represent). Otherwise the per-slot scan supplies them.
-    fn plan_eligible(&self, mac: &dyn MacProtocol) -> bool {
-        mac.frame_periodic() && mac.frame_length() > 0 && self.faults.plan().clock_drift == 0.0
+    /// `true` when the MAC's rosters can be read from its per-frame-slot
+    /// masks: it must genuinely be frame-periodic, so the rosters of any
+    /// (perceived) slot are those of frame slot `slot % L`. Otherwise only
+    /// the per-slot scan can supply them.
+    fn masks_eligible(mac: &dyn MacProtocol) -> bool {
+        mac.frame_periodic() && mac.frame_length() > 0
     }
 
     /// `true` when the time-skipping engine reproduces the slot-by-slot
-    /// pipeline bit for bit. On top of plan eligibility this requires
-    /// that *boring* slots (no scheduled transmitter with a backlog, no
-    /// traffic generation) provably consume no randomness and emit no
+    /// pipeline bit for bit. It needs a [`SlotPlan`] (a frame-periodic MAC
+    /// and zero clock drift, so every node perceives the true slot), and
+    /// *boring* slots (no scheduled transmitter with a backlog, no
+    /// traffic generation) must provably consume no randomness and emit no
     /// event, so the clock can jump over them:
     ///
+    /// * zero clock drift — the calendar's frame summaries are per true
+    ///   frame slot;
     /// * sync-miss off — a miss roll draws per roster transmitter/listener
     ///   even when idle;
     /// * no crash plan — crash/recovery draws every slot and changes
@@ -387,7 +394,8 @@ impl Simulator {
                 let mj = e.slot_energy_mj(s);
                 mj.is_finite() && mj >= 0.0
             });
-        self.plan_eligible(mac)
+        Simulator::masks_eligible(mac)
+            && self.faults.plan().clock_drift == 0.0
             && self.config.miss_probability == 0.0
             && self.faults.plan().crash.is_none()
             && self.extra_observers.is_empty()
@@ -404,9 +412,11 @@ impl Simulator {
     /// time-skipping engine when the run is deterministic enough for a
     /// slot calendar ([`Simulator::run_skipping`]) and long enough to
     /// amortise its eager frame fill, otherwise the slot-by-slot pipeline
-    /// on a [`SlotPlan`]'s rosters when `mac` is frame-periodic and clock
-    /// drift is inactive ([`Simulator::run_sparse`]), and on the per-slot
-    /// roster scan otherwise ([`Simulator::run_dense`] forces the scan).
+    /// ([`Simulator::run_sparse`]) on a [`SlotPlan`]'s rosters when `mac`
+    /// is frame-periodic and clock drift is inactive, on per-skew-group
+    /// rosters read from the MAC's slot masks when `mac` is frame-periodic
+    /// under drift, and on the per-slot roster scan otherwise
+    /// ([`Simulator::run_dense`] forces the scan).
     /// All paths produce bit-identical reports and traces — the golden
     /// fixtures and the equivalence proptests pin this — so the dispatch
     /// is purely a performance decision.
@@ -424,16 +434,26 @@ impl Simulator {
     }
 
     /// Runs `slots` consecutive slots on a [`SlotPlan`]'s rosters, never
-    /// time-skipping (falls back to the per-slot scan when the MAC is not
-    /// frame-periodic or clock drift is active). This is the reference
-    /// the skipping engine is measured and verified against;
+    /// time-skipping. Under clock drift a frame-periodic MAC runs on
+    /// per-skew-group rosters instead, and a MAC that is not
+    /// frame-periodic on the per-slot scan. This is the reference the
+    /// skipping engine is measured and verified against;
     /// [`Simulator::run`] normally picks the fastest eligible path.
     pub fn run_sparse(&mut self, mac: &dyn MacProtocol, slots: u64) {
         if slots == 0 {
             return;
         }
-        if !self.plan_eligible(mac) {
+        if !Simulator::masks_eligible(mac) {
             self.run_dense(mac, slots);
+            return;
+        }
+        if self.faults.plan().clock_drift != 0.0 {
+            // Moved out while stepping, like the scan in `run_dense`.
+            let mut skew = std::mem::take(&mut self.skew);
+            for _ in 0..slots {
+                self.step_on(mac, &mut skew);
+            }
+            self.skew = skew;
             return;
         }
         // Build the plan into the cached buffers: the refill allocates
@@ -449,8 +469,8 @@ impl Simulator {
 
     /// Runs `slots` consecutive slots on the per-slot roster scan
     /// unconditionally: each slot asks the MAC about every node at its
-    /// perceived slot. The only source for non-periodic MACs and drifted
-    /// runs, and the reference the plan source is measured and verified
+    /// perceived slot. The only source for non-periodic MACs, and the
+    /// reference the plan and skew-group sources are measured and verified
     /// against (`bench_sim_scale`, the equivalence proptests).
     pub fn run_dense(&mut self, mac: &dyn MacProtocol, slots: u64) {
         // Moved out while stepping (phases borrow the simulator mutably).

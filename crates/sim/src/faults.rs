@@ -284,6 +284,14 @@ pub(crate) struct FaultState {
     drift_rate: Vec<f64>,
     /// Accrued skew per node, in slots.
     drift_accum: Vec<f64>,
+    /// `drift_accum` truncated toward zero: the whole slots node `v`'s
+    /// clock is off by.
+    skew: Vec<i64>,
+    /// Bumped by [`FaultState::step_drift`] whenever any node's `skew`
+    /// changes, so skew-grouped rosters know when to regroup.
+    skew_epoch: u64,
+    /// The lowest and highest entry of `skew`.
+    skew_range: (i64, i64),
 }
 
 impl FaultState {
@@ -308,6 +316,9 @@ impl FaultState {
             links: HashMap::new(),
             drift_rate,
             drift_accum: vec![0.0; n],
+            skew: vec![0; n],
+            skew_epoch: 0,
+            skew_range: (0, 0),
         }
     }
 
@@ -350,24 +361,54 @@ impl FaultState {
         None
     }
 
-    /// Accrues one slot of clock drift for every node.
+    /// Accrues one slot of clock drift for every node and refreshes each
+    /// node's whole-slot skew and their range, bumping
+    /// [`FaultState::skew_epoch`] when any of them changed.
     pub(crate) fn step_drift(&mut self) {
         if self.plan.clock_drift == 0.0 {
             return;
         }
-        for (accum, rate) in self.drift_accum.iter_mut().zip(&self.drift_rate) {
+        let mut changed = false;
+        let (mut lowest, mut highest) = (i64::MAX, i64::MIN);
+        for ((accum, rate), skew) in self
+            .drift_accum
+            .iter_mut()
+            .zip(&self.drift_rate)
+            .zip(&mut self.skew)
+        {
             *accum += rate;
+            // `as` truncates toward zero, exactly like `trunc()`.
+            let s = *accum as i64;
+            changed |= s != *skew;
+            *skew = s;
+            lowest = lowest.min(s);
+            highest = highest.max(s);
         }
+        if changed {
+            self.skew_epoch += 1;
+            self.skew_range = (lowest, highest);
+        }
+    }
+
+    /// Every node's whole-slot clock skew (all zero without drift).
+    pub(crate) fn skews(&self) -> &[i64] {
+        &self.skew
+    }
+
+    /// A counter that changes whenever [`FaultState::skews`] does.
+    pub(crate) fn skew_epoch(&self) -> u64 {
+        self.skew_epoch
+    }
+
+    /// The lowest and highest skew (`(0, 0)` without nodes or drift).
+    pub(crate) fn skew_range(&self) -> (i64, i64) {
+        self.skew_range
     }
 
     /// The slot index node `v` *believes* it is in when the true slot is
     /// `slot`. Never below zero (a lagging clock saturates at slot 0).
     pub(crate) fn perceived_slot(&self, v: usize, slot: u64) -> u64 {
-        if self.plan.clock_drift == 0.0 {
-            return slot;
-        }
-        let skew = self.drift_accum[v].trunc() as i64;
-        slot.saturating_add_signed(skew)
+        slot.saturating_add_signed(self.skew[v])
     }
 
     /// Draws whether a transmission `x → y` in `slot` survives the link
@@ -541,6 +582,27 @@ mod tests {
         assert!(perceived.iter().all(|&s| (975..=1025).contains(&s)));
         // A lagging clock saturates at slot 0 rather than wrapping around.
         assert!((0..16).map(|v| st.perceived_slot(v, 0)).max().unwrap() <= 25);
+    }
+
+    #[test]
+    fn skews_truncate_the_accrual_and_move_the_epoch() {
+        let plan = FaultPlan::default().with_drift(0.3);
+        let mut st = FaultState::new(plan, 32, 8);
+        let mut prev = st.skews().to_vec();
+        for _ in 0..200 {
+            let epoch = st.skew_epoch();
+            st.step_drift();
+            for (v, &s) in st.skews().iter().enumerate() {
+                assert_eq!(s, st.drift_accum[v].trunc() as i64);
+                assert_eq!(st.perceived_slot(v, 500), 500u64.saturating_add_signed(s));
+            }
+            let changed = st.skews() != prev.as_slice();
+            assert_eq!(st.skew_epoch() != epoch, changed);
+            let lowest = *st.skews().iter().min().unwrap();
+            let highest = *st.skews().iter().max().unwrap();
+            assert_eq!(st.skew_range(), (lowest, highest));
+            prev = st.skews().to_vec();
+        }
     }
 
     #[test]

@@ -62,12 +62,17 @@ pub trait MacProtocol: Send + Sync {
     /// exactly the `v < n` with `may_transmit(v, i)` and `rx` exactly those
     /// with `may_receive(v, i)`. The engine calls it only for
     /// [`frame_periodic`](MacProtocol::frame_periodic) MACs with
-    /// `i < frame_length()`, to fill a [`SlotPlan`](crate::SlotPlan).
+    /// `i < frame_length()`: once per frame slot to fill a
+    /// [`SlotPlan`](crate::SlotPlan), and under clock drift once per
+    /// distinct frame slot the nodes' skewed clocks perceive, in every
+    /// slot that is read from skew groups.
     ///
-    /// The default probes every node, O(n) virtual calls per slot. A MAC
-    /// that already stores its slot sets as bit masks should override it
-    /// with a word copy, which makes the plan fill proportional to the
-    /// awake nodes.
+    /// The default probes every node, O(n) virtual calls per call — on
+    /// drifted runs that is O(n) per perceived frame slot per simulated
+    /// slot. A MAC that can state its slot sets as bit masks should
+    /// override it with word fills or copies, which makes both uses
+    /// proportional to the awake nodes; every frame-periodic MAC in this
+    /// workspace does.
     fn frame_slot_masks(&self, n: usize, i: usize, tx: &mut BitSet, rx: &mut BitSet) {
         debug_assert!(tx.universe() == n && rx.universe() == n);
         tx.clear();

@@ -24,12 +24,13 @@
 //! Election, channel, ARQ and energy each have one implementation, and
 //! none of them visits all `n` nodes: they walk the slot's ascending
 //! rosters (the `roster` module) — transmitter candidates, listener
-//! candidates, actual transmitters, the awake union. The rosters come
-//! from a [`SlotPlan`](crate::SlotPlan) for frame-periodic, drift-free
-//! runs and from a per-slot MAC scan otherwise; the time-skipping engine
-//! reuses the same phases on plan rosters with its own traffic and energy
-//! passes. The golden fixtures and the plan-vs-scan equivalence proptests
-//! pin every source bit-identical.
+//! candidates, actual transmitters, the awake union. For frame-periodic
+//! MACs the rosters come from a [`SlotPlan`](crate::SlotPlan) without
+//! clock drift and from per-skew-group reads of the MAC's slot masks
+//! under drift; for any other MAC from a per-slot MAC scan. The
+//! time-skipping engine reuses the same phases on plan rosters with its
+//! own traffic and energy passes. The golden fixtures and the
+//! roster-vs-scan equivalence proptests pin every source bit-identical.
 //!
 //! **RNG-draw-order compatibility rule** (see `DESIGN.md`): phases consume
 //! the main RNG stream in pipeline order, node-index order within a phase,

@@ -243,7 +243,7 @@ impl SlotPlan {
 
 /// Appends the set bits of word `w` (node ids `64·w + bit`), ascending.
 #[inline]
-fn push_bits(out: &mut Vec<u32>, w: usize, mut word: u64) {
+pub(crate) fn push_bits(out: &mut Vec<u32>, w: usize, mut word: u64) {
     let base = (w * 64) as u32;
     while word != 0 {
         out.push(base + word.trailing_zeros());

@@ -40,7 +40,7 @@ const GOLDEN_SEEDS: u64 = 32;
 const FIXTURE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden.txt");
 
 /// Pinned drift + crash scenarios — every one keeps clock drift active, so
-/// [`Simulator::run`] must take the per-slot roster scan rather than the
+/// [`Simulator::run`] must take the skew-group rosters rather than the
 /// slot plan (verified in-test by comparing against a forced
 /// [`Simulator::run_dense`]).
 const DRIFT_SEEDS: u64 = 16;
@@ -178,7 +178,7 @@ fn scenario_fingerprint(seed: u64) -> String {
 /// dispatching `run()` *and* the forced scan, asserts they agree, and
 /// fingerprints the report. Clock drift is always on (and a crash model
 /// always installed), so these scenarios exercise exactly the
-/// plan-ineligible corner the dispatcher must route to the scan.
+/// plan-ineligible corner the dispatcher routes to the skew-group rosters.
 fn drift_scenario_fingerprint(seed: u64) -> String {
     let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xDF1F);
     let n = rng.gen_range(4usize..12);
@@ -247,7 +247,7 @@ fn drift_scenario_fingerprint(seed: u64) -> String {
     assert_eq!(
         fp,
         fingerprint(&forced.report()),
-        "seed {seed}: under clock drift, run() must take the roster scan"
+        "seed {seed}: under clock drift, run() must match the forced roster scan"
     );
     fp
 }
@@ -537,12 +537,14 @@ fn golden_fixtures_cover_every_pinned_seed() {
     check_family(FIXTURE_PATH, GOLDEN_SEEDS, scenario_fingerprint);
 }
 
-/// The drift + crash family: scenarios no slot plan can represent. Each
-/// seed also cross-checks `run()` against a forced `run_dense()` inside
+/// The drift + crash family: scenarios no slot plan can represent, which
+/// `run()` serves from skew-group rosters. Each seed also cross-checks
+/// `run()` against a forced `run_dense()` inside
 /// `drift_scenario_fingerprint`, so a dispatcher that wrongly took the
-/// plan source under drift fails here even before the fixture diff.
+/// plan source under drift, or skew groups that disagree with the
+/// per-node scan, fail here even before the fixture diff.
 #[test]
-fn drift_crash_fixtures_pin_the_dense_fallback() {
+fn drift_crash_fixtures_pin_the_skew_roster() {
     check_family(DRIFT_FIXTURE_PATH, DRIFT_SEEDS, drift_scenario_fingerprint);
 }
 

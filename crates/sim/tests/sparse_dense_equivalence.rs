@@ -1,18 +1,19 @@
-//! Both roster sources must drive the slot pipeline bit-identically.
+//! Every roster source must drive the slot pipeline bit-identically.
 //!
-//! Every phase walks the slot's rosters; [`Simulator::run`] takes them
-//! from a precomputed [`SlotPlan`](ttdc_sim::SlotPlan) when the run is
-//! eligible (frame-periodic MAC, zero clock drift), and
+//! Every phase walks the slot's rosters. For a frame-periodic MAC,
+//! [`Simulator::run`] takes them from a precomputed
+//! [`SlotPlan`](ttdc_sim::SlotPlan) at zero clock drift and from
+//! per-skew-group reads of the MAC's slot masks under drift;
 //! [`Simulator::run_dense`] forces the per-slot scan that asks the MAC
 //! about every node at its perceived slot. The properties here pin the
-//! two sources to the same *full* [`SimReport`] — every counter, the
-//! per-node energy ledger, the latency histogram bit patterns, and the
-//! retained event trace — across random topologies, schedules, fault
-//! plans, and 1- vs 4-thread rayon pools.
+//! sources to the same *full* [`SimReport`] — every counter, the per-node
+//! energy ledger, the latency histogram bit patterns, and the retained
+//! event trace — across random topologies, schedules, fault plans, and
+//! 1- vs 4-thread rayon pools.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rayon::ThreadPool;
 use std::sync::OnceLock;
 use ttdc_core::Schedule;
@@ -43,7 +44,8 @@ fn parallel_pool() -> &'static ThreadPool {
 }
 
 /// A randomized [`FaultPlan`] spanning every axis *except* clock drift —
-/// drift forces the scan source and gets its own property below.
+/// drift moves the run onto skew-group rosters and gets its own
+/// properties below.
 fn arb_driftless_fault_plan() -> impl Strategy<Value = FaultPlan> {
     (
         prop_oneof![Just(0.0f64), 0.0f64..0.9],
@@ -102,6 +104,29 @@ fn arb_pattern() -> impl Strategy<Value = TrafficPattern> {
         (0.01f64..0.3).prop_map(|rate| TrafficPattern::PoissonUnicast { rate }),
         (0.01f64..0.15).prop_map(|rate| TrafficPattern::Convergecast { sink: 0, rate }),
     ]
+}
+
+/// A random schedule MAC over `n` nodes with `frame` slots: in each slot
+/// every node transmits with probability `density`, and otherwise listens
+/// with the same probability.
+fn random_schedule_mac(n: usize, frame: usize, density: f64, seed: u64) -> ScheduleMac {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut t = Vec::new();
+    let mut r = Vec::new();
+    for _ in 0..frame {
+        let mut tx = BitSet::new(n);
+        let mut rx = BitSet::new(n);
+        for v in 0..n {
+            if rng.gen_bool(density) {
+                tx.insert(v);
+            } else if rng.gen_bool(density) {
+                rx.insert(v);
+            }
+        }
+        t.push(tx);
+        r.push(rx);
+    }
+    ScheduleMac::new("prop-wide", Schedule::new(n, t, r))
 }
 
 fn fresh(
@@ -172,10 +197,10 @@ proptest! {
         prop_assert!(sparse_seq.trace.enabled());
     }
 
-    /// With clock drift active the dispatcher must take the scan source —
-    /// `run()` and `run_dense()` stay interchangeable.
+    /// With clock drift active the dispatcher takes the skew-group
+    /// rosters, which must stay interchangeable with `run_dense()`.
     #[test]
-    fn drift_falls_back_to_dense(
+    fn drifted_run_matches_dense_scan(
         (topo, mac) in arb_scenario(),
         drift in 0.001f64..0.4,
         seed in 0u64..300,
@@ -185,6 +210,52 @@ proptest! {
         let pattern = TrafficPattern::PoissonUnicast { rate: 0.1 };
         let (via_run, via_dense) = both_reports(&topo, &mac, &pattern, seed, &plan, None, slots);
         prop_assert_eq!(via_run, via_dense);
+    }
+
+    /// Skew groups against the per-node scan on networks of one to three
+    /// mask words (n = 1, 63, 64, 65, 130), where a group's members span
+    /// word boundaries. Drift up to 0.4 changes skews almost every slot,
+    /// so the groups are rebuilt nearly every slot; drift near 1 puts
+    /// lagging clocks on perceived slot 0 (no accrued skew can go below
+    /// it; the `roster` unit tests cover the saturation itself). An L = 1
+    /// frame maps every group onto one frame slot. Crash and sync-miss
+    /// each run on and off.
+    #[test]
+    fn skew_roster_matches_dense_on_multiword_networks(
+        (n, frame, density, shape_seed) in (
+            prop_oneof![Just(1usize), Just(63usize), Just(64usize), Just(65usize), Just(130usize)],
+            prop_oneof![Just(1usize), 2usize..40],
+            0.02f64..0.5,
+            0u64..1000,
+        ),
+        drift in prop_oneof![0.0005f64..0.05, 0.05f64..0.4, 0.9f64..0.999],
+        (crash, miss) in (
+            prop::option::of((0.001f64..0.05, 0.02f64..0.5)),
+            prop_oneof![Just(0.0f64), 0.01f64..0.3],
+        ),
+        pattern in arb_pattern(),
+        seed in 0u64..300,
+        slots in 50u64..250,
+    ) {
+        let mac = random_schedule_mac(n, frame, density, shape_seed);
+        let mut rng = SmallRng::seed_from_u64(shape_seed ^ 0x70B0);
+        let topo = Topology::random_gnp_capped(n, 0.1, 4, &mut rng);
+        let mut faults = FaultPlan::none().with_drift(drift);
+        if let Some((c, r)) = crash {
+            faults = faults.with_crash(CrashModel::new(c, r));
+        }
+        let config = SimConfig {
+            seed,
+            faults,
+            miss_probability: miss,
+            trace_capacity: 64,
+            ..Default::default()
+        };
+        let mut via_run = Simulator::new(topo.clone(), pattern, config);
+        via_run.run(&mac, slots);
+        let mut via_dense = Simulator::new(topo, pattern, config);
+        via_dense.run_dense(&mac, slots);
+        prop_assert_eq!(via_run.report(), via_dense.report());
     }
 
     /// Source switches on one simulator: a scan segment followed by a

@@ -133,6 +133,20 @@ impl BitSet {
         self.blocks.iter_mut().for_each(|b| *b = 0);
     }
 
+    /// Inserts every element of the universe, in place. `#[inline]` like
+    /// [`BitSet::copy_truncated`]: both serve the simulator's per-slot
+    /// mask fills.
+    #[inline]
+    pub fn fill(&mut self) {
+        self.blocks.fill(u64::MAX);
+        let tail = self.universe % BITS;
+        if tail != 0 {
+            if let Some(last) = self.blocks.last_mut() {
+                *last = (1u64 << tail) - 1;
+            }
+        }
+    }
+
     /// Overwrites `self` with `other ∩ [0, self.universe())`, keeping
     /// `self`'s universe: the overlapping words are copied, any words past
     /// `other`'s end are zeroed, and the final word is masked to the
@@ -548,6 +562,16 @@ mod tests {
             assert_eq!(dst.iter().collect::<Vec<_>>(), want, "universe {u}");
             let popcount: u32 = dst.words().iter().map(|w| w.count_ones()).sum();
             assert_eq!(popcount as usize, want.len(), "no stray bits, universe {u}");
+        }
+    }
+
+    #[test]
+    fn fill_equals_full() {
+        for u in [0usize, 1, 63, 64, 65, 128, 130] {
+            let mut s = BitSet::new(u);
+            s.fill();
+            assert_eq!(s, BitSet::full(u), "universe {u}");
+            assert_eq!(s.len(), u);
         }
     }
 
