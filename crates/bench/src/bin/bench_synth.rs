@@ -11,6 +11,13 @@
 //! search). Writes `BENCH_synth.json` at the repo root, same shape as
 //! `BENCH_verify.json`.
 //!
+//! A second family, `reproof`, times the default search on a 1-thread
+//! pool at the benchmark's design points (two exact re-proofs seeded at
+//! their optimum, one budgeted search) plus the larger (6,1,1,2) re-proof.
+//! Every row asserts its pinned node count and `(len, lex)` winner, and
+//! reports its median against the `baseline_median_ms` recorded for the
+//! search before its per-node residual-gain pass.
+//!
 //! Run with `cargo run --release -p ttdc-bench --bin bench_synth`.
 //! Pass `--smoke` (CI) for a single timing iteration: the identity
 //! assertions still run in full, only the timing fidelity drops, and the
@@ -30,6 +37,65 @@ const POINTS: &[(usize, usize, usize, usize)] = &[
     (5, 1, 2, 2),
     (5, 3, 1, 2),
     (5, 2, 2, 2),
+];
+
+/// One re-proof row: a parameter point, the search's incumbent seed and
+/// node budget, and what the row pins.
+struct Reproof {
+    point: (usize, usize, usize, usize),
+    incumbent_len: Option<usize>,
+    max_nodes: Option<u64>,
+    /// Nodes the search expands; any change to it fails the row.
+    nodes: u64,
+    /// The `(len, lex)` winner's candidate ids.
+    winner: &'static [u32],
+    /// Median wall time (ms) of this row before the per-node residual-gain
+    /// pass: the median of three full runs of this harness on the 2-vCPU
+    /// host that recorded `BENCH_synth.json`.
+    baseline_median_ms: f64,
+}
+
+const REPROOFS: &[Reproof] = &[
+    Reproof {
+        point: (6, 2, 1, 3),
+        incumbent_len: Some(12),
+        max_nodes: None,
+        nodes: 1_044,
+        winner: &[0, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50, 55],
+        baseline_median_ms: 10.70,
+    },
+    Reproof {
+        point: (8, 1, 1, 2),
+        incumbent_len: None,
+        max_nodes: Some(3_000),
+        nodes: 3_001,
+        winner: &[
+            0, 5, 11, 18, 21, 26, 32, 39, 42, 47, 53, 60, 63, 68, 74, 81, 84, 89, 95, 102, 105,
+            110, 116, 123, 126, 131, 137, 144, 147, 152, 158, 165,
+        ],
+        baseline_median_ms: 27.83,
+    },
+    Reproof {
+        point: (10, 1, 1, 3),
+        incumbent_len: Some(30),
+        max_nodes: None,
+        nodes: 449,
+        winner: &[
+            0, 64, 83, 84, 148, 167, 168, 232, 251, 252, 316, 335, 336, 400, 419, 420, 484, 503,
+            504, 568, 587, 588, 652, 671, 672, 736, 755, 756, 820, 839,
+        ],
+        baseline_median_ms: 25.21,
+    },
+    Reproof {
+        point: (6, 1, 1, 2),
+        incumbent_len: Some(18),
+        max_nodes: None,
+        nodes: 69_538,
+        winner: &[
+            0, 1, 9, 10, 11, 19, 20, 21, 29, 30, 31, 39, 40, 41, 49, 50, 51, 59,
+        ],
+        baseline_median_ms: 125.2,
+    },
 ];
 
 /// The ablation ladder, weakest first. The first rung reproduces the
@@ -176,6 +242,64 @@ fn run_point(n: usize, d: usize, at: usize, ar: usize, iters: usize) -> Value {
     })
 }
 
+fn run_reproof(r: &Reproof, iters: usize) -> Value {
+    let (n, d, at, ar) = r.point;
+    let name = format!("reproof/n{n}_d{d}_at{at}_ar{ar}");
+    let space = DemandSpace::new(n, d);
+    let cands = CandidateSpace::new(&space, at, ar);
+    let opts = SearchOptions {
+        incumbent_len: r.incumbent_len,
+        max_nodes: r.max_nodes,
+        ..SearchOptions::default()
+    };
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("pool construction cannot fail");
+    let (ms, (sol, stats)) = measure(iters, || {
+        pool.install(|| minimum_cover(&space, &cands, &opts))
+    });
+    eprintln!(
+        "{name}: {} nodes, L={} {:?}",
+        stats.nodes,
+        sol.slots.len(),
+        sol.slots
+    );
+    assert_eq!(stats.nodes, r.nodes, "{name}: node count moved");
+    assert_eq!(sol.slots, r.winner, "{name}: (len, lex) winner moved");
+    assert_eq!(
+        stats.exact,
+        r.max_nodes.is_none(),
+        "{name}: exactness moved"
+    );
+    let schedule = cands.schedule(n, &sol.slots);
+    assert!(
+        requirement3_violation_naive(&schedule, d).is_none(),
+        "{name}: winner fails the naive Requirement-3 oracle"
+    );
+    eprintln!(
+        "  {ms:>9.3} ms median (baseline {:.3} ms, {:.2}x)",
+        r.baseline_median_ms,
+        r.baseline_median_ms / ms
+    );
+    json!({
+        "name": name,
+        "threads": 1,
+        "incumbent_len": r.incumbent_len.map_or(Value::Null, |l| Value::from(l as u64)),
+        "max_nodes": r.max_nodes.map_or(Value::Null, Value::from),
+        "iterations": iters,
+        "nodes": stats.nodes,
+        "pruned": stats.pruned,
+        "exact": stats.exact,
+        "frame_length": sol.slots.len() as u64,
+        "results_identical": true,
+        "median_ms": ms,
+        "baseline_median_ms": r.baseline_median_ms,
+        "speedup_vs_baseline": r.baseline_median_ms / ms,
+        "nodes_per_sec": stats.nodes as f64 / (ms / 1e3),
+    })
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let iters = if smoke { 1 } else { 7 };
@@ -183,6 +307,10 @@ fn main() {
     let sweeps: Vec<Value> = POINTS
         .iter()
         .map(|&(n, d, at, ar)| run_point(n, d, at, ar, iters))
+        .collect();
+    let reproofs: Vec<Value> = REPROOFS
+        .iter()
+        .map(|r| run_reproof(r, if smoke { 1 } else { 3 * iters }))
         .collect();
 
     let min_reduction = sweeps
@@ -192,7 +320,7 @@ fn main() {
     eprintln!("minimum full-vs-ceiling node reduction across points: {min_reduction:.1}x");
 
     if smoke {
-        eprintln!("smoke mode: identity checks passed on every point; JSON not rewritten");
+        eprintln!("smoke mode: identity checks passed on every point and re-proof row; JSON not rewritten");
         return;
     }
 
@@ -202,6 +330,8 @@ fn main() {
         "host_available_parallelism": host_threads as u64,
         "note": "all searches run on a 1-thread pool; every ladder rung is asserted to return the identical (len, lex) winner as the exhaustive search, which is re-verified by the naive Requirement-3 oracle",
         "sweeps": sweeps,
+        "reproof_note": "default search (SearchOptions::default() plus the row's incumbent seed / node budget) on a 1-thread pool; node count and (len, lex) winner asserted against pinned values; baseline_median_ms is the same row measured before the per-node residual-gain pass",
+        "reproof": reproofs,
     });
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_synth.json");
     let body = to_string_pretty(&doc).expect("serialization cannot fail");
