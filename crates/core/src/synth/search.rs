@@ -20,21 +20,44 @@
 //!   returned).
 //! * *LP*: an exact scaled-integer dual-ascent on the residual set-cover
 //!   LP ([`ttdc_util::DualAscent`]), restricted to unbanned suppliers.
-//!   Strongest but priced per-supplier, so [`SearchOptions::lp_depth`]
-//!   confines it to shallow depths where cutting a subtree pays most.
+//!   Each uncovered demand's dual seed needs the largest residual gain
+//!   among its suppliers, read from the node's gain pass (below), so the
+//!   bound costs one walk over the uncovered demands' supplier lists into
+//!   per-worker buffers. [`SearchOptions::lp_depth`] can confine it to
+//!   shallow depths; the default pays it at every depth.
 //!
 //! A subtree is cut only when `depth + bound` *strictly* exceeds the best
 //! known length, so every optimum-length solution survives pruning
 //! regardless of incumbent timing — the keystone of cross-thread
 //! determinism.
 //!
-//! **Dominance.** When branching, a supplier whose residual coverage is a
-//! subset of an earlier (lower-id) supplier's residual coverage is
-//! eliminated: replacing it by the dominator turns any cover through it
-//! into one that is no longer and lexicographically smaller, so the
-//! `(len, lex)`-minimal winner never routes through a dominated candidate.
-//! Dominance elimination is therefore *winner-preserving*, not just
-//! length-preserving.
+//! **Residual gains.** On entry to every expanded node (when the LP bound,
+//! lex pruning or dominance is on, as by default) the worker fills
+//! `gain[c] = |coverage(c) ∩ uncovered|` for every candidate: one popcount
+//! over `⌈demands / 64⌉` words each. The LP seed, the lex-prune threshold
+//! and both dominance filters read these gains instead of intersecting
+//! coverages again. A node reads its gains before its children run, and
+//! the child loop only adds, undoes and bans, so one buffer per worker
+//! serves the whole branch.
+//!
+//! **Dominance.** A candidate whose residual coverage is a subset of an
+//! earlier (lower-id) candidate's residual coverage is eliminated:
+//! replacing it by the dominator turns any cover through it into one that
+//! is no longer and lexicographically smaller, so the `(len, lex)`-minimal
+//! winner never routes through a dominated candidate. Dominance
+//! elimination is therefore *winner-preserving*, not just
+//! length-preserving. Two filters apply it: each node's branch suppliers
+//! are tested against the earlier ones kept, and a global pass tests every
+//! unbanned candidate in id order against the candidates kept so far (by
+//! transitivity, testing only kept ones bans the same set as testing every
+//! earlier one). Both skip a pair at once when the candidate's gain
+//! exceeds the other's, since a subset is never larger. The global pass is
+//! *indexed*: per uncovered demand it lists the kept candidates whose
+//! residual contains it. A zero-gain candidate is dominated iff anything
+//! has been kept. Otherwise a dominator must contain every demand of the
+//! candidate's residual, so testing the candidate against the shortest of
+//! those demands' lists alone gives the same verdict, and an empty list
+//! means it is kept.
 //!
 //! **Symmetry.** At the root, candidates covering the branch demand are
 //! deduplicated by their class signature under the demand's stabilizer
@@ -230,6 +253,12 @@ pub fn matching_bound(cands: &CandidateSpace, unc: &BitSet, blocked: &mut BitSet
 /// [`ttdc_util::lp`] for the admissibility argument. Returns
 /// [`DualAscent::INFEASIBLE`] when an uncovered demand has lost every
 /// supplier to bans.
+///
+/// Each demand's dual seed needs the largest residual gain
+/// `|coverage ∩ unc|` among its suppliers. This entry point computes every
+/// candidate's gain once and allocates its own buffers; the search reads
+/// the gains its per-node pass already holds and reuses per-worker
+/// buffers, through the same implementation.
 pub fn lp_bound(
     cands: &CandidateSpace,
     unc: &BitSet,
@@ -237,25 +266,70 @@ pub fn lp_bound(
     passes: usize,
     lp: &mut DualAscent,
 ) -> usize {
-    let mut arena: Vec<u32> = Vec::new();
-    let mut items: Vec<LpItem> = Vec::new();
+    let mut gain = Vec::new();
+    fill_gains(cands, unc, &mut gain);
+    residual_lp_bound(
+        cands,
+        unc,
+        banned,
+        &gain,
+        passes,
+        lp,
+        &mut LpScratch::default(),
+    )
+}
+
+/// Reusable buffers for the LP bound's residual instance: the supplier
+/// arena and one [`LpItem`] per uncovered demand.
+#[derive(Default)]
+struct LpScratch {
+    arena: Vec<u32>,
+    items: Vec<LpItem>,
+}
+
+/// The LP bound over precomputed residual gains (`gain[c] = |coverage(c)
+/// ∩ unc|`).
+fn residual_lp_bound(
+    cands: &CandidateSpace,
+    unc: &BitSet,
+    banned: &[bool],
+    gain: &[u32],
+    passes: usize,
+    lp: &mut DualAscent,
+    scratch: &mut LpScratch,
+) -> usize {
+    let LpScratch { arena, items } = scratch;
+    arena.clear();
+    items.clear();
     for i in unc.iter() {
         let start = arena.len() as u32;
-        let mut max_gain = 0usize;
+        let mut max_gain = 0u32;
         for &c in &cands.suppliers[i] {
             if banned[c as usize] {
                 continue;
             }
-            max_gain = max_gain.max(cands.cands[c as usize].coverage.intersection_len(unc));
+            max_gain = max_gain.max(gain[c as usize]);
             arena.push(c);
         }
         items.push(LpItem {
             start,
             len: arena.len() as u32 - start,
-            max_gain: max_gain as u32,
+            max_gain,
         });
     }
-    lp.bound(&arena, &items, passes)
+    lp.bound(arena, items, passes)
+}
+
+/// Fills `gain[c]` with `|coverage(c) ∩ unc|` for every candidate: one
+/// popcount over `⌈demands / 64⌉` words each.
+fn fill_gains(cands: &CandidateSpace, unc: &BitSet, gain: &mut Vec<u32>) {
+    gain.clear();
+    gain.extend(
+        cands
+            .cands
+            .iter()
+            .map(|c| c.coverage.intersection_len(unc) as u32),
+    );
 }
 
 /// `true` iff `a`'s residual coverage (within `unc`) is a subset of
@@ -318,9 +392,51 @@ struct Worker<'a> {
     blocked: BitSet,
     /// Scratch for the LP bound's dual loads.
     lp: DualAscent,
+    /// Scratch for the LP bound's residual instance.
+    lp_scratch: LpScratch,
+    /// This node's residual gains, `gain[c] = |coverage(c) ∩ uncovered|`,
+    /// filled on entry to every expanded node. Only the node's own bound,
+    /// lex and dominance steps read them, all before its children run, so
+    /// one buffer serves the whole branch.
+    gain: Vec<u32>,
+    /// `kept_by[i]`: candidates the global dominance pass has kept so far
+    /// whose residual coverage contains demand `i`. Only the lists of
+    /// uncovered demands are live; each pass clears them first.
+    kept_by: Vec<Vec<u32>>,
 }
 
-impl Worker<'_> {
+impl<'a> Worker<'a> {
+    /// A worker at the empty partial schedule with nothing banned.
+    fn new(
+        space: &'a DemandSpace,
+        cands: &'a CandidateSpace,
+        opts: &'a SearchOptions,
+        shared_len: &'a AtomicUsize,
+        seed_len: usize,
+    ) -> Self {
+        let mut counter = CoverCounter::new(space.len());
+        counter.set_target(&BitSet::full(space.len()));
+        Worker {
+            space,
+            cands,
+            opts,
+            shared_len,
+            counter,
+            banned: vec![false; cands.cands.len()],
+            chosen: Vec::new(),
+            best: None,
+            seed_len,
+            nodes: 0,
+            pruned: 0,
+            exhausted: false,
+            blocked: BitSet::new(space.len()),
+            lp: DualAscent::new(cands.cands.len()),
+            lp_scratch: LpScratch::default(),
+            gain: Vec::with_capacity(cands.cands.len()),
+            kept_by: vec![Vec::new(); space.len()],
+        }
+    }
+
     fn bound_len(&self) -> usize {
         let local = self
             .best
@@ -345,12 +461,14 @@ impl Worker<'_> {
             ));
         }
         if self.opts.bound == BoundKind::Lp && depth < self.opts.lp_depth {
-            lower = lower.max(lp_bound(
+            lower = lower.max(residual_lp_bound(
                 self.cands,
                 self.counter.uncovered(),
                 &self.banned,
+                &self.gain,
                 self.opts.lp_passes,
                 &mut self.lp,
+                &mut self.lp_scratch,
             ));
         }
         lower
@@ -438,8 +556,13 @@ impl Worker<'_> {
         }
         let unc = self.counter.uncovered();
         let cov = &self.cands.cands[c as usize].coverage;
-        kept.iter()
-            .any(|&k| residual_dominated(cov, &self.cands.cands[k as usize].coverage, unc))
+        let g = self.gain[c as usize];
+        // A residual subset is never larger: the gain test settles most
+        // pairs without touching the coverage words.
+        kept.iter().any(|&k| {
+            g <= self.gain[k as usize]
+                && residual_dominated(cov, &self.cands.cands[k as usize].coverage, unc)
+        })
     }
 
     /// `true` when this node's subtree can no longer beat the branch-local
@@ -467,7 +590,6 @@ impl Worker<'_> {
         // one: a zero-gain member could be dropped, beating the
         // admissible bound — impossible). The lex-smallest conceivable
         // fill therefore skips candidates below that threshold.
-        let unc = self.counter.uncovered();
         let t_min = self
             .counter
             .deficit()
@@ -480,7 +602,7 @@ impl Worker<'_> {
             }
             if !self.banned[id as usize]
                 && chosen.binary_search(&id).is_err()
-                && self.cands.cands[id as usize].coverage.intersection_len(unc) >= t_min
+                && self.gain[id as usize] as usize >= t_min
             {
                 fill.push(id);
             }
@@ -514,18 +636,48 @@ impl Worker<'_> {
     /// lowest id of every chain). Returns the banned ids for the caller to
     /// restore. Winner-preserving by the same substitution argument as the
     /// branch-supplier filter.
+    ///
+    /// Indexed, with the same verdicts as testing each candidate against
+    /// every kept one: a zero-gain candidate is dominated by anything kept;
+    /// otherwise a dominator must contain each demand of the candidate's
+    /// residual, so only the kept list of one such demand — the shortest —
+    /// needs testing, and an empty list means the candidate is kept.
     fn global_eliminate(&mut self) -> Vec<u32> {
-        let mut kept: Vec<u32> = Vec::new();
+        let unc = self.counter.uncovered();
+        for i in unc.iter() {
+            self.kept_by[i].clear();
+        }
+        let mut any_kept = false;
         let mut eliminated: Vec<u32> = Vec::new();
         for c in 0..self.cands.cands.len() as u32 {
             if self.banned[c as usize] {
                 continue;
             }
-            if self.dominated_by_kept(c, &kept) {
+            let cov = &self.cands.cands[c as usize].coverage;
+            let dominated = if self.gain[c as usize] == 0 {
+                any_kept
+            } else {
+                let mut pick = usize::MAX;
+                let mut pick_len = usize::MAX;
+                cov.intersect_for_each(unc, |i| {
+                    let len = self.kept_by[i].len();
+                    if len < pick_len {
+                        (pick, pick_len) = (i, len);
+                    }
+                    len > 0
+                });
+                pick_len > 0 && self.dominated_by_kept(c, &self.kept_by[pick])
+            };
+            if dominated {
                 self.banned[c as usize] = true;
                 eliminated.push(c);
             } else {
-                kept.push(c);
+                any_kept = true;
+                let kept_by = &mut self.kept_by;
+                cov.intersect_for_each(unc, |i| {
+                    kept_by[i].push(c);
+                    true
+                });
             }
         }
         eliminated
@@ -555,6 +707,11 @@ impl Worker<'_> {
             return;
         }
         let depth = self.chosen.len();
+        let lp_here =
+            self.opts.prune && self.opts.bound == BoundKind::Lp && depth < self.opts.lp_depth;
+        if lp_here || self.opts.lex_prune || self.opts.dominance {
+            fill_gains(self.cands, self.counter.uncovered(), &mut self.gain);
+        }
         let lower = if self.opts.prune {
             self.lower_bound(depth)
         } else {
@@ -716,15 +873,13 @@ pub fn search_root_branch(
     index: usize,
     shared_len: &AtomicUsize,
 ) -> BranchResult {
-    let target = BitSet::from_iter(space.len(), 0..space.len());
-    let mut counter = CoverCounter::new(space.len());
-    counter.set_target(&target);
-    let mut banned = vec![false; cands.cands.len()];
+    let mut w = Worker::new(space, cands, opts, shared_len, plan.seed_len);
     for &prev in &plan.branch_cands[..index] {
-        banned[prev as usize] = true;
+        w.banned[prev as usize] = true;
     }
     let c = plan.branch_cands[index];
-    counter.add(&cands.cands[c as usize].coverage);
+    w.counter.add(&cands.cands[c as usize].coverage);
+    w.chosen.push(c);
     // With lex pruning on, seed the branch-local incumbent with the greedy
     // solution so the tie regime is active from the very first node (the
     // greedy seed is often already optimal in length, and without a
@@ -732,22 +887,7 @@ pub fn search_root_branch(
     // covers un-lex-pruned). The seed is identical for every branch, so
     // branch results stay independent of execution order, and the final
     // reduce starts from the greedy cover anyway, so winners are unchanged.
-    let mut w = Worker {
-        space,
-        cands,
-        opts,
-        shared_len,
-        counter,
-        banned,
-        chosen: vec![c],
-        best: opts.lex_prune.then(|| plan.greedy.clone()),
-        seed_len: plan.seed_len,
-        nodes: 0,
-        pruned: 0,
-        exhausted: false,
-        blocked: BitSet::new(space.len()),
-        lp: DualAscent::new(cands.cands.len()),
-    };
+    w.best = opts.lex_prune.then(|| plan.greedy.clone());
     w.dfs();
     BranchResult {
         best: w.best,
@@ -913,6 +1053,73 @@ mod tests {
         // runs out of budget.
         assert!(!sol.slots.is_empty());
         assert!(!stats.exact || stats.nodes <= 5 * stats.root_branches as u64);
+    }
+
+    /// The dominance pass the indexed one replaces: every unbanned
+    /// candidate tested against every candidate kept before it.
+    fn quadratic_eliminate(cands: &CandidateSpace, unc: &BitSet, banned: &[bool]) -> Vec<u32> {
+        let mut kept: Vec<u32> = Vec::new();
+        let mut eliminated = Vec::new();
+        for c in 0..cands.cands.len() as u32 {
+            if banned[c as usize] {
+                continue;
+            }
+            let cov = &cands.cands[c as usize].coverage;
+            if kept
+                .iter()
+                .any(|&k| residual_dominated(cov, &cands.cands[k as usize].coverage, unc))
+            {
+                eliminated.push(c);
+            } else {
+                kept.push(c);
+            }
+        }
+        eliminated
+    }
+
+    #[test]
+    fn indexed_dominance_bans_exactly_what_the_quadratic_pass_bans() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        // Demand universes of one word (20 demands), two words (90, 120)
+        // and four words (210).
+        for (n, d, at, ar) in [(5, 1, 1, 2), (10, 1, 1, 3), (6, 2, 1, 3), (7, 2, 1, 2)] {
+            let space = DemandSpace::new(n, d);
+            let cands = CandidateSpace::new(&space, at, ar);
+            let opts = SearchOptions::default();
+            let shared = AtomicUsize::new(usize::MAX);
+            let mut w = Worker::new(&space, &cands, &opts, &shared, usize::MAX);
+            let mut rng = SmallRng::seed_from_u64((n * 1000 + d * 100 + at * 10 + ar) as u64);
+            for state in 0..60 {
+                let mark = w.counter.mark();
+                for _ in 0..rng.gen_range(0..8usize) {
+                    let c = rng.gen_range(0..cands.cands.len());
+                    w.counter.add_tracked(&cands.cands[c].coverage);
+                }
+                let p_ban = [0.0, 0.1, 0.5][state % 3];
+                for b in w.banned.iter_mut() {
+                    *b = rng.gen_bool(p_ban);
+                }
+                let mut expect_banned = w.banned.clone();
+
+                fill_gains(&cands, w.counter.uncovered(), &mut w.gain);
+                for (c, cand) in cands.cands.iter().enumerate() {
+                    assert_eq!(
+                        w.gain[c] as usize,
+                        cand.coverage.intersection_len(w.counter.uncovered()),
+                        "({n},{d},{at},{ar}) state {state}: gain of {c}"
+                    );
+                }
+                let expect = quadratic_eliminate(&cands, w.counter.uncovered(), &w.banned);
+                let got = w.global_eliminate();
+                assert_eq!(got, expect, "({n},{d},{at},{ar}) state {state}");
+                for &c in &expect {
+                    expect_banned[c as usize] = true;
+                }
+                assert_eq!(w.banned, expect_banned, "({n},{d},{at},{ar}) state {state}");
+                w.counter.undo_to(mark);
+            }
+        }
     }
 
     #[test]
