@@ -10,7 +10,7 @@ use ttdc_core::analysis::optimality_ratio;
 use ttdc_core::bounds::alpha_bound;
 use ttdc_core::latency::{average_access_delay, worst_case_access_delay};
 use ttdc_core::requirements::{requirement3_violation, spot_check_topology_transparent};
-use ttdc_core::synth::search::SearchOptions;
+use ttdc_core::synth::search::{BranchResult, CoverSolution, SearchOptions};
 use ttdc_core::synth::{catalog, synthesize, SynthOptions, SynthProblem, VerifyCache};
 use ttdc_core::throughput::{average_throughput, min_throughput};
 use ttdc_core::tsma::{build, build_duty_cycled, SourceKind};
@@ -667,6 +667,55 @@ pub const SYNTH_KILL_AFTER_ENV: &str = "TTDC_SYNTH_KILL_AFTER";
 /// *fresh* incumbent (so its result is independent of execution order and
 /// kill history), checkpointed to `dir/manifest.jsonl`, and the surviving
 /// branches reduce to the same winner an uninterrupted run would find.
+/// One checkpointed root branch as a synth-campaign manifest record.
+fn encode_branch_record(r: &BranchResult) -> serde_json::Value {
+    serde_json::json!({
+        "best": r.best.as_ref().map_or(serde_json::Value::Null, |b| {
+            serde_json::Value::Array(b.slots.iter().map(|&c| serde_json::Value::from(c)).collect())
+        }),
+        "nodes": r.nodes,
+        "pruned": r.pruned,
+        "exhausted": r.exhausted,
+    })
+}
+
+/// Reads back a record written by [`encode_branch_record`]. Every field
+/// is required and typed: a record without `exhausted` must not read as
+/// "not budget-limited", or a budget-hit campaign would be reported as
+/// proven optimal.
+fn decode_branch_record(id: &str, payload: &serde_json::Value) -> Result<BranchResult, CliError> {
+    let bad = |what: String| CliError::Campaign(format!("branch {id}: {what}"));
+    let field = |k: &str| {
+        payload
+            .get(k)
+            .ok_or_else(|| bad(format!("record has no `{k}` field")))
+    };
+    let count = |k: &str| {
+        field(k)?
+            .as_u64()
+            .ok_or_else(|| bad(format!("`{k}` is not a non-negative integer")))
+    };
+    let best = match field("best")? {
+        serde_json::Value::Null => None,
+        serde_json::Value::Array(ids) => Some(CoverSolution {
+            slots: ids
+                .iter()
+                .map(|v| v.as_u64().and_then(|c| u32::try_from(c).ok()))
+                .collect::<Option<Vec<u32>>>()
+                .ok_or_else(|| bad("`best` holds an invalid slot id".into()))?,
+        }),
+        _ => return Err(bad("`best` is neither null nor a list of slot ids".into())),
+    };
+    Ok(BranchResult {
+        best,
+        nodes: count("nodes")?,
+        pruned: count("pruned")?,
+        exhausted: field("exhausted")?
+            .as_bool()
+            .ok_or_else(|| bad("`exhausted` is not a boolean".into()))?,
+    })
+}
+
 fn synth_campaign(
     p: &SynthProblem,
     cat_dir: &Path,
@@ -677,7 +726,7 @@ fn synth_campaign(
 ) -> CmdResult {
     use std::sync::atomic::AtomicUsize;
     use ttdc_core::synth::demands::{CandidateSpace, DemandSpace};
-    use ttdc_core::synth::search::{plan_root, search_root_branch, CoverSolution};
+    use ttdc_core::synth::search::{plan_root, search_root_branch};
     use ttdc_sim::campaign::Manifest;
 
     let existing = catalog::load_entry(cat_dir, p).map_err(CliError::Schedule)?;
@@ -758,19 +807,7 @@ fn synth_campaign(
         // depend on which other branches happened to finish first.
         let shared = AtomicUsize::new(plan.seed_len);
         let r = search_root_branch(&space, &cands, &opts, &plan, index, &shared);
-        manifest.put(
-            &id,
-            serde_json::json!({
-                "best": r.best.as_ref().map_or(serde_json::Value::Null, |b| {
-                    serde_json::Value::Array(
-                        b.slots.iter().map(|&c| serde_json::Value::from(c)).collect(),
-                    )
-                }),
-                "nodes": r.nodes,
-                "pruned": r.pruned,
-                "exhausted": r.exhausted,
-            }),
-        );
+        manifest.put(&id, encode_branch_record(&r));
         manifest
             .save(&manifest_path)
             .map_err(|e| CliError::Campaign(e.to_string()))?;
@@ -798,23 +835,12 @@ fn synth_campaign(
         let payload = manifest
             .get(&id)
             .ok_or_else(|| CliError::Campaign(format!("manifest lost branch {id}")))?;
-        let field = |k: &str| payload.get(k).and_then(|v| v.as_u64()).unwrap_or(0);
-        total_nodes += field("nodes");
-        total_pruned += field("pruned");
-        any_budget_hit |= payload
-            .get("exhausted")
-            .and_then(|v| v.as_bool())
-            .unwrap_or(false);
-        if let Some(slots) = payload.get("best").and_then(|v| v.as_array()) {
-            let slots: Option<Vec<u32>> =
-                slots.iter().map(|v| v.as_u64().map(|x| x as u32)).collect();
-            let sol = CoverSolution {
-                slots: slots
-                    .ok_or_else(|| CliError::Campaign(format!("branch {id}: bad slot ids")))?,
-            };
-            if sol.better_than(&best) {
-                best = sol;
-            }
+        let r = decode_branch_record(&id, payload)?;
+        total_nodes += r.nodes;
+        total_pruned += r.pruned;
+        any_budget_hit |= r.exhausted;
+        if let Some(sol) = r.best.filter(|sol| sol.better_than(&best)) {
+            best = sol;
         }
     }
     let exact = !any_budget_hit;
@@ -1446,9 +1472,22 @@ mod tests {
     }
 
     #[test]
+    fn synth_status_fails_on_a_missing_catalog_directory() {
+        // A mistyped --catalog path must fail the gate, not read as an
+        // empty catalog that trivially passes.
+        let (code, out) = run_str(&["synth", "status", "--catalog", "/no/such/dir"]);
+        assert_ne!(code, 0, "{out}");
+        assert!(
+            out.contains("cannot read catalog directory /no/such/dir"),
+            "{out}"
+        );
+    }
+
+    #[test]
     fn synth_run_status_and_catalog_build_round_trip() {
         let dir = tmp("catalog");
         std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
 
         // An empty catalog reports as such.
         let (code, out) = run_str(&["synth", "status", "--catalog", &dir]);
@@ -1589,5 +1628,81 @@ mod tests {
         let (code, _) = run_str(&["campaign", "resume", &empty]);
         assert_eq!(code, 7);
         std::fs::remove_dir_all(&empty).ok();
+    }
+
+    fn branch_record() -> ttdc_core::synth::search::BranchResult {
+        ttdc_core::synth::search::BranchResult {
+            best: Some(ttdc_core::synth::search::CoverSolution {
+                slots: vec![0, 5, 11],
+            }),
+            nodes: 3_001,
+            pruned: 2_007,
+            exhausted: true,
+        }
+    }
+
+    fn with_field(key: &str, value: Option<serde_json::Value>) -> serde_json::Value {
+        let mut record = super::encode_branch_record(&branch_record());
+        let serde_json::Value::Object(fields) = &mut record else {
+            unreachable!("a branch record is an object");
+        };
+        match value {
+            Some(v) => fields.insert(key.to_string(), v),
+            None => fields.remove(key),
+        };
+        record
+    }
+
+    #[test]
+    fn branch_records_round_trip() {
+        let r = branch_record();
+        let back = super::decode_branch_record("b0", &super::encode_branch_record(&r));
+        assert_eq!(back, Ok(r));
+        let empty = ttdc_core::synth::search::BranchResult {
+            best: None,
+            exhausted: false,
+            ..branch_record()
+        };
+        let back = super::decode_branch_record("b0", &super::encode_branch_record(&empty));
+        assert_eq!(back, Ok(empty));
+    }
+
+    #[test]
+    fn branch_record_missing_a_field_is_a_campaign_error() {
+        // A record without `exhausted` used to read as "not
+        // budget-limited", committing a budget-hit run as proven optimal.
+        for key in ["exhausted", "nodes", "pruned", "best"] {
+            match super::decode_branch_record("b3", &with_field(key, None)) {
+                Err(crate::error::CliError::Campaign(m)) => {
+                    assert!(m.contains("branch b3") && m.contains(key), "{key}: {m}")
+                }
+                other => panic!("{key}: expected a campaign error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn branch_record_with_a_mistyped_field_is_a_campaign_error() {
+        use serde_json::Value;
+        let cases = [
+            ("nodes", Value::from("3001")),
+            ("nodes", Value::from(1.5)),
+            ("pruned", Value::from(-1.0)),
+            ("exhausted", Value::from(1u64)),
+            ("best", Value::from("0 5 11")),
+            (
+                "best",
+                Value::Array(vec![Value::from(0u64), Value::from(-2.0)]),
+            ),
+            ("best", Value::Array(vec![Value::from(4_294_967_296u64)])),
+        ];
+        for (key, value) in cases {
+            match super::decode_branch_record("b1", &with_field(key, Some(value.clone()))) {
+                Err(crate::error::CliError::Campaign(m)) => {
+                    assert!(m.contains("branch b1") && m.contains(key), "{key}: {m}")
+                }
+                other => panic!("{key} = {value:?}: expected a campaign error, got {other:?}"),
+            }
+        }
     }
 }

@@ -224,15 +224,21 @@ pub fn load_entry(dir: &Path, p: &SynthProblem) -> Result<Option<CatalogEntry>, 
 
 /// Loads every `*.sched` entry under `dir`, sorted by file name.
 /// Unreadable or unparsable files surface as `Err` entries so a validator
-/// can fail loudly instead of skipping them.
+/// can fail loudly instead of skipping them. A directory that cannot be
+/// listed (missing, not a directory, no permission) yields one `Err`
+/// element for `dir` itself, so a mistyped path never reads as an empty
+/// catalog; an existing empty directory yields no elements.
 pub fn load_all(dir: &Path) -> Vec<(PathBuf, Result<CatalogEntry, String>)> {
-    let mut paths: Vec<PathBuf> = match std::fs::read_dir(dir) {
-        Ok(rd) => rd
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|x| x == "sched"))
-            .collect(),
-        Err(_) => Vec::new(),
+    let listed: std::io::Result<Vec<PathBuf>> =
+        std::fs::read_dir(dir).and_then(|rd| rd.map(|e| e.map(|e| e.path())).collect());
+    let mut paths = match listed {
+        Ok(paths) => paths,
+        Err(e) => {
+            let msg = format!("cannot read catalog directory {}: {e}", dir.display());
+            return vec![(dir.to_path_buf(), Err(msg))];
+        }
     };
+    paths.retain(|p| p.extension().is_some_and(|x| x == "sched"));
     paths.sort();
     paths
         .into_iter()
@@ -330,6 +336,19 @@ mod tests {
         let other = SynthProblem::new(6, 1, 1, 2);
         assert!(load_entry(&dir, &other).unwrap().is_none());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_unreadable_directory_is_an_error_and_an_empty_one_is_empty() {
+        let dir = std::env::temp_dir().join(format!("ttdc-catalog-empty-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        assert!(load_all(&dir).is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+        let all = load_all(&dir);
+        assert_eq!(all.len(), 1);
+        assert_eq!(all[0].0, dir);
+        let err = all[0].1.as_ref().unwrap_err();
+        assert!(err.starts_with("cannot read catalog directory"), "{err}");
     }
 
     #[test]
