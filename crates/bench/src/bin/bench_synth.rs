@@ -330,7 +330,7 @@ fn main() {
         "host_available_parallelism": host_threads as u64,
         "note": "all searches run on a 1-thread pool; every ladder rung is asserted to return the identical (len, lex) winner as the exhaustive search, which is re-verified by the naive Requirement-3 oracle",
         "sweeps": sweeps,
-        "reproof_note": "default search (SearchOptions::default() plus the row's incumbent seed / node budget) on a 1-thread pool; node count and (len, lex) winner asserted against pinned values; baseline_median_ms is the same row measured before the per-node residual-gain pass",
+        "reproof_note": "default search (SearchOptions::default() plus the row's incumbent seed / node budget) on a 1-thread pool; node count and (len, lex) winner asserted against pinned values; baseline_median_ms is the same row measured before the per-node residual-gain pass, in separate runs; this shared host's speed drifts by up to 2x over minutes, so speedup_vs_baseline is indicative only and alternating runs of both searches are what CHANGES.md reports",
         "reproof": reproofs,
     });
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_synth.json");

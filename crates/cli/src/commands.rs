@@ -1669,8 +1669,9 @@ mod tests {
 
     #[test]
     fn branch_record_missing_a_field_is_a_campaign_error() {
-        // A record without `exhausted` used to read as "not
-        // budget-limited", committing a budget-hit run as proven optimal.
+        // A record without `exhausted` must not read as "not
+        // budget-limited": that would commit a budget-hit run as proven
+        // optimal.
         for key in ["exhausted", "nodes", "pruned", "best"] {
             match super::decode_branch_record("b3", &with_field(key, None)) {
                 Err(crate::error::CliError::Campaign(m)) => {
