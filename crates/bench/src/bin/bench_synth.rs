@@ -154,7 +154,6 @@ fn run_point(n: usize, d: usize, at: usize, ar: usize, iters: usize) -> Value {
         dominance: false,
         lex_prune: false,
         symmetry: false,
-        sub_symmetry: false,
         ..SearchOptions::default()
     };
     // A 1-thread pool isolates the algorithmic win from parallel fan-out.

@@ -2,6 +2,7 @@
 
 use crate::error::CliError;
 use ttdc_core::construct::PartitionStrategy;
+use ttdc_core::synth::SynthProblem;
 use ttdc_core::tsma::SourceKind;
 
 /// Usage text printed on parse errors and `--help`.
@@ -49,20 +50,23 @@ SCHEDULE SYNTHESIS (synth):
   catalog (default DIR: results/catalog). Re-running the same point
   resumes from the catalog: the stored frame length seeds the incumbent,
   so only strictly better schedules are ever written. --max-nodes K
-  bounds the search (the result is then marked inexact and polished with
-  I local-search iterations); --threads T fixes the worker count (the
+  bounds the search to K nodes per root branch (a result that hits it is
+  marked inexact and polished with I local-search iterations); --threads T fixes the worker count (the
   winning schedule is bit-identical at any thread count). `ttdc build`
   consults the same catalog before falling back to the Figure 2
   construction, and reports the chosen source on stderr.
 
   `ttdc synth campaign` runs one point as a long, kill-resilient search:
-  every root branch is searched independently (--budget K nodes each,
-  default 2000000) and checkpointed to DIR/manifest.jsonl, so a killed
-  campaign re-run with the same arguments resumes where it died and the
-  final schedule is identical to an uninterrupted run. The winner is
-  polished (--polish I iterations when inexact) and recorded in the
-  catalog with source=campaign. `ttdc synth status --json FILE` writes a
-  machine-readable catalog report alongside the human table.
+  `synth run` with a node budget per root branch (--budget K, default
+  2000000) whose branches run on the thread pool and are checkpointed
+  to DIR/manifest.jsonl as each one finishes, so a killed campaign re-run
+  with the same arguments resumes where it died and the final schedule
+  is identical to an uninterrupted run (and to `synth run --max-nodes
+  K`'s). The winner is polished (--polish I iterations when inexact) and
+  recorded in the catalog with source=campaign.
+
+  `ttdc synth status --json FILE` writes a machine-readable catalog
+  report alongside the human table.
 
 CAMPAIGNS:
   A campaign runs a named Monte-Carlo grid (smoke, e10, e12, e12-large,
@@ -161,6 +165,7 @@ pub enum Command {
 #[derive(Clone, Debug, PartialEq)]
 pub enum SynthAction {
     /// Run (or resume, via the catalog incumbent) one parameter point.
+    /// `synth campaign` parses to this with a checkpoint directory.
     Run {
         /// Max nodes `n`.
         nodes: usize,
@@ -172,31 +177,16 @@ pub enum SynthAction {
         alpha_r: usize,
         /// Catalog directory (default `results/catalog`).
         catalog: String,
-        /// Search-node budget (`None` = run to proven optimality).
+        /// Per-root-branch search-node budget: `--max-nodes` (`None` = run
+        /// to proven optimality) or a campaign's `--budget` (`None` = the
+        /// campaign default).
         max_nodes: Option<u64>,
         /// Local-search iterations polishing an inexact result.
         polish: Option<u64>,
         /// Worker-thread count (`None` = the rayon default).
         threads: Option<usize>,
-    },
-    /// Run one point as a checkpointed, kill-resumable campaign.
-    Campaign {
-        /// Max nodes `n`.
-        nodes: usize,
-        /// Max degree `D`.
-        degree: usize,
-        /// Transmitter budget `α_T`.
-        alpha_t: usize,
-        /// Receiver budget `α_R`.
-        alpha_r: usize,
-        /// Catalog directory (default `results/catalog`).
-        catalog: String,
-        /// Per-root-branch search-node budget (`None` = the default).
-        budget: Option<u64>,
-        /// Local-search iterations polishing an inexact result.
-        polish: Option<u64>,
-        /// Checkpoint directory (holds `manifest.jsonl`).
-        dir: String,
+        /// A campaign's checkpoint directory (holds `manifest.jsonl`).
+        checkpoint: Option<String>,
     },
     /// Report every catalog entry without searching.
     Status {
@@ -376,6 +366,14 @@ fn probability(value: f64, flag: &str, what: &str) -> Result<(), CliError> {
 }
 
 /// Domain checks on values that already parsed as the right type.
+/// The parameter point `build` and `synth` need: the domain of
+/// [`SynthProblem::try_new`], which the Figure 2 construction shares.
+fn point(n: usize, d: usize, alpha_t: usize, alpha_r: usize) -> Result<(), CliError> {
+    SynthProblem::try_new(n, d, alpha_t, alpha_r)
+        .map(drop)
+        .map_err(|e| CliError::InvalidValue(format!("parameter point: {e}")))
+}
+
 fn validate(cmd: &Command) -> Result<(), CliError> {
     match cmd {
         Command::Simulate {
@@ -407,6 +405,13 @@ fn validate(cmd: &Command) -> Result<(), CliError> {
             }
             Ok(())
         }
+        Command::Build {
+            nodes,
+            degree,
+            alpha_t,
+            alpha_r,
+            ..
+        } => point(*nodes, *degree, *alpha_t, *alpha_r),
         Command::Synth(SynthAction::Run {
             nodes,
             degree,
@@ -414,51 +419,23 @@ fn validate(cmd: &Command) -> Result<(), CliError> {
             alpha_r,
             max_nodes,
             threads,
+            checkpoint,
             ..
         }) => {
-            if *degree == 0 || degree >= nodes {
-                return Err(CliError::InvalidValue(format!(
-                    "synthesis needs 1 ≤ D < n, got n = {nodes}, D = {degree}"
-                )));
-            }
-            if *alpha_t == 0 || *alpha_r == 0 {
-                return Err(CliError::InvalidValue(
-                    "synthesis needs α_T ≥ 1 and α_R ≥ 1".into(),
-                ));
-            }
+            point(*nodes, *degree, *alpha_t, *alpha_r)?;
             if *max_nodes == Some(0) {
-                return Err(CliError::InvalidValue(
-                    "--max-nodes: the search needs at least one node".into(),
-                ));
+                let flag = if checkpoint.is_some() {
+                    "--budget"
+                } else {
+                    "--max-nodes"
+                };
+                return Err(CliError::InvalidValue(format!(
+                    "{flag}: each root branch needs at least one search node"
+                )));
             }
             if *threads == Some(0) {
                 return Err(CliError::InvalidValue(
                     "--threads: need at least one worker".into(),
-                ));
-            }
-            Ok(())
-        }
-        Command::Synth(SynthAction::Campaign {
-            nodes,
-            degree,
-            alpha_t,
-            alpha_r,
-            budget,
-            ..
-        }) => {
-            if *degree == 0 || degree >= nodes {
-                return Err(CliError::InvalidValue(format!(
-                    "synthesis needs 1 ≤ D < n, got n = {nodes}, D = {degree}"
-                )));
-            }
-            if *alpha_t == 0 || *alpha_r == 0 {
-                return Err(CliError::InvalidValue(
-                    "synthesis needs α_T ≥ 1 and α_R ≥ 1".into(),
-                ));
-            }
-            if *budget == Some(0) {
-                return Err(CliError::InvalidValue(
-                    "--budget: each branch needs at least one search node".into(),
                 ));
             }
             Ok(())
@@ -521,21 +498,24 @@ fn parse_shape<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, Strin
         "synth" => {
             let action = it.next().ok_or("synth needs an action: run or status")?;
             match action.as_str() {
-                "run" => {
+                "run" | "campaign" => {
+                    let campaign = action == "campaign";
+                    let budget = if campaign { "budget" } else { "max-nodes" };
                     let o = collect(it)?;
-                    o.known(&[
-                        "nodes",
-                        "degree",
-                        "alpha-t",
-                        "alpha-r",
-                        "catalog",
-                        "max-nodes",
-                        "polish",
-                        "threads",
-                    ])?;
-                    if !o.positional.is_empty() {
-                        return Err(format!("unexpected arguments: {:?}", o.positional));
+                    let mut known = vec![
+                        "nodes", "degree", "alpha-t", "alpha-r", "catalog", budget, "polish",
+                    ];
+                    if !campaign {
+                        known.push("threads");
                     }
+                    o.known(&known)?;
+                    let checkpoint = if campaign {
+                        Some(o.dir()?)
+                    } else if !o.positional.is_empty() {
+                        return Err(format!("unexpected arguments: {:?}", o.positional));
+                    } else {
+                        None
+                    };
                     Ok(Command::Synth(SynthAction::Run {
                         nodes: o.req("nodes")?,
                         degree: o.req("degree")?,
@@ -544,27 +524,10 @@ fn parse_shape<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, Strin
                         catalog: o
                             .opt("catalog")?
                             .unwrap_or_else(|| DEFAULT_CATALOG_DIR.to_string()),
-                        max_nodes: o.opt("max-nodes")?,
+                        max_nodes: o.opt(budget)?,
                         polish: o.opt("polish")?,
                         threads: o.opt("threads")?,
-                    }))
-                }
-                "campaign" => {
-                    let o = collect(it)?;
-                    o.known(&[
-                        "nodes", "degree", "alpha-t", "alpha-r", "catalog", "budget", "polish",
-                    ])?;
-                    Ok(Command::Synth(SynthAction::Campaign {
-                        nodes: o.req("nodes")?,
-                        degree: o.req("degree")?,
-                        alpha_t: o.req("alpha-t")?,
-                        alpha_r: o.req("alpha-r")?,
-                        catalog: o
-                            .opt("catalog")?
-                            .unwrap_or_else(|| DEFAULT_CATALOG_DIR.to_string()),
-                        budget: o.opt("budget")?,
-                        polish: o.opt("polish")?,
-                        dir: o.dir()?,
+                        checkpoint,
                     }))
                 }
                 "status" => {
@@ -789,6 +752,7 @@ mod tests {
                 max_nodes: Some(5000),
                 polish: Some(50),
                 threads: Some(4),
+                checkpoint: None,
             })
         );
         // Defaults: the shared catalog directory, unbounded exact search.
@@ -853,15 +817,16 @@ mod tests {
                 "camp/dir",
             ]))
             .unwrap(),
-            Command::Synth(SynthAction::Campaign {
+            Command::Synth(SynthAction::Run {
                 nodes: 8,
                 degree: 1,
                 alpha_t: 1,
                 alpha_r: 2,
                 catalog: DEFAULT_CATALOG_DIR.into(),
-                budget: Some(50000),
+                max_nodes: Some(50000),
                 polish: Some(100),
-                dir: "camp/dir".into(),
+                threads: None,
+                checkpoint: Some("camp/dir".into()),
             })
         );
         // Campaign usage/domain errors: missing DIR is usage, bad point or
@@ -922,6 +887,30 @@ mod tests {
             let e = parse(sv(&bad)).unwrap_err();
             assert_eq!(e.exit_code(), 2, "{bad:?} -> {e}");
         }
+        // Each spelling takes only its own flags: `run` has no DIR and no
+        // --budget, `campaign` has no --max-nodes and no --threads.
+        let point = [
+            "--nodes",
+            "5",
+            "--degree",
+            "1",
+            "--alpha-t",
+            "1",
+            "--alpha-r",
+            "2",
+        ];
+        for extra in [
+            vec!["run", "d"],
+            vec!["run", "--budget", "5"],
+            vec!["campaign", "--max-nodes", "5", "d"],
+            vec!["campaign", "--threads", "2", "d"],
+        ] {
+            let mut argv = vec!["synth", extra[0]];
+            argv.extend_from_slice(&point);
+            argv.extend_from_slice(&extra[1..]);
+            let e = parse(sv(&argv)).unwrap_err();
+            assert_eq!(e.exit_code(), 2, "{argv:?} -> {e}");
+        }
         // Domain errors.
         let point = |n: &str, d: &str, at: &str, ar: &str| {
             parse(sv(&[
@@ -941,6 +930,7 @@ mod tests {
             ("5", "5", "1", "1"),
             ("5", "0", "1", "1"),
             ("5", "2", "0", "1"),
+            ("5", "1", "3", "3"),
         ] {
             let e = point(n, d, at, ar).unwrap_err();
             assert_eq!(e.exit_code(), 3, "({n},{d},{at},{ar}) -> {e}");
@@ -1270,6 +1260,27 @@ mod tests {
         for flag in ["--reps", "--shard-size"] {
             let e = parse(sv(&["campaign", "run", "--grid", "smoke", flag, "0", "d"])).unwrap_err();
             assert_eq!(e.exit_code(), 3, "{flag} -> {e}");
+        }
+        // A point outside the Figure 2 construction's domain is an invalid
+        // value, not a panic.
+        for (n, d, at, ar) in [
+            ("5", "5", "1", "1"),
+            ("5", "0", "1", "1"),
+            ("4", "1", "2", "3"),
+        ] {
+            let e = parse(sv(&[
+                "build",
+                "--nodes",
+                n,
+                "--degree",
+                d,
+                "--alpha-t",
+                at,
+                "--alpha-r",
+                ar,
+            ]))
+            .unwrap_err();
+            assert_eq!(e.exit_code(), 3, "({n},{d},{at},{ar}) -> {e}");
         }
     }
 }

@@ -6,18 +6,24 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 use ttdc_core::analysis::optimality_ratio;
 use ttdc_core::bounds::alpha_bound;
 use ttdc_core::latency::{average_access_delay, worst_case_access_delay};
 use ttdc_core::requirements::{requirement3_violation, spot_check_topology_transparent};
-use ttdc_core::synth::search::{BranchResult, CoverSolution, SearchOptions};
-use ttdc_core::synth::{catalog, synthesize, SynthOptions, SynthProblem, VerifyCache};
+use ttdc_core::synth::demands::{CandidateSpace, DemandSpace};
+use ttdc_core::synth::search::{
+    plan_root, reduce_branches, run_branches, BranchResult, CoverSolution, SearchOptions,
+};
+use ttdc_core::synth::{
+    catalog, finish, synthesize, SynthOptions, SynthOutcome, SynthProblem, VerifyCache,
+};
 use ttdc_core::throughput::{average_throughput, min_throughput};
-use ttdc_core::tsma::{build, build_duty_cycled, SourceKind};
-use ttdc_core::{construct, io as sched_io, PartitionStrategy, Schedule};
+use ttdc_core::tsma::{build, SourceKind};
+use ttdc_core::{construct, io as sched_io, Schedule};
 use ttdc_experiments::GridScenario;
 use ttdc_sim::campaign::{
-    manifest_overview, CampaignOptions, ResumeMode, MERGED_FILE, SUMMARY_FILE,
+    manifest_overview, CampaignOptions, Manifest, ResumeMode, MERGED_FILE, SUMMARY_FILE,
 };
 use ttdc_sim::{
     CrashModel, FaultPlan, GeometricNetwork, GilbertElliott, ScheduleMac, SimulatorBuilder,
@@ -105,31 +111,28 @@ pub fn execute(cmd: &Command, out: &mut dyn Write, err: &mut dyn Write) -> CmdRe
                     p.is_dir().then_some(p)
                 }
             };
+            let p = SynthProblem::new(*nodes, *degree, *alpha_t, *alpha_r);
             let mut from_catalog = None;
             if let Some(dir) = &catalog_dir {
-                if *degree >= 1 && degree < nodes && *alpha_t >= 1 && *alpha_r >= 1 {
-                    let p = SynthProblem::new(*nodes, *degree, *alpha_t, *alpha_r);
-                    match catalog::load_entry(dir, &p).map_err(CliError::Schedule)? {
-                        Some(entry) => {
-                            let mut cache = VerifyCache::new();
-                            catalog::validate_entry(&entry, &mut cache).map_err(|e| {
-                                CliError::Schedule(format!(
-                                    "{}: {e}",
-                                    catalog::entry_path(dir, &p).display()
-                                ))
-                            })?;
-                            from_catalog = Some(entry);
-                        }
-                        None => {
-                            writeln!(
-                                err,
-                                "catalog  : no entry for n={nodes} D={degree} \
-                                 alpha_t={alpha_t} alpha_r={alpha_r} in {} \
-                                 (falling back to the Figure 2 construction)",
-                                dir.display()
-                            )
-                            .ok();
-                        }
+                match catalog::load_entry(dir, &p).map_err(CliError::Schedule)? {
+                    Some(entry) => {
+                        let mut cache = VerifyCache::new();
+                        catalog::validate_entry(&entry, &mut cache).map_err(|e| {
+                            CliError::Schedule(format!(
+                                "{}: {e}",
+                                catalog::entry_path(dir, &p).display()
+                            ))
+                        })?;
+                        from_catalog = Some(entry);
+                    }
+                    None => {
+                        writeln!(
+                            err,
+                            "catalog  : no entry for {p} in {} \
+                             (falling back to the Figure 2 construction)",
+                            dir.display()
+                        )
+                        .ok();
                     }
                 }
             }
@@ -408,57 +411,66 @@ fn synth(action: &SynthAction, out: &mut dyn Write) -> CmdResult {
             max_nodes,
             polish,
             threads,
+            checkpoint,
         } => {
             let p = SynthProblem::new(*nodes, *degree, *alpha_t, *alpha_r);
             let dir = Path::new(dir);
             let existing = catalog::load_entry(dir, &p).map_err(CliError::Schedule)?;
-            if let Some(e) = &existing {
-                writeln!(
-                    out,
-                    "resuming : catalog holds L = {} ({}) — seeding the incumbent",
-                    e.schedule.frame_length(),
-                    if e.exact {
-                        "proven optimal"
-                    } else {
-                        "best known"
-                    }
-                )
-                .ok();
-            }
             let opts = SynthOptions {
                 search: SearchOptions {
-                    max_nodes: *max_nodes,
+                    // A checkpointed branch record must not depend on which
+                    // branches ran before it, and only budgeted branches
+                    // ignore the shared incumbent: campaigns always carry a
+                    // budget.
+                    max_nodes: match checkpoint {
+                        Some(_) => Some(max_nodes.unwrap_or(DEFAULT_CAMPAIGN_BUDGET)),
+                        None => *max_nodes,
+                    },
                     incumbent_len: existing.as_ref().map(|e| e.schedule.frame_length()),
                     ..SearchOptions::default()
                 },
                 polish_iters: polish.unwrap_or(200),
                 ..SynthOptions::default()
             };
+            let (label, budget_hit) = match checkpoint {
+                Some(_) => ("campaign", "branch budgets hit"),
+                None => ("synth", "search budget hit"),
+            };
+            let run = |out: &mut dyn Write| match checkpoint {
+                Some(cp) => synth_campaign(&p, &opts, Path::new(cp), out),
+                None => {
+                    if let Some(e) = &existing {
+                        writeln!(
+                            out,
+                            "resuming : catalog holds L = {} ({}) — seeding the incumbent",
+                            e.schedule.frame_length(),
+                            if e.exact {
+                                "proven optimal"
+                            } else {
+                                "best known"
+                            }
+                        )
+                        .ok();
+                    }
+                    Ok(synthesize(&p, &opts))
+                }
+            };
             let outcome = match threads {
                 Some(t) => rayon::ThreadPoolBuilder::new()
                     .num_threads(*t)
                     .build()
                     .map_err(|e| CliError::Other(e.to_string()))?
-                    .install(|| synthesize(&p, &opts)),
-                None => synthesize(&p, &opts),
-            };
-            let fig2 = build_duty_cycled(
-                *nodes,
-                *degree,
-                *alpha_t,
-                *alpha_r,
-                PartitionStrategy::RoundRobin,
-            )
-            .schedule
-            .frame_length();
+                    .install(|| run(out)),
+                None => run(out),
+            }?;
             let l = outcome.schedule.frame_length();
             writeln!(
                 out,
-                "synth    : L = {l} ({}), {} nodes expanded, {} pruned{}",
+                "{label:<9}: L = {l} ({}), {} nodes expanded, {} pruned{}",
                 if outcome.stats.exact {
-                    "proven optimal"
+                    "proven optimal".to_string()
                 } else {
-                    "search budget hit — best known"
+                    format!("{budget_hit} — best known")
                 },
                 outcome.stats.nodes,
                 outcome.stats.pruned,
@@ -469,68 +481,41 @@ fn synth(action: &SynthAction, out: &mut dyn Write) -> CmdResult {
                 }
             )
             .ok();
+            let config = opts.search.config_string();
+            let (commit, fig2) =
+                catalog::commit(dir, existing.as_ref(), &p, outcome, label, config).map_err(
+                    |e| match e {
+                        catalog::CommitError::Invalid(e) => {
+                            CliError::Other(format!("refusing to write catalog entry: {e}"))
+                        }
+                        catalog::CommitError::Io(e) => CliError::Io(e),
+                    },
+                )?;
             writeln!(
                 out,
                 "figure2  : L = {fig2} ({})",
                 if l < fig2 {
-                    format!("synth saves {} slots", fig2 - l)
+                    format!("{label} saves {} slots", fig2 - l)
                 } else {
                     "no improvement over the construction".to_string()
                 }
             )
             .ok();
-            let keep = matches!(&existing, Some(e) if e.schedule.frame_length() <= l);
-            if keep {
-                writeln!(out, "catalog  : kept the existing entry (not beaten)").ok();
-            } else if l > fig2 {
-                // A catalog entry longer than the Figure 2 construction
-                // would be a frame-length regression for `ttdc build`.
-                writeln!(
+            match commit {
+                catalog::Commit::Kept => {
+                    writeln!(out, "catalog  : kept the existing entry (not beaten)")
+                }
+                catalog::Commit::Figure2Shorter => writeln!(
                     out,
                     "catalog  : not written (figure2 L = {fig2} is still the best known)"
-                )
-                .ok();
-            } else {
-                let entry = catalog::CatalogEntry {
-                    problem: p,
-                    fingerprint: outcome.fingerprint,
-                    schedule: outcome.schedule,
-                    exact: outcome.stats.exact,
-                    nodes: outcome.stats.nodes,
-                    source: if outcome.polish_improved {
-                        "synth+polish".to_string()
-                    } else {
-                        "synth".to_string()
-                    },
-                    config: Some(opts.search.config_string()),
-                };
-                let mut cache = VerifyCache::new();
-                catalog::validate_entry(&entry, &mut cache).map_err(|e| {
-                    CliError::Other(format!("refusing to write catalog entry: {e}"))
-                })?;
-                let path = catalog::write_entry(dir, &entry)
-                    .map_err(|e| CliError::Io(format!("{}: {e}", dir.display())))?;
-                writeln!(out, "catalog  : wrote {}", path.display()).ok();
+                ),
+                catalog::Commit::Wrote(path) => {
+                    writeln!(out, "catalog  : wrote {}", path.display())
+                }
             }
+            .ok();
             Ok(())
         }
-        SynthAction::Campaign {
-            nodes,
-            degree,
-            alpha_t,
-            alpha_r,
-            catalog: cat_dir,
-            budget,
-            polish: polish_iters,
-            dir,
-        } => synth_campaign(
-            &SynthProblem::new(*nodes, *degree, *alpha_t, *alpha_r),
-            Path::new(cat_dir),
-            budget.unwrap_or(DEFAULT_CAMPAIGN_BUDGET),
-            polish_iters.unwrap_or(200),
-            Path::new(dir),
-            out,
-        ),
         SynthAction::Status { catalog: dir, json } => {
             let dir = Path::new(dir);
             let entries = catalog::load_all(dir);
@@ -568,16 +553,17 @@ fn synth(action: &SynthAction, out: &mut dyn Write) -> CmdResult {
                     Ok(entry) => {
                         let p = &entry.problem;
                         let l = entry.schedule.frame_length();
-                        let fig2 = build_duty_cycled(
-                            p.n,
-                            p.d,
-                            p.alpha_t,
-                            p.alpha_r,
-                            PartitionStrategy::RoundRobin,
-                        )
-                        .schedule
-                        .frame_length();
-                        let (status, verdict) = match catalog::validate_entry(entry, &mut cache) {
+                        let fig2 = catalog::figure2_len(p);
+                        // `ttdc build` looks entries up by file name, so an
+                        // entry filed under another point's name would be
+                        // served for that point.
+                        let expected = catalog::entry_file_name(p);
+                        let checked = if name == expected {
+                            catalog::validate_entry(entry, &mut cache)
+                        } else {
+                            Err(format!("header describes {p}, which belongs in {expected}"))
+                        };
+                        let (status, verdict) = match checked {
                             // A catalog entry that is *worse* than the
                             // Figure 2 construction is a frame-length
                             // regression: `ttdc build` would prefer it and
@@ -662,11 +648,6 @@ const SYNTH_CAMPAIGN_KIND: &str = "synth-campaign";
 /// hook that simulates a SIGKILL at a fixed point in the campaign).
 pub const SYNTH_KILL_AFTER_ENV: &str = "TTDC_SYNTH_KILL_AFTER";
 
-/// Runs one parameter point as a checkpointed, kill-resumable search
-/// campaign: each root branch is searched under its own node budget with a
-/// *fresh* incumbent (so its result is independent of execution order and
-/// kill history), checkpointed to `dir/manifest.jsonl`, and the surviving
-/// branches reduce to the same winner an uninterrupted run would find.
 /// One checkpointed root branch as a synth-campaign manifest record.
 fn encode_branch_record(r: &BranchResult) -> serde_json::Value {
     serde_json::json!({
@@ -716,68 +697,54 @@ fn decode_branch_record(id: &str, payload: &serde_json::Value) -> Result<BranchR
     })
 }
 
+/// Runs one parameter point as a checkpointed, kill-resumable search
+/// campaign: the root branches missing from `dir/manifest.jsonl` run over
+/// the pool, each checkpointed as it finishes, and the recorded branches
+/// reduce and finish exactly as [`synthesize`] would. `o.search` carries a
+/// node budget, so a branch record is independent of execution order and
+/// kill history.
 fn synth_campaign(
     p: &SynthProblem,
-    cat_dir: &Path,
-    budget: u64,
-    polish_iters: u64,
+    o: &SynthOptions,
     dir: &Path,
     out: &mut dyn Write,
-) -> CmdResult {
-    use std::sync::atomic::AtomicUsize;
-    use ttdc_core::synth::demands::{CandidateSpace, DemandSpace};
-    use ttdc_core::synth::search::{plan_root, search_root_branch};
-    use ttdc_sim::campaign::Manifest;
-
-    let existing = catalog::load_entry(cat_dir, p).map_err(CliError::Schedule)?;
+) -> Result<SynthOutcome, CliError> {
     let space = DemandSpace::new(p.n, p.d);
     let cands = CandidateSpace::new(&space, p.alpha_t, p.alpha_r);
-    let opts = SearchOptions {
-        max_nodes: Some(budget),
-        incumbent_len: existing.as_ref().map(|e| e.schedule.frame_length()),
-        ..SearchOptions::default()
-    };
-    let plan = plan_root(&space, &cands, &opts);
+    let budget = o
+        .search
+        .max_nodes
+        .expect("checkpointed options always carry a node budget");
+    let plan = plan_root(&space, &cands, &o.search);
+    let branches = plan.branch_cands.len();
     writeln!(
         out,
-        "campaign : n={} D={} alpha=({},{}) — {} root branch(es) ({} before symmetry), \
+        "campaign : n={} D={} alpha=({},{}) — {branches} root branch(es) ({} before symmetry), \
          budget {budget} nodes each, seed L = {}",
-        p.n,
-        p.d,
-        p.alpha_t,
-        p.alpha_r,
-        plan.branch_cands.len(),
-        plan.root_branches_total,
-        plan.seed_len,
+        p.n, p.d, p.alpha_t, p.alpha_r, plan.root_branches_total, plan.seed_len,
     )
     .ok();
 
     // The fingerprint binds everything that shapes a branch result; a
     // manifest from different parameters, budget, seed or search config
     // must not be resumed into.
-    let config = opts.config_string();
+    let config = o.search.config_string();
     let fp = ttdc_util::fnv1a64(
         format!(
-            "synth-campaign n={} d={} at={} ar={} budget={} seed_len={} branches={} {config}",
-            p.n,
-            p.d,
-            p.alpha_t,
-            p.alpha_r,
-            budget,
-            plan.seed_len,
-            plan.branch_cands.len(),
+            "synth-campaign n={} d={} at={} ar={} budget={budget} seed_len={} branches={branches} \
+             {config}",
+            p.n, p.d, p.alpha_t, p.alpha_r, plan.seed_len,
         )
         .as_bytes(),
     );
     let manifest_path = dir.join("manifest.jsonl");
-    let mut manifest = if manifest_path.exists() {
+    let manifest = if manifest_path.exists() {
         let m = Manifest::load(&manifest_path, SYNTH_CAMPAIGN_KIND, Some(fp))
             .map_err(|e| CliError::Campaign(e.to_string()))?;
         writeln!(
             out,
-            "resuming : {}/{} branch(es) already checkpointed",
-            m.len(),
-            plan.branch_cands.len()
+            "resuming : {}/{branches} branch(es) already checkpointed",
+            m.len()
         )
         .ok();
         m
@@ -789,138 +756,56 @@ fn synth_campaign(
             fp,
             serde_json::json!({
                 "n": p.n, "degree": p.d, "alpha_t": p.alpha_t, "alpha_r": p.alpha_r,
-                "budget": budget, "seed_len": plan.seed_len, "config": config.clone(),
+                "budget": budget, "seed_len": plan.seed_len, "config": config,
             }),
         )
     };
 
+    let branch_id = |index: usize| format!("b{index}");
+    let missing: Vec<usize> = (0..branches)
+        .filter(|&i| manifest.get(&branch_id(i)).is_none())
+        .collect();
     let kill_after: Option<usize> = std::env::var(SYNTH_KILL_AFTER_ENV)
         .ok()
         .and_then(|v| v.parse().ok());
-    let mut checkpoints_this_run = 0usize;
-    for index in 0..plan.branch_cands.len() {
-        let id = format!("b{index}");
-        if manifest.get(&id).is_some() {
-            continue;
+    // (manifest, checkpoints saved by this run, first save failure).
+    let state = Mutex::new((manifest, 0usize, None::<CliError>));
+    run_branches(&space, &cands, &o.search, &plan, &missing, |index, r| {
+        let mut guard = state.lock().expect("a checkpoint save panicked");
+        let (manifest, saved, failure) = &mut *guard;
+        if failure.is_some() {
+            return;
         }
-        // A fresh incumbent per branch: the checkpointed result must not
-        // depend on which other branches happened to finish first.
-        let shared = AtomicUsize::new(plan.seed_len);
-        let r = search_root_branch(&space, &cands, &opts, &plan, index, &shared);
-        manifest.put(&id, encode_branch_record(&r));
-        manifest
-            .save(&manifest_path)
-            .map_err(|e| CliError::Campaign(e.to_string()))?;
-        checkpoints_this_run += 1;
-        if let Some(limit) = kill_after {
-            if checkpoints_this_run >= limit {
-                eprintln!(
-                    "synth campaign: {SYNTH_KILL_AFTER_ENV}={limit} reached after \
-                     {checkpoints_this_run} checkpoint(s); aborting"
-                );
-                std::process::abort();
-            }
+        manifest.put(branch_id(index), encode_branch_record(r));
+        if let Err(e) = manifest.save(&manifest_path) {
+            *failure = Some(CliError::Campaign(e.to_string()));
+            return;
         }
+        *saved += 1;
+        // Still holding the lock, so exactly `limit` records reach disk.
+        if let Some(limit) = kill_after.filter(|&limit| *saved >= limit) {
+            eprintln!(
+                "synth campaign: {SYNTH_KILL_AFTER_ENV}={limit} reached after {saved} \
+                 checkpoint(s); aborting"
+            );
+            std::process::abort();
+        }
+    });
+    let (manifest, _, failure) = state.into_inner().expect("a checkpoint save panicked");
+    if let Some(e) = failure {
+        return Err(e);
     }
-
-    // Ordered reduce over the checkpointed branches, identical to
-    // `minimum_cover`'s: start from the greedy seed, adopt any branch best
-    // that wins under the (len, lex) rule, tally effort.
-    let mut best = plan.greedy.clone();
-    let mut total_nodes = 0u64;
-    let mut total_pruned = 0u64;
-    let mut any_budget_hit = false;
-    for index in 0..plan.branch_cands.len() {
-        let id = format!("b{index}");
-        let payload = manifest
-            .get(&id)
-            .ok_or_else(|| CliError::Campaign(format!("manifest lost branch {id}")))?;
-        let r = decode_branch_record(&id, payload)?;
-        total_nodes += r.nodes;
-        total_pruned += r.pruned;
-        any_budget_hit |= r.exhausted;
-        if let Some(sol) = r.best.filter(|sol| sol.better_than(&best)) {
-            best = sol;
-        }
-    }
-    let exact = !any_budget_hit;
-    let mut sol = best;
-    let mut polish_improved = false;
-    if !exact && polish_iters > 0 {
-        let polished = ttdc_core::synth::polish(&space, &cands, &sol, 0x5EED, polish_iters);
-        if polished.slots.len() < sol.slots.len() {
-            sol = polished;
-            polish_improved = true;
-        }
-    }
-    let schedule = cands.schedule(p.n, &sol.slots);
-    let l = schedule.frame_length();
-    writeln!(
-        out,
-        "campaign : L = {l} ({}), {total_nodes} nodes expanded, {total_pruned} pruned{}",
-        if exact {
-            "proven optimal"
-        } else {
-            "branch budgets hit — best known"
-        },
-        if polish_improved {
-            ", improved by local search"
-        } else {
-            ""
-        }
-    )
-    .ok();
-
-    let fig2 = build_duty_cycled(
-        p.n,
-        p.d,
-        p.alpha_t,
-        p.alpha_r,
-        PartitionStrategy::RoundRobin,
-    )
-    .schedule
-    .frame_length();
-    writeln!(
-        out,
-        "figure2  : L = {fig2} ({})",
-        if l < fig2 {
-            format!("campaign saves {} slots", fig2 - l)
-        } else {
-            "no improvement over the construction".to_string()
-        }
-    )
-    .ok();
-    let keep = matches!(&existing, Some(e) if e.schedule.frame_length() <= l);
-    if keep {
-        writeln!(out, "catalog  : kept the existing entry (not beaten)").ok();
-    } else if l > fig2 {
-        writeln!(
-            out,
-            "catalog  : not written (figure2 L = {fig2} is still the best known)"
-        )
-        .ok();
-    } else {
-        let entry = catalog::CatalogEntry {
-            problem: *p,
-            fingerprint: schedule.canonical_fingerprint(),
-            schedule,
-            exact,
-            nodes: total_nodes,
-            source: if polish_improved {
-                "campaign+polish".to_string()
-            } else {
-                "campaign".to_string()
-            },
-            config: Some(config),
-        };
-        let mut cache = VerifyCache::new();
-        catalog::validate_entry(&entry, &mut cache)
-            .map_err(|e| CliError::Other(format!("refusing to write catalog entry: {e}")))?;
-        let path = catalog::write_entry(cat_dir, &entry)
-            .map_err(|e| CliError::Io(format!("{}: {e}", cat_dir.display())))?;
-        writeln!(out, "catalog  : wrote {}", path.display()).ok();
-    }
-    Ok(())
+    let results = (0..branches)
+        .map(|index| {
+            let id = branch_id(index);
+            let payload = manifest
+                .get(&id)
+                .ok_or_else(|| CliError::Campaign(format!("manifest lost branch {id}")))?;
+            decode_branch_record(&id, payload)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let (sol, stats) = reduce_branches(&plan, results);
+    Ok(finish(p, &space, &cands, sol, stats, o))
 }
 
 /// Runs one `ttdc campaign` action through the crash-resilient runner.

@@ -1,13 +1,15 @@
 //! Kill-and-resume guarantees for `ttdc synth campaign`.
 //!
 //! A synthesis campaign checkpoints every finished root branch, and each
-//! branch result is computed against a fresh incumbent — so whatever
+//! branch runs under a node budget, which keeps it off the incumbent the
+//! branches share — so whatever
 //! subset of branches a dying process managed to checkpoint, re-running
 //! the same command finishes the rest and reduces to the same winner.
 //! Two ways to die mid-campaign: a deterministic self-abort after N
 //! checkpoints (`TTDC_SYNTH_KILL_AFTER`) and a real SIGKILL at an
 //! arbitrary instant. In both cases the final catalog entry must be
-//! byte-identical to one from a run that was never interrupted.
+//! byte-identical to one from a run that was never interrupted, and at any
+//! pool size that entry is the one `synth run` writes with the same budget.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -166,4 +168,65 @@ fn sigkilled_campaign_resumes_to_the_identical_entry() {
     assert_eq!(entry_bytes(&catalog), baseline);
     std::fs::remove_dir_all(&catalog).ok();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs `ttdc synth <action>` at (5, 2, 2, 2) — four root branches, each
+/// exhausting a 200-node budget, so the polish runs too — on `threads`
+/// pool workers, and returns the catalog entry it writes.
+fn entry_5222(action: &[&str], threads: &str, name: &str) -> String {
+    let catalog = tmp(&format!("{name}-catalog"));
+    std::fs::remove_dir_all(&catalog).ok();
+    std::fs::remove_dir_all(tmp(&format!("{name}-dir"))).ok();
+    let out = ttdc()
+        .args(["synth", action[0]])
+        .args([
+            "--nodes",
+            "5",
+            "--degree",
+            "2",
+            "--alpha-t",
+            "2",
+            "--alpha-r",
+            "2",
+        ])
+        .args(&action[1..])
+        .arg("--catalog")
+        .arg(&catalog)
+        .env("RAYON_NUM_THREADS", threads)
+        .output()
+        .expect("spawn ttdc");
+    assert!(
+        out.status.success(),
+        "{action:?}: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    let text = std::fs::read_to_string(catalog.join("n005_d2_at2_ar2.sched")).expect("entry");
+    std::fs::remove_dir_all(&catalog).ok();
+    std::fs::remove_dir_all(tmp(&format!("{name}-dir"))).ok();
+    text
+}
+
+#[test]
+fn a_campaign_writes_the_synth_run_entry_at_any_thread_count() {
+    let run = entry_5222(&["run", "--max-nodes", "200"], "2", "eq-run");
+    assert!(
+        run.contains(" source=synth+polish\n"),
+        "the budget must leave work for the polish: {run}"
+    );
+    let campaign = |threads: &str| {
+        let name = format!("eq-campaign-{threads}");
+        let dir = tmp(&format!("{name}-dir")).to_string_lossy().into_owned();
+        entry_5222(&["campaign", "--budget", "200", &dir], threads, &name)
+    };
+    let sequential = campaign("1");
+    assert_eq!(
+        campaign("2"),
+        sequential,
+        "the worker count moved the entry"
+    );
+    assert_eq!(
+        sequential.replace(" source=campaign+polish\n", " source=synth+polish\n"),
+        run,
+        "a campaign and a run with the same budget differ beyond `source=`"
+    );
 }

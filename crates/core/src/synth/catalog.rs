@@ -10,7 +10,7 @@
 //! # ttdc-catalog v1
 //! # n=6 D=2 alpha_t=1 alpha_r=2
 //! # L=15 exact=true nodes=1234 source=synth
-//! # search bound=lp lp_depth=64 lp_passes=1 dominance=true sub_symmetry=false
+//! # search bound=lp prune=true dominance=true lex_prune=true symmetry=true
 //! # fingerprint=0x0123456789abcdef
 //! ttdc-schedule v1
 //! n=6 L=15
@@ -20,7 +20,9 @@
 //!
 //! The `# search …` line records the bound/pruning configuration that
 //! produced the entry ([`super::search::SearchOptions::config_string`]);
-//! it is optional so headers written before it existed still parse.
+//! it is optional so headers written before it existed still parse, and
+//! it is free text, so headers that name an older knob set (`lp_depth`,
+//! `lp_passes`, `sub_symmetry`) still parse too.
 //!
 //! Entries are written atomically and byte-round-trip through
 //! [`entry_to_text`]/[`entry_from_text`]. Nothing is trusted on read:
@@ -29,10 +31,12 @@
 //! transmit sets) and re-derives the fingerprint — CI runs it over every
 //! committed entry.
 
-use super::{SynthProblem, VerifyCache};
+use super::{SynthOutcome, SynthProblem, VerifyCache};
 use crate::io;
 use crate::requirements::{requirement1_violation_naive, requirement2_violation_naive};
 use crate::schedule::Schedule;
+use crate::tsma::build_duty_cycled;
+use crate::PartitionStrategy;
 use std::path::{Path, PathBuf};
 
 /// One catalog entry: a schedule plus its provenance.
@@ -70,14 +74,10 @@ pub fn entry_to_text(e: &CatalogEntry) -> String {
     };
     format!(
         "# ttdc-catalog v1\n\
-         # n={} D={} alpha_t={} alpha_r={}\n\
+         # {p}\n\
          # L={} exact={} nodes={} source={}\n\
          {search_line}\
          # fingerprint=0x{:016x}\n{}",
-        p.n,
-        p.d,
-        p.alpha_t,
-        p.alpha_r,
         e.schedule.frame_length(),
         e.exact,
         e.nodes,
@@ -94,8 +94,9 @@ fn header_field<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
 }
 
 /// Parses an entry. The schedule body goes through the strict v1 parser;
-/// the header is checked for internal consistency (declared `n`/`L` vs the
-/// parsed schedule) but the *semantic* checks live in [`validate_entry`].
+/// the header is checked for internal consistency (a parameter point
+/// [`SynthProblem::try_new`] accepts, declared `n`/`L` vs the parsed
+/// schedule) but the *semantic* checks live in [`validate_entry`].
 pub fn entry_from_text(text: &str) -> Result<CatalogEntry, String> {
     let mut comments = text.lines().filter(|l| l.trim_start().starts_with('#'));
     let magic = comments.next().ok_or("missing catalog header")?;
@@ -117,12 +118,13 @@ pub fn entry_from_text(text: &str) -> Result<CatalogEntry, String> {
     let parse = |s: &str| -> Result<usize, String> {
         s.parse::<usize>().map_err(|_| format!("bad number {s:?}"))
     };
-    let problem = SynthProblem {
-        n: parse(header_field(params, "n")?)?,
-        d: parse(header_field(params, "D")?)?,
-        alpha_t: parse(header_field(params, "alpha_t")?)?,
-        alpha_r: parse(header_field(params, "alpha_r")?)?,
-    };
+    let problem = SynthProblem::try_new(
+        parse(header_field(params, "n")?)?,
+        parse(header_field(params, "D")?)?,
+        parse(header_field(params, "alpha_t")?)?,
+        parse(header_field(params, "alpha_r")?)?,
+    )
+    .map_err(|e| format!("catalog header {params:?}: {e}"))?;
     let l = parse(header_field(claims, "L")?)?;
     let exact = match header_field(claims, "exact")? {
         "true" => true,
@@ -210,16 +212,99 @@ pub fn write_entry(dir: &Path, e: &CatalogEntry) -> std::io::Result<PathBuf> {
 }
 
 /// Loads the entry for `p` from `dir`. `Ok(None)` when no file exists;
-/// `Err` when a file exists but does not parse.
+/// `Err` when a file exists but does not parse, or its header describes
+/// another point than `p`.
 pub fn load_entry(dir: &Path, p: &SynthProblem) -> Result<Option<CatalogEntry>, String> {
     let path = entry_path(dir, p);
-    match std::fs::read_to_string(&path) {
-        Ok(text) => entry_from_text(&text)
-            .map(Some)
-            .map_err(|e| format!("{}: {e}", path.display())),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(format!("{}: {e}", path.display())),
+    let text = match std::fs::read_to_string(&path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(format!("{}: {e}", path.display())),
+    };
+    let entry = entry_from_text(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    if entry.problem != *p {
+        return Err(format!(
+            "{}: header describes {}, but the file is named for {p}",
+            path.display(),
+            entry.problem
+        ));
     }
+    Ok(Some(entry))
+}
+
+/// Frame length of the paper's Figure 2 construction at `p` (round-robin
+/// partition): the length every catalog entry must not exceed, or `ttdc
+/// build` would prefer a longer frame.
+pub fn figure2_len(p: &SynthProblem) -> usize {
+    build_duty_cycled(
+        p.n,
+        p.d,
+        p.alpha_t,
+        p.alpha_r,
+        PartitionStrategy::RoundRobin,
+    )
+    .schedule
+    .frame_length()
+}
+
+/// What [`commit`] did with a synthesized schedule.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Commit {
+    /// The existing entry is no longer: it stays as it was.
+    Kept,
+    /// The schedule is longer than Figure 2's: nothing is written.
+    Figure2Shorter,
+    /// The entry was written to this path.
+    Wrote(PathBuf),
+}
+
+/// Why [`commit`] failed.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CommitError {
+    /// The entry failed [`validate_entry`]; nothing was written.
+    Invalid(String),
+    /// Writing the entry failed.
+    Io(String),
+}
+
+/// The catalog's write policy for one synthesis outcome at `p`: keep an
+/// `existing` entry that is not beaten, refuse a schedule longer than
+/// Figure 2's, otherwise validate the new entry and write it under `dir`.
+/// `source` names the producer; `+polish` is appended when the local
+/// search improved the cover. Returns what happened and Figure 2's L.
+pub fn commit(
+    dir: &Path,
+    existing: Option<&CatalogEntry>,
+    p: &SynthProblem,
+    outcome: SynthOutcome,
+    source: &str,
+    config: String,
+) -> Result<(Commit, usize), CommitError> {
+    let fig2 = figure2_len(p);
+    let l = outcome.schedule.frame_length();
+    if existing.is_some_and(|e| e.schedule.frame_length() <= l) {
+        return Ok((Commit::Kept, fig2));
+    }
+    if l > fig2 {
+        return Ok((Commit::Figure2Shorter, fig2));
+    }
+    let entry = CatalogEntry {
+        problem: *p,
+        fingerprint: outcome.fingerprint,
+        schedule: outcome.schedule,
+        exact: outcome.stats.exact,
+        nodes: outcome.stats.nodes,
+        source: if outcome.polish_improved {
+            format!("{source}+polish")
+        } else {
+            source.to_string()
+        },
+        config: Some(config),
+    };
+    validate_entry(&entry, &mut VerifyCache::new()).map_err(CommitError::Invalid)?;
+    let path =
+        write_entry(dir, &entry).map_err(|e| CommitError::Io(format!("{}: {e}", dir.display())))?;
+    Ok((Commit::Wrote(path), fig2))
 }
 
 /// Loads every `*.sched` entry under `dir`, sorted by file name.

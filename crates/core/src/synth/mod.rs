@@ -43,16 +43,51 @@ pub struct SynthProblem {
 }
 
 impl SynthProblem {
-    /// Validated constructor (`1 ≤ D < n`, `α_T, α_R ≥ 1`).
+    /// Validated constructor; panics where [`SynthProblem::try_new`]
+    /// errs.
     pub fn new(n: usize, d: usize, alpha_t: usize, alpha_r: usize) -> SynthProblem {
-        assert!(d >= 1 && n > d, "need 1 ≤ D < n");
-        assert!(alpha_t >= 1 && alpha_r >= 1, "need α_T, α_R ≥ 1");
-        SynthProblem {
+        SynthProblem::try_new(n, d, alpha_t, alpha_r).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The point, or why it is out of the domain (`1 ≤ D < n`,
+    /// `α_T, α_R ≥ 1`, and `α_T + α_R ≤ n`, which the Figure 2 construction
+    /// every result is measured against needs).
+    pub fn try_new(
+        n: usize,
+        d: usize,
+        alpha_t: usize,
+        alpha_r: usize,
+    ) -> Result<SynthProblem, String> {
+        if d < 1 || n <= d {
+            return Err(format!("need 1 ≤ D < n, got n = {n}, D = {d}"));
+        }
+        if alpha_t < 1 || alpha_r < 1 {
+            return Err(format!(
+                "need α_T ≥ 1 and α_R ≥ 1, got α_T = {alpha_t}, α_R = {alpha_r}"
+            ));
+        }
+        if alpha_t.saturating_add(alpha_r) > n {
+            return Err(format!(
+                "need α_T + α_R ≤ n, got α_T = {alpha_t}, α_R = {alpha_r}, n = {n}"
+            ));
+        }
+        Ok(SynthProblem {
             n,
             d,
             alpha_t,
             alpha_r,
-        }
+        })
+    }
+}
+
+/// `n=… D=… alpha_t=… alpha_r=…`: the parameter line of a catalog header.
+impl std::fmt::Display for SynthProblem {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "n={} D={} alpha_t={} alpha_r={}",
+            self.n, self.d, self.alpha_t, self.alpha_r
+        )
     }
 }
 
@@ -96,10 +131,24 @@ pub struct SynthOutcome {
 pub fn synthesize(p: &SynthProblem, o: &SynthOptions) -> SynthOutcome {
     let space = DemandSpace::new(p.n, p.d);
     let cands = CandidateSpace::new(&space, p.alpha_t, p.alpha_r);
-    let (mut sol, stats) = minimum_cover(&space, &cands, &o.search);
+    let (sol, stats) = minimum_cover(&space, &cands, &o.search);
+    finish(p, &space, &cands, sol, stats, o)
+}
+
+/// The last step of every synthesis run: polishes a budget-limited cover
+/// (`o.polish_iters` moves seeded by `o.seed`; exact covers are already
+/// optimal), builds its schedule and pins the fingerprint.
+pub fn finish(
+    p: &SynthProblem,
+    space: &DemandSpace,
+    cands: &CandidateSpace,
+    mut sol: CoverSolution,
+    stats: SearchStats,
+    o: &SynthOptions,
+) -> SynthOutcome {
     let mut polish_improved = false;
     if !stats.exact && o.polish_iters > 0 {
-        let polished = polish(&space, &cands, &sol, o.seed, o.polish_iters);
+        let polished = polish(space, cands, &sol, o.seed, o.polish_iters);
         if polished.slots.len() < sol.slots.len() {
             sol = polished;
             polish_improved = true;

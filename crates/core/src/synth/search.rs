@@ -23,8 +23,7 @@
 //!   Each uncovered demand's dual seed needs the largest residual gain
 //!   among its suppliers, read from the node's gain pass (below), so the
 //!   bound costs one walk over the uncovered demands' supplier lists into
-//!   per-worker buffers. [`SearchOptions::lp_depth`] can confine it to
-//!   shallow depths; the default pays it at every depth.
+//!   per-worker buffers. It is paid at every expanded node.
 //!
 //! A subtree is cut only when `depth + bound` *strictly* exceeds the best
 //! known length, so every optimum-length solution survives pruning
@@ -64,28 +63,24 @@
 //! (node classes `{x}`, `{y}`, `Y∖{y}`, rest): two candidates with equal
 //! per-class transmit/receive counts are images of each other under a
 //! node relabeling that maps the demand space onto itself, so their
-//! subtrees contain covers of exactly the same lengths. With
-//! [`SearchOptions::sub_symmetry`] the same idea extends below the root:
-//! classes are refined by membership in every chosen slot's `T`/`R`, so
-//! the relabeling also fixes the partial schedule. Sub-root orbit pruning
-//! preserves the optimum *length* but may swap the winning representative
-//! when several non-isomorphic optima exist, so it defaults off and is
-//! reserved for deep campaign runs (results stay bit-identical across
-//! thread counts either way — elimination depends only on the trail).
+//! subtrees contain covers of exactly the same lengths.
 //!
 //! **Deterministic incumbent.** A solution is the *sorted* vector of its
 //! candidate ids; solutions compare by `(length, lex order of ids)`. Each
 //! root branch reports its branch-local minimum (found in canonical DFS
-//! order), and the ordered reduction over branches takes the global
-//! minimum — a rule with no dependence on thread count or completion
-//! order. The shared atomic incumbent length only tightens pruning of
-//! strictly-worse subtrees, so it can accelerate the search but never
-//! change its answer. Budgeted branches ignore the shared incumbent
-//! entirely: budget cutoffs must not depend on cross-thread timing.
+//! order), and the ordered reduction over branches ([`reduce_branches`])
+//! takes the global minimum — a rule with no dependence on thread count or
+//! completion order. The shared atomic incumbent length only tightens
+//! pruning of strictly-worse subtrees, so it can accelerate the search but
+//! never change its answer. Budgeted branches ignore the shared incumbent
+//! entirely: budget cutoffs must not depend on cross-thread timing. So a
+//! budgeted branch's result depends on nothing but its index, which is
+//! what lets a checkpointed campaign run any subset of the branches
+//! ([`run_branches`]) and reduce them with records saved by earlier runs.
 
 use super::demands::{CandidateSpace, DemandSpace};
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use ttdc_util::{greedy_packing, BitSet, CoverCounter, DualAscent, LpItem};
 
 /// Which admissible lower bound the pruning rule pays for.
@@ -96,8 +91,7 @@ pub enum BoundKind {
     /// Greedy conflict packing over [`CandidateSpace::reach`]; dominates
     /// the ceiling bound.
     Matching,
-    /// Matching everywhere plus the dual-ascent LP bound at depths below
-    /// [`SearchOptions::lp_depth`].
+    /// Matching plus the dual-ascent LP bound, at every node.
     Lp,
 }
 
@@ -110,11 +104,6 @@ pub struct SearchOptions {
     pub prune: bool,
     /// Which bound the pruning rule uses (ignored when `prune` is off).
     pub bound: BoundKind,
-    /// Depths strictly below this pay for the LP bound (with
-    /// [`BoundKind::Lp`]); deeper nodes fall back to the matching bound.
-    pub lp_depth: usize,
-    /// Dual-ascent sweeps after the fractional seed.
-    pub lp_passes: usize,
     /// Eliminate branch candidates residual-dominated by an earlier one
     /// (winner-preserving).
     pub dominance: bool,
@@ -126,9 +115,6 @@ pub struct SearchOptions {
     pub lex_prune: bool,
     /// Collapse root branches that are node-relabelings of each other.
     pub symmetry: bool,
-    /// Extend orbit elimination below the root (length-preserving only —
-    /// the winning representative may change; off by default).
-    pub sub_symmetry: bool,
     /// Per-root-branch node budget; `None` = run to exactness. When set,
     /// branches ignore the shared incumbent (budget cutoffs must not
     /// depend on cross-thread timing), so results stay deterministic.
@@ -144,16 +130,9 @@ impl Default for SearchOptions {
         SearchOptions {
             prune: true,
             bound: BoundKind::Lp,
-            // Effectively "LP everywhere" for tractable instances: per-node
-            // LP cost shrinks with the residual deficit, and on the hard
-            // bench points paying it at every depth is ~10× fewer nodes
-            // *and* faster in wall-clock than a shallow cutoff.
-            lp_depth: 64,
-            lp_passes: 1,
             dominance: true,
             lex_prune: true,
             symmetry: true,
-            sub_symmetry: false,
             max_nodes: None,
             incumbent_len: None,
         }
@@ -161,8 +140,8 @@ impl Default for SearchOptions {
 }
 
 impl SearchOptions {
-    /// Provenance string recorded in catalog headers: the knobs that
-    /// shape the search tree (bound hierarchy + elimination rules).
+    /// Provenance string recorded in catalog headers and hashed into the
+    /// synth-campaign fingerprint: every knob that shapes the search tree.
     pub fn config_string(&self) -> String {
         let bound = match self.bound {
             BoundKind::Ceiling => "ceiling",
@@ -170,11 +149,14 @@ impl SearchOptions {
             BoundKind::Lp => "lp",
         };
         format!(
-            "bound={} lp_depth={} lp_passes={} dominance={} sub_symmetry={}",
-            bound, self.lp_depth, self.lp_passes, self.dominance, self.sub_symmetry
+            "bound={bound} prune={} dominance={} lex_prune={} symmetry={}",
+            self.prune, self.dominance, self.lex_prune, self.symmetry
         )
     }
 }
+
+/// Dual-ascent sweeps after the fractional seed, in the search's LP bound.
+const LP_PASSES: usize = 1;
 
 /// Search effort counters. `nodes`/`pruned` are totals over all branches
 /// (they may vary run-to-run at >1 thread — incumbent timing changes what
@@ -370,12 +352,7 @@ fn root_signature(space: &DemandSpace, cands: &CandidateSpace, root: usize, c: u
     sig
 }
 
-/// Deepest trail length whose slot-membership bits still fit a `u64`
-/// color alongside the 2-bit demand class.
-const MAX_SYMMETRY_DEPTH: usize = 30;
-
 struct Worker<'a> {
-    space: &'a DemandSpace,
     cands: &'a CandidateSpace,
     opts: &'a SearchOptions,
     shared_len: &'a AtomicUsize,
@@ -417,7 +394,6 @@ impl<'a> Worker<'a> {
         let mut counter = CoverCounter::new(space.len());
         counter.set_target(&BitSet::full(space.len()));
         Worker {
-            space,
             cands,
             opts,
             shared_len,
@@ -451,7 +427,7 @@ impl<'a> Worker<'a> {
 
     /// Admissible lower bound on the slots any completion of this node
     /// still needs, per the configured bound hierarchy.
-    fn lower_bound(&mut self, depth: usize) -> usize {
+    fn lower_bound(&mut self) -> usize {
         let mut lower = ceiling_bound(self.counter.deficit(), self.cands.max_gain);
         if matches!(self.opts.bound, BoundKind::Matching | BoundKind::Lp) {
             lower = lower.max(greedy_packing(
@@ -460,13 +436,13 @@ impl<'a> Worker<'a> {
                 &mut self.blocked,
             ));
         }
-        if self.opts.bound == BoundKind::Lp && depth < self.opts.lp_depth {
+        if self.opts.bound == BoundKind::Lp {
             lower = lower.max(residual_lp_bound(
                 self.cands,
                 self.counter.uncovered(),
                 &self.banned,
                 &self.gain,
-                self.opts.lp_passes,
+                LP_PASSES,
                 &mut self.lp,
                 &mut self.lp_scratch,
             ));
@@ -474,74 +450,14 @@ impl<'a> Worker<'a> {
         lower
     }
 
-    /// Trail-refined node color: the branch demand's class plus a
-    /// membership bit pair per chosen slot. Permutations preserving every
-    /// color class setwise fix the branch demand and the whole partial
-    /// schedule, so equal-signature candidates are orbit-equivalent.
-    fn node_color(&self, v: usize, branch: usize) -> u64 {
-        let dem = &self.space.demands()[branch];
-        let mut color = if v == dem.x {
-            0u64
-        } else if v == dem.y {
-            1
-        } else if dem.group.contains(v) {
-            2
-        } else {
-            3
-        };
-        for (k, &s) in self.chosen.iter().enumerate() {
-            let cand = &self.cands.cands[s as usize];
-            color |= (u64::from(cand.t.contains(v))) << (2 + 2 * k);
-            color |= (u64::from(cand.r.contains(v))) << (3 + 2 * k);
-        }
-        color
-    }
-
-    /// Per-color (transmit, receive) counts of candidate `c` — the
-    /// sub-root orbit signature, sorted by color for canonical equality.
-    fn orbit_signature(&self, branch: usize, c: u32) -> Vec<(u64, u32, u32)> {
-        let cand = &self.cands.cands[c as usize];
-        let mut sig: Vec<(u64, u32, u32)> = Vec::new();
-        for v in 0..self.space.num_nodes() {
-            let in_t = cand.t.contains(v);
-            let in_r = cand.r.contains(v);
-            if !in_t && !in_r {
-                continue;
-            }
-            let color = self.node_color(v, branch);
-            match sig.binary_search_by_key(&color, |e| e.0) {
-                Ok(p) => {
-                    sig[p].1 += u32::from(in_t);
-                    sig[p].2 += u32::from(in_r);
-                }
-                Err(p) => sig.insert(p, (color, u32::from(in_t), u32::from(in_r))),
-            }
-        }
-        sig
-    }
-
-    /// Applies orbit and dominance elimination to the branch suppliers,
-    /// banning eliminated candidates for this node's whole subtree (the
-    /// caller unbans all of `sups` afterwards). Keeps the lowest-id
-    /// representative of every orbit / dominance chain.
-    fn eliminate(&mut self, branch: usize, sups: &[u32]) -> Vec<u32> {
-        let use_sym = self.opts.sub_symmetry && self.chosen.len() <= MAX_SYMMETRY_DEPTH;
+    /// Applies dominance elimination to the branch suppliers, banning
+    /// eliminated candidates for this node's whole subtree (the caller
+    /// unbans all of `sups` afterwards). Keeps the lowest-id representative
+    /// of every dominance chain.
+    fn eliminate(&mut self, sups: &[u32]) -> Vec<u32> {
         let mut kept: Vec<u32> = Vec::with_capacity(sups.len());
-        let mut sigs: Vec<Vec<(u64, u32, u32)>> = Vec::new();
         for &c in sups {
-            if use_sym {
-                let sig = self.orbit_signature(branch, c);
-                if sigs.contains(&sig) {
-                    self.banned[c as usize] = true;
-                    continue;
-                }
-                if !self.dominated_by_kept(c, &kept) {
-                    sigs.push(sig);
-                    kept.push(c);
-                } else {
-                    self.banned[c as usize] = true;
-                }
-            } else if self.dominated_by_kept(c, &kept) {
+            if self.dominated_by_kept(c, &kept) {
                 self.banned[c as usize] = true;
             } else {
                 kept.push(c);
@@ -707,13 +623,12 @@ impl<'a> Worker<'a> {
             return;
         }
         let depth = self.chosen.len();
-        let lp_here =
-            self.opts.prune && self.opts.bound == BoundKind::Lp && depth < self.opts.lp_depth;
+        let lp_here = self.opts.prune && self.opts.bound == BoundKind::Lp;
         if lp_here || self.opts.lex_prune || self.opts.dominance {
             fill_gains(self.cands, self.counter.uncovered(), &mut self.gain);
         }
         let lower = if self.opts.prune {
-            self.lower_bound(depth)
+            self.lower_bound()
         } else {
             1 // not covered ⇒ at least one more slot; keeps ties exact
         };
@@ -758,11 +673,7 @@ impl<'a> Worker<'a> {
             .copied()
             .filter(|&c| !self.banned[c as usize])
             .collect();
-        let kept: Vec<u32> = if self.opts.dominance || self.opts.sub_symmetry {
-            self.eliminate(branch, &sups)
-        } else {
-            sups.clone()
-        };
+        let kept = self.eliminate(&sups);
         let cands = self.cands;
         for &c in &kept {
             if self.exhausted {
@@ -861,10 +772,8 @@ pub fn plan_root(space: &DemandSpace, cands: &CandidateSpace, opts: &SearchOptio
 /// Runs root branch `index` of `plan` to completion (or budget). Branch
 /// `i` bans the candidates of branches `0..i` — they were (or will be)
 /// fully explored elsewhere, so no slot set is visited twice. `shared_len`
-/// is the cross-branch incumbent length; pass a fresh
-/// `AtomicUsize::new(plan.seed_len)` to decouple the branch from all
-/// others (the campaign runner does, so every checkpointed branch result
-/// is independent of execution order and kill history).
+/// is the cross-branch incumbent length; a budgeted branch never reads it,
+/// so its result is independent of execution order and kill history.
 pub fn search_root_branch(
     space: &DemandSpace,
     cands: &CandidateSpace,
@@ -897,50 +806,70 @@ pub fn search_root_branch(
     }
 }
 
-/// Exact (or budgeted) minimum set cover. See the module docs for the
-/// determinism argument. Returns the best cover found plus effort stats.
+/// Runs the root branches `indices` of `plan` over the rayon pool, one
+/// task each, sharing one incumbent length, and hands each result to
+/// `on_done` as its branch finishes. Returns the results in `indices`
+/// order.
+pub fn run_branches(
+    space: &DemandSpace,
+    cands: &CandidateSpace,
+    opts: &SearchOptions,
+    plan: &RootPlan,
+    indices: &[usize],
+    on_done: impl Fn(usize, &BranchResult) + Sync,
+) -> Vec<BranchResult> {
+    let shared_len = AtomicUsize::new(plan.seed_len);
+    indices
+        .to_vec()
+        .into_par_iter()
+        .with_min_len(1)
+        .map(|i| {
+            let r = search_root_branch(space, cands, opts, plan, i, &shared_len);
+            on_done(i, &r);
+            r
+        })
+        .collect()
+}
+
+/// The ordered reduce over every root branch's result: starts from the
+/// greedy seed, adopts each branch best that wins under the `(len, lex)`
+/// rule, and totals the effort.
+pub fn reduce_branches(
+    plan: &RootPlan,
+    results: impl IntoIterator<Item = BranchResult>,
+) -> (CoverSolution, SearchStats) {
+    let mut best = plan.greedy.clone();
+    let mut stats = SearchStats {
+        exact: true,
+        root_branches: plan.branch_cands.len(),
+        root_branches_total: plan.root_branches_total,
+        ..SearchStats::default()
+    };
+    for r in results {
+        stats.nodes += r.nodes;
+        stats.pruned += r.pruned;
+        stats.exact &= !r.exhausted;
+        if let Some(sol) = r.best.filter(|sol| sol.better_than(&best)) {
+            best = sol;
+        }
+    }
+    (best, stats)
+}
+
+/// Exact (or budgeted) minimum set cover: every root branch of
+/// [`plan_root`] through [`run_branches`] and [`reduce_branches`]. See the
+/// module docs for the determinism argument.
 pub fn minimum_cover(
     space: &DemandSpace,
     cands: &CandidateSpace,
     opts: &SearchOptions,
 ) -> (CoverSolution, SearchStats) {
     let plan = plan_root(space, cands, opts);
-    let shared_len = AtomicUsize::new(plan.seed_len);
-    let total_nodes = AtomicU64::new(0);
-    let total_pruned = AtomicU64::new(0);
-    let any_exhausted = AtomicUsize::new(0);
-
-    // One task per root branch; ordered collect keeps the reduction
-    // deterministic.
-    let branch_bests: Vec<Option<CoverSolution>> = (0..plan.branch_cands.len())
-        .collect::<Vec<_>>()
-        .into_par_iter()
-        .with_min_len(1)
-        .map(|i| {
-            let r = search_root_branch(space, cands, opts, &plan, i, &shared_len);
-            total_nodes.fetch_add(r.nodes, Ordering::Relaxed);
-            total_pruned.fetch_add(r.pruned, Ordering::Relaxed);
-            if r.exhausted {
-                any_exhausted.fetch_add(1, Ordering::Relaxed);
-            }
-            r.best
-        })
-        .collect();
-
-    let mut best = plan.greedy.clone();
-    for sol in branch_bests.into_iter().flatten() {
-        if sol.better_than(&best) {
-            best = sol;
-        }
-    }
-    let stats = SearchStats {
-        nodes: total_nodes.load(Ordering::Relaxed),
-        pruned: total_pruned.load(Ordering::Relaxed),
-        exact: any_exhausted.load(Ordering::Relaxed) == 0,
-        root_branches: plan.branch_cands.len(),
-        root_branches_total: plan.root_branches_total,
-    };
-    (best, stats)
+    let all: Vec<usize> = (0..plan.branch_cands.len()).collect();
+    reduce_branches(
+        &plan,
+        run_branches(space, cands, opts, &plan, &all, |_, _| {}),
+    )
 }
 
 #[cfg(test)]
@@ -1003,15 +932,39 @@ mod tests {
     }
 
     #[test]
-    fn sub_symmetry_preserves_the_optimum_length() {
-        for (n, d, at, ar) in [(4, 1, 1, 1), (5, 1, 1, 2), (5, 2, 1, 2), (5, 1, 2, 2)] {
-            let (reference, _) = solve(n, d, at, ar, &SearchOptions::default());
-            let deep = SearchOptions {
-                sub_symmetry: true,
-                ..SearchOptions::default()
-            };
-            let (l, _) = solve(n, d, at, ar, &deep);
-            assert_eq!(l, reference, "({n},{d},{at},{ar})");
+    fn config_string_names_every_tree_shaping_knob() {
+        let base = SearchOptions::default();
+        let variants = [
+            SearchOptions {
+                prune: false,
+                ..base
+            },
+            SearchOptions {
+                dominance: false,
+                ..base
+            },
+            SearchOptions {
+                lex_prune: false,
+                ..base
+            },
+            SearchOptions {
+                symmetry: false,
+                ..base
+            },
+            SearchOptions {
+                bound: BoundKind::Ceiling,
+                ..base
+            },
+            SearchOptions {
+                bound: BoundKind::Matching,
+                ..base
+            },
+        ];
+        let mut seen = vec![base.config_string()];
+        for v in variants {
+            let s = v.config_string();
+            assert!(!seen.contains(&s), "{s:?} names two configurations");
+            seen.push(s);
         }
     }
 

@@ -118,7 +118,6 @@ proptest! {
             dominance: false,
             lex_prune: false,
             symmetry: false,
-            sub_symmetry: false,
             ..SearchOptions::default()
         };
         let (reference, ref_stats) = minimum_cover(&space, &cands, &bare);
