@@ -5,8 +5,8 @@
 //! For each `n` the same duty-cycled scenario runs through
 //! `Simulator::run_dense` — which forces the roster scan, asking the MAC
 //! about all `n` nodes every slot — and through `Simulator::run`, which
-//! takes the slot's rosters from a precomputed `SlotPlan` (the "dense" and
-//! "sparse" columns of the JSON). Both feed the same phases. The schedule
+//! takes the slot's rosters from a precomputed `SlotPlan` (the "scan" and
+//! "plan" columns of the record). Both feed the same phases. The schedule
 //! is a round-robin duty cycle with frame `L = n / 4`: slot `i` wakes
 //! transmitter group `i` and listener group `(i + 1) mod L` (four nodes
 //! each), so the awake roster is eight nodes per slot *regardless of
@@ -16,7 +16,7 @@
 //!
 //! The two reports are asserted **equal in full** (every counter, per-node
 //! energy, latency bits, trace) at every sweep point before any timing is
-//! trusted; `results_identical` in the JSON records that the assertion ran.
+//! trusted; `results_identical` in the record notes that the assertion ran.
 //! The headline claims pinned by `BENCH_sim_scale.json`:
 //!
 //! * plan-sourced per-slot cost stays near-flat as `n` grows: the phase
@@ -24,57 +24,38 @@
 //!   count); all that remains per sleeping node is the memory-bound bulk
 //!   sleep-charge sweep, a few ns per node versus the two MAC queries per
 //!   node the scan pays every slot;
-//! * plan-vs-scan ("sparse-vs-dense") speedup is at least 5× from
-//!   `n = 256` up (asserted).
+//! * plan-vs-scan speedup is at least 5× from `n = 256` up (asserted).
 //!
 //! The **drift family** runs the same scenario with per-node clock drift
 //! (rate up to 10⁻³ slots per slot, so at most nine distinct whole-slot
 //! skews over the run). No slot plan can serve it: `Simulator::run` builds
 //! the rosters per skew group from the schedule's slot masks, and
 //! `Simulator::run_dense` forces the per-node scan. Reports are asserted
-//! identical in full at every point, in `--smoke` too.
+//! identical in full at every point, in smoke runs too.
 //!
 //! The **low-traffic family** measures the time-skipping engine
 //! (`Simulator::run_skipping`) against forced plan-roster stepping
-//! (`Simulator::run_sparse`, the "sparse" column) on the
+//! (`Simulator::run_sparse`, the "plan" column) on the
 //! workload it exists for: a fully duty-cycled schedule (frame `L = n`,
 //! one transmitter and one listener per slot over a perfect-matching
 //! topology) under CBR traffic with per-node arrival ~10⁻⁴/slot at
 //! `n = 64`, scaled so network load stays constant. Almost every slot is
 //! boring — no backlog, no generation — and the calendar jumps straight
 //! over them. Reports are asserted identical in full at every point;
-//! skip-vs-sparse speedup is at least 10× at `n = 1024` (asserted), and a
+//! skip-vs-plan speedup is at least 10× at `n = 1024` (asserted), and a
 //! separate 10⁸-slot horizon row pins "a hundred million slots in
 //! seconds".
-//!
-//! Run with `cargo run --release -p ttdc-bench --bin bench_sim_scale`.
-//! Pass `--smoke` (CI) for a single timing iteration on the smaller
-//! points: the identity assertions still run in full, only the timing
-//! fidelity drops, and the JSON is not rewritten.
 
+use crate::measure;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde_json::{json, to_string_pretty, Value};
+use serde_json::{json, Value};
 use std::time::Instant;
 use ttdc_core::Schedule;
 use ttdc_sim::{
     FaultPlan, MacProtocol, ScheduleMac, SimConfig, SimReport, Simulator, Topology, TrafficPattern,
 };
 use ttdc_util::BitSet;
-
-/// Median wall time of `iters` calls (after one warm-up), plus the result.
-fn measure<D>(iters: usize, work: impl Fn() -> D) -> (f64, D) {
-    let result = work();
-    let mut times: Vec<f64> = (0..iters)
-        .map(|_| {
-            let t0 = Instant::now();
-            work();
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    (times[iters / 2], result)
-}
 
 /// Round-robin duty-cycled MAC over `n` nodes: frame `L = n / 4`; in slot
 /// `i` group `i` (`{v : v mod L == i}`, four nodes) transmits and group
@@ -91,13 +72,8 @@ fn duty_cycled_mac(n: usize) -> ScheduleMac {
 /// Maximum per-slot clock drift rate of the drift family.
 const DRIFT: f64 = 1e-3;
 
-fn report(
-    topo: &Topology,
-    mac: &dyn MacProtocol,
-    faults: FaultPlan,
-    slots: u64,
-    dense: bool,
-) -> SimReport {
+fn report(point: &(Topology, ScheduleMac), faults: FaultPlan, slots: u64, scan: bool) -> SimReport {
+    let (topo, mac) = point;
     let mut sim = Simulator::new(
         topo.clone(),
         TrafficPattern::SaturatedBroadcast,
@@ -107,7 +83,7 @@ fn report(
             ..Default::default()
         },
     );
-    if dense {
+    if scan {
         sim.run_dense(mac, slots);
     } else {
         sim.run(mac, slots);
@@ -136,75 +112,81 @@ fn duty_cycled_point(n: usize) -> (Topology, ScheduleMac) {
     (topo, duty_cycled_mac(n))
 }
 
-fn run_point(n: usize, slots: u64, iters: usize) -> (Value, f64) {
-    let (topo, mac) = duty_cycled_point(n);
-    eprintln!(
-        "point n={n}: frame={} mean_awake/slot={:.1}",
-        mac.frame_length(),
-        mean_awake_per_slot(&mac, n)
-    );
-
-    let none = FaultPlan::none();
-    let (dense_ms, dense_report) = measure(iters, || report(&topo, &mac, none, slots, true));
-    let (sparse_ms, sparse_report) = measure(iters, || report(&topo, &mac, none, slots, false));
+/// Times the `reference` and `fast` runs of one scenario, asserts their
+/// reports are identical in full, and returns `extra` plus the fields every
+/// row shares: `<name>_ms` and `<name>_us_per_slot` for both runs and
+/// `speedup_<fast>_vs_<reference>`.
+fn compare(
+    slots: u64,
+    iters: usize,
+    extra: Value,
+    (ref_name, reference): (&str, &dyn Fn() -> SimReport),
+    (fast_name, fast): (&str, &dyn Fn() -> SimReport),
+) -> Value {
+    let (ref_t, ref_report) = measure(iters, reference);
+    let (fast_t, fast_report) = measure(iters, fast);
     assert_eq!(
-        sparse_report, dense_report,
-        "n={n}: plan-sourced and scan-sourced reports must be identical"
+        fast_report, ref_report,
+        "{extra:?}: {fast_name} and {ref_name} reports must be identical"
     );
-    let speedup = dense_ms / sparse_ms;
+    let speedup = ref_t.median_ms / fast_t.median_ms;
     eprintln!(
-        "  dense {dense_ms:.2} ms, sparse {sparse_ms:.2} ms over {slots} slots \
-         ({speedup:.2}x, identical reports)"
+        "  {ref_name} {:.2} ms, {fast_name} {:.2} ms over {slots} slots \
+         ({speedup:.2}x, identical reports)",
+        ref_t.median_ms, fast_t.median_ms
     );
-    let row = json!({
-        "n": n,
-        "frame_length": mac.frame_length(),
-        "mean_awake_per_slot": mean_awake_per_slot(&mac, n),
-        "slots": slots,
-        "iterations": iters,
-        "dense_median_ms": dense_ms,
-        "sparse_median_ms": sparse_ms,
-        "dense_us_per_slot": dense_ms * 1e3 / slots as f64,
-        "sparse_us_per_slot": sparse_ms * 1e3 / slots as f64,
-        "speedup_sparse_vs_dense": speedup,
-        "results_identical": true,
-    });
-    (row, speedup)
+    let Value::Object(mut row) = extra else {
+        panic!("a row's extra fields are a JSON object");
+    };
+    for (name, t) in [(ref_name, ref_t), (fast_name, fast_t)] {
+        row.insert(format!("{name}_ms"), t.json());
+        let us_per_slot = t.median_ms * 1e3 / slots as f64;
+        row.insert(format!("{name}_us_per_slot"), Value::from(us_per_slot));
+    }
+    row.insert(format!("speedup_{fast_name}_vs_{ref_name}"), speedup.into());
+    row.insert("slots".to_string(), slots.into());
+    row.insert("iterations".to_string(), iters.into());
+    row.insert("results_identical".to_string(), true.into());
+    Value::Object(row)
+}
+
+/// The duty-cycled scenario: forced roster scan (`run_dense`) against the
+/// slot-plan rosters `run` dispatches to.
+fn run_point(n: usize, slots: u64, iters: usize) -> Value {
+    let point = duty_cycled_point(n);
+    let mac = &point.1;
+    let awake = mean_awake_per_slot(mac, n);
+    eprintln!(
+        "point n={n}: frame={} mean_awake/slot={awake:.1}",
+        mac.frame_length()
+    );
+    let none = FaultPlan::none();
+    compare(
+        slots,
+        iters,
+        json!({"n": n, "frame_length": mac.frame_length(), "mean_awake_per_slot": awake}),
+        ("scan", &|| report(&point, none, slots, true)),
+        ("plan", &|| report(&point, none, slots, false)),
+    )
 }
 
 /// The duty-cycled scenario under clock drift: the forced per-node scan
 /// (`run_dense`) against the skew-group rosters `run` dispatches to.
 fn run_drift_point(n: usize, slots: u64, iters: usize) -> Value {
-    let (topo, mac) = duty_cycled_point(n);
+    let point = duty_cycled_point(n);
+    let mac = &point.1;
     let drift = FaultPlan::none().with_drift(DRIFT);
     eprintln!(
         "drift point n={n}: frame={} drift={DRIFT}",
         mac.frame_length()
     );
-    let (scan_ms, scan_report) = measure(iters, || report(&topo, &mac, drift, slots, true));
-    let (skew_ms, skew_report) = measure(iters, || report(&topo, &mac, drift, slots, false));
-    assert_eq!(
-        skew_report, scan_report,
-        "n={n}: skew-group and scan-sourced reports must be identical under drift"
-    );
-    let speedup = scan_ms / skew_ms;
-    eprintln!(
-        "  scan {scan_ms:.2} ms, skew groups {skew_ms:.2} ms over {slots} slots \
-         ({speedup:.2}x, identical reports)"
-    );
-    json!({
-        "n": n,
-        "frame_length": mac.frame_length(),
-        "clock_drift": DRIFT,
-        "slots": slots,
-        "iterations": iters,
-        "scan_median_ms": scan_ms,
-        "skew_median_ms": skew_ms,
-        "scan_us_per_slot": scan_ms * 1e3 / slots as f64,
-        "skew_us_per_slot": skew_ms * 1e3 / slots as f64,
-        "speedup_skew_vs_scan": speedup,
-        "results_identical": true,
-    })
+    compare(
+        slots,
+        iters,
+        json!({"n": n, "frame_length": mac.frame_length(), "clock_drift": DRIFT}),
+        ("scan", &|| report(&point, drift, slots, true)),
+        ("skew", &|| report(&point, drift, slots, false)),
+    )
 }
 
 /// Perfect-matching topology: `n/2` disjoint pairs (`v` — `v ^ 1`).
@@ -256,44 +238,41 @@ fn low_traffic_report(n: usize, slots: u64, skip: bool) -> SimReport {
     sim.report()
 }
 
-fn run_low_traffic_point(n: usize, slots: u64, iters: usize) -> (Value, f64) {
+fn run_low_traffic_point(n: usize, slots: u64, iters: usize) -> Value {
     let period = low_traffic_period(n);
     eprintln!(
         "low-traffic point n={n}: frame={n} period={period} \
          (per-node arrival {:.1e}/slot)",
         1.0 / period as f64
     );
-    let (sparse_ms, sparse_report) = measure(iters, || low_traffic_report(n, slots, false));
-    let (skip_ms, skip_report) = measure(iters, || low_traffic_report(n, slots, true));
-    assert_eq!(
-        skip_report, sparse_report,
-        "n={n}: skipping and sparse reports must be identical"
-    );
-    let speedup = sparse_ms / skip_ms;
-    eprintln!(
-        "  sparse {sparse_ms:.2} ms, skip {skip_ms:.2} ms over {slots} slots \
-         ({speedup:.2}x, identical reports)"
-    );
-    let row = json!({
-        "n": n,
-        "frame_length": n,
-        "cbr_period": period,
-        "slots": slots,
-        "iterations": iters,
-        "sparse_median_ms": sparse_ms,
-        "skip_median_ms": skip_ms,
-        "sparse_us_per_slot": sparse_ms * 1e3 / slots as f64,
-        "skip_us_per_slot": skip_ms * 1e3 / slots as f64,
-        "speedup_skip_vs_sparse": speedup,
-        "results_identical": true,
-    });
-    (row, speedup)
+    compare(
+        slots,
+        iters,
+        json!({"n": n, "frame_length": n, "cbr_period": period}),
+        ("plan", &|| low_traffic_report(n, slots, false)),
+        ("skip", &|| low_traffic_report(n, slots, true)),
+    )
+}
+
+/// Asserts the row field `speedup` is at least `floor` from `n = from_n` up.
+fn assert_floor(rows: &[Value], speedup: &str, from_n: u64, floor: f64) {
+    for row in rows {
+        let n = row.get("n").and_then(Value::as_u64).expect("rows carry n");
+        let x = row
+            .get(speedup)
+            .and_then(Value::as_f64)
+            .expect("rows carry their speedup");
+        assert!(
+            n < from_n || x >= floor,
+            "n={n}: {speedup} {x:.2}x below the {floor}x floor"
+        );
+    }
 }
 
 /// One skip-only timed run at a horizon far beyond what the slot-by-slot
 /// paths can cover in a benchmark: pins "10⁸ slots in seconds" in the
-/// JSON. (A cross-check against sparse at this length would take hours;
-/// the identity rows plus the proptest suite carry that guarantee.)
+/// record. (A cross-check against plan stepping at this length would take
+/// hours; the identity rows plus the proptest suite carry that guarantee.)
 fn run_horizon_row(n: usize, slots: u64) -> Value {
     eprintln!("horizon point n={n}: {slots} slots, skip engine only");
     let t0 = Instant::now();
@@ -315,73 +294,41 @@ fn run_horizon_row(n: usize, slots: u64) -> Value {
     })
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+/// The `sim_scale` family: the scan/plan, drift and low-traffic rows at
+/// every size, then (full runs only) the speedup floors and the horizon row.
+pub fn run(smoke: bool) -> Value {
     let (sizes, slots, iters): (&[usize], u64, usize) = if smoke {
         (&[64, 256], 800, 1)
     } else {
         (&[64, 256, 1024], 4_000, 5)
     };
+    let low_slots = if smoke { 50_000 } else { 1_000_000 };
 
-    let (low_slots, horizon_slots) = if smoke {
-        (50_000, None)
-    } else {
-        (1_000_000, Some(100_000_000u64))
-    };
-
-    let points: Vec<(usize, Value, f64)> = sizes
-        .iter()
-        .map(|&n| {
-            let (row, speedup) = run_point(n, slots, iters);
-            (n, row, speedup)
-        })
-        .collect();
+    let rows: Vec<Value> = sizes.iter().map(|&n| run_point(n, slots, iters)).collect();
     let drift_rows: Vec<Value> = sizes
         .iter()
         .map(|&n| run_drift_point(n, slots, iters))
         .collect();
-    let low_points: Vec<(usize, Value, f64)> = sizes
+    let low_rows: Vec<Value> = sizes
         .iter()
-        .map(|&n| {
-            let (row, speedup) = run_low_traffic_point(n, low_slots, iters);
-            (n, row, speedup)
-        })
+        .map(|&n| run_low_traffic_point(n, low_slots, iters))
         .collect();
+    let horizon = if smoke {
+        Value::Null
+    } else {
+        assert_floor(&rows, "speedup_plan_vs_scan", 256, 5.0);
+        assert_floor(&low_rows, "speedup_skip_vs_plan", 1024, 10.0);
+        run_horizon_row(1024, 100_000_000)
+    };
 
-    if smoke {
-        eprintln!("smoke mode: identity checks passed on every point; JSON not rewritten");
-        return;
-    }
-
-    for &(n, _, speedup) in &points {
-        assert!(
-            n < 256 || speedup >= 5.0,
-            "n={n}: sparse speedup {speedup:.2}x below the 5x floor"
-        );
-    }
-    for &(n, _, speedup) in &low_points {
-        assert!(
-            n < 1024 || speedup >= 10.0,
-            "n={n}: skip speedup {speedup:.2}x below the 10x floor"
-        );
-    }
-    let rows: Vec<Value> = points.into_iter().map(|(_, row, _)| row).collect();
-    let low_rows: Vec<Value> = low_points.into_iter().map(|(_, row, _)| row).collect();
-    let horizon = horizon_slots.map(|h| run_horizon_row(1024, h));
-
-    let doc = json!({
-        "description": "roster-source simulation scaling: per-slot MAC scan over all n nodes (dense, Simulator::run_dense) vs precomputed slot-plan rosters (sparse, Simulator::run), both feeding the same roster-driven phases, by network size (round-robin duty-cycled schedule with frame n/4 and 8 awake nodes per slot, saturated broadcast, single thread)",
-        "note": "dense per-slot cost grows with n (two MAC queries per node per slot to build the rosters); sparse phase work tracks mean_awake_per_slot, which the duty-cycled schedule caps at 8, leaving only the memory-bound bulk sleep-charge sweep (a few ns per sleeping node) to grow with n. results_identical means the full SimReport (counters, per-node energy, latency bits, trace) matched between the two sources at that point.",
+    json!({
+        "description": "roster-source simulation scaling: per-slot MAC scan over all n nodes (scan, Simulator::run_dense) vs precomputed slot-plan rosters (plan, Simulator::run), both feeding the same roster-driven phases, by network size (round-robin duty-cycled schedule with frame n/4 and 8 awake nodes per slot, saturated broadcast, single thread)",
+        "note": "scan per-slot cost grows with n (two MAC queries per node per slot to build the rosters); plan phase work tracks mean_awake_per_slot, which the duty-cycled schedule caps at 8, leaving only the memory-bound bulk sleep-charge sweep (a few ns per sleeping node) to grow with n. results_identical means the full SimReport (counters, per-node energy, latency bits, trace) matched between the two sources at that point.",
         "rows": rows,
         "drift_note": "the same duty-cycled scenario with per-node clock drift (rates uniform in [-1e-3, 1e-3] slots per slot, at most nine distinct whole-slot skews over the run): the forced per-node scan (Simulator::run_dense, two MAC queries per node per slot) vs the skew-group rosters Simulator::run dispatches to (one slot-mask read per distinct perceived frame slot, cut to each group's members word by word). results_identical is the same full-SimReport assertion, run at every point.",
         "drift_rows": drift_rows,
-        "low_traffic_note": "event-driven time-skipping vs forced sparse on a fully duty-cycled matching schedule (frame L = n, 1 tx + 1 rx per slot) under CBR unicast with per-node arrival ~1e-4/slot at n=64 (period scaled with n so network load is flat). Sparse pays the per-slot CBR gate over all n nodes; the skip engine's calendar jumps straight between generation and backlog slots, touching only the slot's lone listener in between. results_identical is the same full-SimReport assertion as above, run at every point.",
+        "low_traffic_note": "event-driven time-skipping vs forced plan-roster stepping (Simulator::run_sparse) on a fully duty-cycled matching schedule (frame L = n, 1 tx + 1 rx per slot) under CBR unicast with per-node arrival ~1e-4/slot at n=64 (period scaled with n so network load is flat). Plan stepping pays the per-slot CBR gate over all n nodes; the skip engine's calendar jumps straight between generation and backlog slots, touching only the slot's lone listener in between. results_identical is the same full-SimReport assertion as above, run at every point.",
         "low_traffic_rows": low_rows,
-        "horizon_row": horizon.unwrap_or(Value::Null),
-    });
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim_scale.json");
-    let body = to_string_pretty(&doc).expect("serialization cannot fail");
-    ttdc_util::write_atomic(std::path::Path::new(path), (body + "\n").as_bytes())
-        .expect("write BENCH_sim_scale.json");
-    eprintln!("wrote {path}");
+        "horizon_row": horizon,
+    })
 }

@@ -8,23 +8,17 @@
 //! the naive Requirement-3 oracle. Each row reports nodes/sec, prune
 //! rate, the pruned-vs-exhaustive speedup, and the node-count reduction
 //! of the full search relative to the ceiling-only baseline (the PR 9
-//! search). Writes `BENCH_synth.json` at the repo root, same shape as
-//! `BENCH_verify.json`.
+//! search).
 //!
-//! A second family, `reproof`, times the default search on a 1-thread
+//! A second set of rows, `reproof`, times the default search on a 1-thread
 //! pool at the benchmark's design points (two exact re-proofs seeded at
 //! their optimum, one budgeted search) plus the larger (6,1,1,2) re-proof.
 //! Every row asserts its pinned node count and `(len, lex)` winner, and
 //! reports its median against the `baseline_median_ms` recorded for the
 //! search before its per-node residual-gain pass.
-//!
-//! Run with `cargo run --release -p ttdc-bench --bin bench_synth`.
-//! Pass `--smoke` (CI) for a single timing iteration: the identity
-//! assertions still run in full, only the timing fidelity drops, and the
-//! JSON is not rewritten.
 
-use serde_json::{json, to_string_pretty, Value};
-use std::time::Instant;
+use crate::{measure, pool, Timing};
+use serde_json::{json, Value};
 use ttdc_core::requirements::requirement3_violation_naive;
 use ttdc_core::synth::demands::{CandidateSpace, DemandSpace};
 use ttdc_core::synth::search::{minimum_cover, BoundKind, SearchOptions, SearchStats};
@@ -129,20 +123,6 @@ fn ladder() -> Vec<(&'static str, SearchOptions)> {
     ]
 }
 
-/// Median wall time of `iters` calls (after one warm-up), plus the result.
-fn measure<D>(iters: usize, work: impl Fn() -> D) -> (f64, D) {
-    let result = work();
-    let mut times: Vec<f64> = (0..iters)
-        .map(|_| {
-            let t0 = Instant::now();
-            work();
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    (times[iters / 2], result)
-}
-
 fn run_point(n: usize, d: usize, at: usize, ar: usize, iters: usize) -> Value {
     let name = format!("synth/n{n}_d{d}_at{at}_ar{ar}");
     eprintln!("sweep {name}:");
@@ -157,13 +137,10 @@ fn run_point(n: usize, d: usize, at: usize, ar: usize, iters: usize) -> Value {
         ..SearchOptions::default()
     };
     // A 1-thread pool isolates the algorithmic win from parallel fan-out.
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("pool construction cannot fail");
+    let pool = pool(1);
     let run = |opts: &SearchOptions| pool.install(|| minimum_cover(&space, &cands, opts));
 
-    let (exhaustive_ms, (exhaustive_sol, exhaustive_stats)): (f64, (_, SearchStats)) =
+    let (exhaustive_t, (exhaustive_sol, exhaustive_stats)) =
         measure(iters, || run(&exhaustive_opts));
     assert!(
         exhaustive_stats.exact,
@@ -172,9 +149,9 @@ fn run_point(n: usize, d: usize, at: usize, ar: usize, iters: usize) -> Value {
 
     let mut ablation: Vec<Value> = Vec::new();
     let mut ceiling_nodes = 0u64;
-    let mut full: Option<(f64, SearchStats)> = None;
+    let mut full: Option<(Timing, SearchStats)> = None;
     for (label, opts) in ladder() {
-        let (ms, (sol, stats)) = measure(iters, || run(&opts));
+        let (t, (sol, stats)) = measure(iters, || run(&opts));
         assert!(stats.exact, "{name}/{label}: search must run to completion");
         assert_eq!(
             sol.slots, exhaustive_sol.slots,
@@ -184,8 +161,9 @@ fn run_point(n: usize, d: usize, at: usize, ar: usize, iters: usize) -> Value {
             ceiling_nodes = stats.nodes;
         }
         eprintln!(
-            "  {label:<10} {:>9} nodes / {ms:>9.3} ms  ({})",
+            "  {label:<10} {:>9} nodes / {:>9.3} ms  ({})",
             stats.nodes,
+            t.median_ms,
             opts.config_string(),
         );
         ablation.push(json!({
@@ -193,15 +171,16 @@ fn run_point(n: usize, d: usize, at: usize, ar: usize, iters: usize) -> Value {
             "search": opts.config_string(),
             "nodes": stats.nodes,
             "pruned": stats.pruned,
-            "median_ms": ms,
+            "wall_ms": t.json(),
             "results_identical": true,
             "node_reduction_vs_ceiling": ceiling_nodes as f64 / stats.nodes as f64,
         }));
         if label == "full" {
-            full = Some((ms, stats));
+            full = Some((t, stats));
         }
     }
-    let (pruned_ms, pruned_stats) = full.expect("ladder ends with the full search");
+    let (pruned_t, pruned_stats) = full.expect("ladder ends with the full search");
+    let (pruned_ms, exhaustive_ms) = (pruned_t.median_ms, exhaustive_t.median_ms);
 
     let schedule = cands.schedule(p.n, &exhaustive_sol.slots);
     assert!(
@@ -228,8 +207,8 @@ fn run_point(n: usize, d: usize, at: usize, ar: usize, iters: usize) -> Value {
         "results_identical": true,
         "pruned_nodes": pruned_stats.nodes,
         "exhaustive_nodes": exhaustive_stats.nodes,
-        "pruned_median_ms": pruned_ms,
-        "exhaustive_median_ms": exhaustive_ms,
+        "pruned_ms": pruned_t.json(),
+        "exhaustive_ms": exhaustive_t.json(),
         "prune_rate": prune_rate,
         "nodes_per_sec": nodes_per_sec,
         "speedup_single_thread": speedup_time,
@@ -251,13 +230,11 @@ fn run_reproof(r: &Reproof, iters: usize) -> Value {
         max_nodes: r.max_nodes,
         ..SearchOptions::default()
     };
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("pool construction cannot fail");
-    let (ms, (sol, stats)) = measure(iters, || {
+    let pool = pool(1);
+    let (t, (sol, stats)) = measure(iters, || {
         pool.install(|| minimum_cover(&space, &cands, &opts))
     });
+    let ms = t.median_ms;
     eprintln!(
         "{name}: {} nodes, L={} {:?}",
         stats.nodes,
@@ -292,15 +269,16 @@ fn run_reproof(r: &Reproof, iters: usize) -> Value {
         "exact": stats.exact,
         "frame_length": sol.slots.len() as u64,
         "results_identical": true,
-        "median_ms": ms,
+        "wall_ms": t.json(),
         "baseline_median_ms": r.baseline_median_ms,
         "speedup_vs_baseline": r.baseline_median_ms / ms,
         "nodes_per_sec": stats.nodes as f64 / (ms / 1e3),
     })
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+/// The `synth` family: the ablation ladder at every point, then the
+/// pinned re-proof rows.
+pub fn run(smoke: bool) -> Value {
     let iters = if smoke { 1 } else { 7 };
 
     let sweeps: Vec<Value> = POINTS
@@ -318,23 +296,11 @@ fn main() {
         .fold(f64::INFINITY, f64::min);
     eprintln!("minimum full-vs-ceiling node reduction across points: {min_reduction:.1}x");
 
-    if smoke {
-        eprintln!("smoke mode: identity checks passed on every point and re-proof row; JSON not rewritten");
-        return;
-    }
-
-    let host_threads = std::thread::available_parallelism().map_or(0, |p| p.get());
-    let doc = json!({
+    json!({
         "description": "branch-and-bound schedule synthesis: bound/pruning ablation ladder (ceiling -> +matching -> +dominance -> full) vs depth-bounded exhaustive enumeration, by (n, D, alpha_T, alpha_R)",
-        "host_available_parallelism": host_threads as u64,
         "note": "all searches run on a 1-thread pool; every ladder rung is asserted to return the identical (len, lex) winner as the exhaustive search, which is re-verified by the naive Requirement-3 oracle",
         "sweeps": sweeps,
         "reproof_note": "default search (SearchOptions::default() plus the row's incumbent seed / node budget) on a 1-thread pool; node count and (len, lex) winner asserted against pinned values; baseline_median_ms is the same row measured before the per-node residual-gain pass, in separate runs; this shared host's speed drifts by up to 2x over minutes, so speedup_vs_baseline is indicative only and alternating runs of both searches are what CHANGES.md reports",
         "reproof": reproofs,
-    });
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_synth.json");
-    let body = to_string_pretty(&doc).expect("serialization cannot fail");
-    ttdc_util::write_atomic(std::path::Path::new(path), (body + "\n").as_bytes())
-        .expect("write BENCH_synth.json");
-    eprintln!("wrote {path}");
+    })
 }

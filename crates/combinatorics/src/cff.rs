@@ -179,7 +179,7 @@ impl CoverFreeFamily {
     /// Reference implementation of [`Self::find_violation`]: same revolving-door
     /// enumeration order (hence the identical witness), but every union
     /// rebuilt from scratch and no pruning. Baseline for the equivalence
-    /// tests and `bench_verify`.
+    /// tests and the `bench_all` `verify` family.
     pub fn find_violation_naive(&self, d: usize) -> Option<(usize, Vec<usize>)> {
         let n = self.blocks.len();
         let mut union = BitSet::new(self.ground);

@@ -220,7 +220,7 @@ fn stays_cover_free(accepted: &[BitSet], cand: &BitSet, d: usize) -> bool {
 }
 
 /// The pre-engine acceptance test, kept verbatim as the reference the
-/// equivalence proptest and the `bench_verify` greedy group compare
+/// equivalence proptest and the `bench_all` `verify` greedy rows compare
 /// against: every subset's union is rebuilt from scratch.
 #[doc(hidden)]
 pub fn stays_cover_free_reference(accepted: &[BitSet], cand: &BitSet, d: usize) -> bool {
@@ -276,8 +276,8 @@ pub fn greedy_cff(cfg: &GreedyConfig) -> Option<CoverFreeFamily> {
 }
 
 /// [`greedy_cff`] with the from-scratch acceptance test — the baseline the
-/// equivalence proptest and `bench_verify` pin the engine-backed run
-/// against (outputs must be bit-identical).
+/// equivalence proptest and the `bench_all` `verify` family pin the
+/// engine-backed run against (outputs must be bit-identical).
 #[doc(hidden)]
 pub fn greedy_cff_reference(cfg: &GreedyConfig) -> Option<CoverFreeFamily> {
     greedy_cff_impl(cfg, stays_cover_free_reference)

@@ -35,7 +35,7 @@
 //! larger `x` bail out early without affecting which witness wins). The
 //! `*_naive` twins enumerate in the same order but rebuild every union from
 //! scratch — they are the reference the proptest equivalence suite and the
-//! `bench_verify` speedup/identity harness compare against.
+//! `bench_all` `verify` speedup/identity family compare against.
 
 use crate::schedule::Schedule;
 use rayon::prelude::*;
@@ -205,7 +205,7 @@ pub fn requirement1_violation(s: &Schedule, d: usize) -> Option<Violation> {
 /// Reference implementation of [`requirement1_violation`]: same enumeration
 /// order, but serial and with every slot-union rebuilt from scratch.
 /// Returns the identical witness; exists for the equivalence proptests and
-/// the `bench_verify` baseline.
+/// the `bench_all` `verify` baseline.
 pub fn requirement1_violation_naive(s: &Schedule, d: usize) -> Option<Violation> {
     assert!(d >= 1, "degree bound must be at least 1");
     let n = s.num_nodes();

@@ -100,7 +100,7 @@ pub enum BoundKind {
 #[derive(Clone, Copy, Debug)]
 pub struct SearchOptions {
     /// Apply lower-bound pruning (off = the exhaustive baseline
-    /// `bench_synth` compares against).
+    /// the `bench_all` `synth` family compares against).
     pub prune: bool,
     /// Which bound the pruning rule uses (ignored when `prune` is off).
     pub bound: BoundKind,

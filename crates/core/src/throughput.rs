@@ -153,7 +153,7 @@ pub fn min_throughput(s: &Schedule, d: usize) -> f64 {
 
 /// Reference implementation of [`min_throughput`]: the pre-engine scan
 /// that rebuilds every `𝒯(x, y, S)` from scratch. Kept as the equivalence
-/// baseline for proptests and `bench_verify`.
+/// baseline for proptests.
 pub fn min_throughput_naive(s: &Schedule, d: usize) -> f64 {
     assert!(d >= 1);
     let n = s.num_nodes();

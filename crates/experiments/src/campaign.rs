@@ -9,8 +9,8 @@
 //! campaign (checkpointed or not) leaves every byte of `results/`
 //! unchanged.
 //!
-//! Set [`CAMPAIGN_DIR_ENV`] to make the experiment binaries checkpoint
-//! their sweeps: a killed `exp_e12` rerun then resumes from the completed
+//! Set [`CAMPAIGN_DIR_ENV`] to make `exp_all` checkpoint the experiments'
+//! sweeps: a killed `exp_all e12` rerun then resumes from the completed
 //! shards instead of recomputing them.
 
 use std::path::{Path, PathBuf};
@@ -68,7 +68,7 @@ impl GridScenario {
     /// compatible manifest found there), runs purely in memory otherwise.
     ///
     /// Panics on campaign errors (corrupt or mismatched checkpoint
-    /// directory) — an experiment binary has no way to continue past a
+    /// directory) — an experiment run has no way to continue past a
     /// poisoned checkpoint, and failing loudly beats silently recomputing.
     pub fn run_default(&self) -> CampaignOutcome {
         let dir =

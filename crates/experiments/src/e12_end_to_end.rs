@@ -380,7 +380,7 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "long-running end-to-end sweep; exercised by exp_e12 and exp_all"]
+    #[ignore = "long-running end-to-end sweep; exercised by `exp_all e12`"]
     fn expected_shape_holds() {
         let t = &run()[0];
         // TTDC delivers like TSMA but much cheaper.

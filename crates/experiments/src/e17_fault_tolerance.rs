@@ -229,7 +229,7 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "long-running fault sweep; exercised by exp_e17 and exp_all"]
+    #[ignore = "long-running fault sweep; exercised by `exp_all e17`"]
     fn expected_shape_holds() {
         let t = &run()[0];
         // Control matches the fault-free engine: no fault events at all.

@@ -3,8 +3,8 @@
 //! The paper's evaluation is analytical, so "tables and figures" here means
 //! Figure 1, Figure 2's guarantees (Theorems 6–9), the throughput theorems
 //! (2–4), the equivalence theorem (1), and the §1/§7 observations. Each
-//! module is one experiment producing [`ttdc_util::Table`]s; the matching
-//! `exp_*` binary prints them and writes `results/<id>.{txt,csv,json}`.
+//! module is one experiment producing [`ttdc_util::Table`]s; `exp_all
+//! <id>…` prints them and writes `results/<id>.{txt,csv,json}`.
 //!
 //! | id | paper artefact | module |
 //! |----|----------------|--------|
@@ -49,9 +49,9 @@ pub mod e18_catalog;
 pub mod output;
 
 pub use campaign::{grid, grid_names, GridScenario, CAMPAIGN_DIR_ENV};
-pub use output::{print_and_write, run_and_write, write_tables};
+pub use output::{print_and_write, write_tables};
 
-/// An experiment runner: produces the tables its `exp_*` binary prints.
+/// An experiment runner: produces the tables `exp_all` prints.
 pub type Runner = fn() -> Vec<ttdc_util::Table>;
 
 /// Every experiment as `(id, runner)` — the registry `exp_all` iterates.

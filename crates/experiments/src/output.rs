@@ -44,9 +44,9 @@ pub fn write_tables(dir: &Path, id: &str, tables: &[Table]) -> std::io::Result<(
     Ok(())
 }
 
-/// Prints `tables` and persists them under [`results_dir`] — the output
-/// half of [`run_and_write`], shared with `exp_all`, which computes many
-/// experiments' tables in parallel and then emits them in registry order.
+/// Prints `tables` and persists them under [`results_dir`]. `exp_all`
+/// computes many experiments' tables in parallel and then emits each
+/// through this in registry order.
 pub fn print_and_write(id: &str, tables: &[Table]) {
     for t in tables {
         println!("{t}");
@@ -60,11 +60,6 @@ pub fn print_and_write(id: &str, tables: &[Table]) {
         ),
         Err(e) => eprintln!("[{id}] could not write results: {e}"),
     }
-}
-
-/// Standard experiment-binary main body: run, print, persist.
-pub fn run_and_write(id: &str, runner: fn() -> Vec<Table>) {
-    print_and_write(id, &runner());
 }
 
 #[cfg(test)]

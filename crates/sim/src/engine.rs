@@ -471,7 +471,8 @@ impl Simulator {
     /// unconditionally: each slot asks the MAC about every node at its
     /// perceived slot. The only source for non-periodic MACs, and the
     /// reference the plan and skew-group sources are measured and verified
-    /// against (`bench_sim_scale`, the equivalence proptests).
+    /// against (the `sim_scale` family of `bench_all`, the equivalence
+    /// proptests).
     pub fn run_dense(&mut self, mac: &dyn MacProtocol, slots: u64) {
         // Moved out while stepping (phases borrow the simulator mutably).
         let mut scan = std::mem::take(&mut self.scan);
