@@ -6,7 +6,6 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 use ttdc_core::analysis::optimality_ratio;
 use ttdc_core::bounds::alpha_bound;
 use ttdc_core::latency::{average_access_delay, worst_case_access_delay};
@@ -22,9 +21,7 @@ use ttdc_core::throughput::{average_throughput, min_throughput};
 use ttdc_core::tsma::{build, SourceKind};
 use ttdc_core::{construct, io as sched_io, Schedule};
 use ttdc_experiments::GridScenario;
-use ttdc_sim::campaign::{
-    manifest_overview, CampaignOptions, Manifest, ResumeMode, MERGED_FILE, SUMMARY_FILE,
-};
+use ttdc_sim::campaign::{manifest_overview, ResumeMode, MANIFEST_FILE, MERGED_FILE, SUMMARY_FILE};
 use ttdc_sim::{
     CrashModel, FaultPlan, GeometricNetwork, GilbertElliott, ScheduleMac, SimulatorBuilder,
     Topology, TrafficPattern,
@@ -737,64 +734,37 @@ fn synth_campaign(
         )
         .as_bytes(),
     );
-    let manifest_path = dir.join("manifest.jsonl");
-    let manifest = if manifest_path.exists() {
-        let m = Manifest::load(&manifest_path, SYNTH_CAMPAIGN_KIND, Some(fp))
-            .map_err(|e| CliError::Campaign(e.to_string()))?;
-        writeln!(
-            out,
-            "resuming : {}/{branches} branch(es) already checkpointed",
-            m.len()
-        )
-        .ok();
-        m
-    } else {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| CliError::Io(format!("{}: {e}", dir.display())))?;
-        Manifest::new(
-            SYNTH_CAMPAIGN_KIND,
-            fp,
-            serde_json::json!({
-                "n": p.n, "degree": p.d, "alpha_t": p.alpha_t, "alpha_r": p.alpha_r,
-                "budget": budget, "seed_len": plan.seed_len, "config": config,
-            }),
-        )
-    };
+    std::fs::create_dir_all(dir).map_err(|e| CliError::Io(format!("{}: {e}", dir.display())))?;
+    let checkpoint = ttdc_util::Checkpoint::open(
+        Some(&dir.join(MANIFEST_FILE)),
+        SYNTH_CAMPAIGN_KIND,
+        fp,
+        serde_json::json!({
+            "n": p.n, "degree": p.d, "alpha_t": p.alpha_t, "alpha_r": p.alpha_r,
+            "budget": budget, "seed_len": plan.seed_len, "config": config,
+        }),
+        std::env::var(SYNTH_KILL_AFTER_ENV)
+            .ok()
+            .and_then(|v| v.parse().ok()),
+    )
+    .map_err(campaign_err)?;
 
     let branch_id = |index: usize| format!("b{index}");
     let missing: Vec<usize> = (0..branches)
-        .filter(|&i| manifest.get(&branch_id(i)).is_none())
+        .filter(|&i| checkpoint.get(&branch_id(i)).is_none())
         .collect();
-    let kill_after: Option<usize> = std::env::var(SYNTH_KILL_AFTER_ENV)
-        .ok()
-        .and_then(|v| v.parse().ok());
-    // (manifest, checkpoints saved by this run, first save failure).
-    let state = Mutex::new((manifest, 0usize, None::<CliError>));
-    run_branches(&space, &cands, &o.search, &plan, &missing, |index, r| {
-        let mut guard = state.lock().expect("a checkpoint save panicked");
-        let (manifest, saved, failure) = &mut *guard;
-        if failure.is_some() {
-            return;
-        }
-        manifest.put(branch_id(index), encode_branch_record(r));
-        if let Err(e) = manifest.save(&manifest_path) {
-            *failure = Some(CliError::Campaign(e.to_string()));
-            return;
-        }
-        *saved += 1;
-        // Still holding the lock, so exactly `limit` records reach disk.
-        if let Some(limit) = kill_after.filter(|&limit| *saved >= limit) {
-            eprintln!(
-                "synth campaign: {SYNTH_KILL_AFTER_ENV}={limit} reached after {saved} \
-                 checkpoint(s); aborting"
-            );
-            std::process::abort();
-        }
-    });
-    let (manifest, _, failure) = state.into_inner().expect("a checkpoint save panicked");
-    if let Some(e) = failure {
-        return Err(e);
+    if missing.len() < branches {
+        writeln!(
+            out,
+            "resuming : {}/{branches} branch(es) already checkpointed",
+            branches - missing.len()
+        )
+        .ok();
     }
+    run_branches(&space, &cands, &o.search, &plan, &missing, |index, r| {
+        checkpoint.record(branch_id(index), encode_branch_record(r))
+    });
+    let manifest = checkpoint.finish().map_err(campaign_err)?;
     let results = (0..branches)
         .map(|index| {
             let id = branch_id(index);
@@ -806,6 +776,10 @@ fn synth_campaign(
         .collect::<Result<Vec<_>, _>>()?;
     let (sol, stats) = reduce_branches(&plan, results);
     Ok(finish(p, &space, &cands, sol, stats, o))
+}
+
+fn campaign_err(e: impl std::fmt::Display) -> CliError {
+    CliError::Campaign(e.to_string())
 }
 
 /// Runs one `ttdc campaign` action through the crash-resilient runner.
@@ -837,15 +811,9 @@ fn campaign(action: &CampaignAction, out: &mut dyn Write) -> CmdResult {
         }
         CampaignAction::Resume { dir } => {
             let path = Path::new(dir);
-            let (m, _, _) =
-                manifest_overview(path).map_err(|e| CliError::Campaign(e.to_string()))?;
-            let name = m
-                .header
-                .get("campaign")
-                .and_then(|v| v.as_str())
-                .ok_or_else(|| CliError::Campaign(format!("{dir}: manifest names no campaign")))?
-                .to_string();
-            let mut g = ttdc_experiments::grid(&name).ok_or_else(|| {
+            let (m, _, _) = manifest_overview(path).map_err(campaign_err)?;
+            let name = m.spec_str("campaign").map_err(campaign_err)?;
+            let mut g = ttdc_experiments::grid(name).ok_or_else(|| {
                 CliError::Campaign(format!(
                     "{dir}: manifest names unknown grid {name:?}; available: {}",
                     ttdc_experiments::grid_names().join(", ")
@@ -855,30 +823,17 @@ fn campaign(action: &CampaignAction, out: &mut dyn Write) -> CmdResult {
             // with --reps/--seed/--shard-size overrides resumes with the
             // same work units; the fingerprint check inside the runner still
             // rejects any real drift.
-            let h = |k: &str| m.header.get(k).and_then(|v| v.as_u64());
-            if let Some(v) = h("reps") {
-                g.spec.reps = v;
-            }
-            if let Some(v) = h("base_seed") {
-                g.spec.base_seed = v;
-            }
-            if let Some(v) = h("shard_size") {
-                g.spec.shard_size = v;
-            }
-            if let Some(v) = h("slots_hint") {
-                g.spec.slots_hint = v;
-            }
+            let h = |k: &str| m.spec_u64(k).map_err(campaign_err);
+            g.spec.reps = h("reps")?;
+            g.spec.base_seed = h("base_seed")?;
+            g.spec.shard_size = h("shard_size")?;
+            g.spec.slots_hint = h("slots_hint")?;
             run_grid(&g, path, ResumeMode::Resume, out)
         }
         CampaignAction::Status { dir } => {
             let path = Path::new(dir);
-            let (m, total, quarantined) =
-                manifest_overview(path).map_err(|e| CliError::Campaign(e.to_string()))?;
-            let name = m
-                .header
-                .get("campaign")
-                .and_then(|v| v.as_str())
-                .unwrap_or("?");
+            let (m, total, quarantined) = manifest_overview(path).map_err(campaign_err)?;
+            let name = m.spec_str("campaign").map_err(campaign_err)?;
             writeln!(
                 out,
                 "campaign {name:?}: {}/{} shard(s) checkpointed, {} quarantined",
@@ -909,9 +864,7 @@ fn run_grid(g: &GridScenario, dir: &Path, mode: ResumeMode, out: &mut dyn Write)
         spec.shards().len()
     )
     .ok();
-    let outcome = g
-        .run(Some(dir), mode, &CampaignOptions::default())
-        .map_err(|e| CliError::Campaign(e.to_string()))?;
+    let outcome = g.run(Some(dir), mode).map_err(campaign_err)?;
     outcome
         .write_outputs(spec, dir)
         .map_err(|e| CliError::Io(format!("{}: {e}", dir.display())))?;

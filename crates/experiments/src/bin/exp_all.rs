@@ -6,9 +6,13 @@
 //! registry order, so stdout and `results/` are byte-identical regardless
 //! of `RAYON_NUM_THREADS`.
 //!
+//! An experiment name that selects no registry id is an error (exit 2), so
+//! a typo in a list of names cannot pass as an empty run.
+//!
 //! `--checkpoint DIR` makes the sweep crash-resilient: each experiment's
-//! tables are sealed into `DIR/exp_all.jsonl` (the same checksummed
-//! manifest format the campaign runner uses) as soon as they are computed,
+//! tables are sealed into `DIR/exp_all.jsonl` (the checksummed manifest of
+//! `ttdc_util::manifest`, which the campaign runner saves through too) as
+//! soon as they are computed,
 //! and a rerun replays completed experiments from the manifest instead of
 //! recomputing them. Combined with `TTDC_CAMPAIGN_DIR` (which checkpoints
 //! *within* the E10/E12/E17 sweeps) a SIGKILL at any instant costs at most
@@ -17,9 +21,7 @@
 use rayon::prelude::*;
 use serde_json::{json, Value};
 use std::path::PathBuf;
-use std::sync::Mutex;
-use ttdc_sim::campaign::Manifest;
-use ttdc_util::{fnv1a64, Table};
+use ttdc_util::{fnv1a64, Checkpoint, Table};
 
 const MANIFEST_FILE: &str = "exp_all.jsonl";
 const KIND: &str = "exp_all";
@@ -77,7 +79,22 @@ fn main() {
             only.push(a);
         }
     }
-    let selected: Vec<(&'static str, ttdc_experiments::Runner)> = ttdc_experiments::registry()
+    let registry = ttdc_experiments::registry();
+    let unmatched: Vec<&str> = only
+        .iter()
+        .map(String::as_str)
+        .filter(|o| !registry.iter().any(|(id, _)| id.contains(o)))
+        .collect();
+    if !unmatched.is_empty() {
+        let ids: Vec<&str> = registry.iter().map(|(id, _)| *id).collect();
+        eprintln!(
+            "error: no experiment matches {}; the ids are {}",
+            unmatched.join(", "),
+            ids.join(", ")
+        );
+        std::process::exit(2);
+    }
+    let selected: Vec<(&'static str, ttdc_experiments::Runner)> = registry
         .into_iter()
         .filter(|(id, _)| only.is_empty() || only.iter().any(|o| id.contains(o.as_str())))
         .collect();
@@ -86,31 +103,21 @@ fn main() {
     // and a full `exp_all` never share (and never clobber) checkpoints.
     let ids: Vec<&str> = selected.iter().map(|(id, _)| *id).collect();
     let fingerprint = fnv1a64(ids.join("|").as_bytes());
-    let manifest_path = checkpoint.as_ref().map(|d| d.join(MANIFEST_FILE));
-    let manifest = match manifest_path.as_deref() {
-        Some(p) if p.exists() => match Manifest::load(p, KIND, Some(fingerprint)) {
-            Ok(m) => {
-                eprintln!(
-                    "=== resuming from {}: {} of {} experiment(s) already done ===",
-                    p.display(),
-                    m.len(),
-                    ids.len()
-                );
-                Some(m)
-            }
-            Err(e) => {
-                eprintln!("error: {}: {e}", p.display());
-                std::process::exit(1);
-            }
-        },
-        Some(_) => Some(Manifest::new(
-            KIND,
-            fingerprint,
-            json!({ "ids": Value::Array(ids.iter().map(|&i| json!(i)).collect()) }),
-        )),
-        None => None,
-    };
-    let manifest = Mutex::new(manifest);
+    let checkpoint = checkpoint.map(|dir| {
+        let path = dir.join(MANIFEST_FILE);
+        let header = json!({ "ids": Value::Array(ids.iter().map(|&i| json!(i)).collect()) });
+        let cp = Checkpoint::open(Some(&path), KIND, fingerprint, header, None)
+            .unwrap_or_else(|e| fail(&format!("{}: {e}", path.display())));
+        let done = ids.iter().filter(|id| cp.get(id).is_some()).count();
+        if done > 0 {
+            eprintln!(
+                "=== resuming from {}: {done} of {} experiment(s) already done ===",
+                path.display(),
+                ids.len()
+            );
+        }
+        cp
+    });
 
     eprintln!(
         "=== running {} experiment(s) on {} thread(s) ===",
@@ -121,15 +128,11 @@ fn main() {
     let computed: Vec<(&'static str, Vec<Table>)> = selected
         .into_par_iter()
         .map(|(id, runner)| {
-            let cached = manifest
-                .lock()
-                .expect("manifest lock")
-                .as_ref()
-                .and_then(|m| m.get(id).cloned());
-            if let Some(payload) = cached {
+            if let Some(payload) = checkpoint.as_ref().and_then(|cp| cp.get(id)) {
                 let tables = tables_from_json(&payload).unwrap_or_else(|| {
-                    eprintln!("error: checkpoint record {id:?} does not decode as tables");
-                    std::process::exit(1);
+                    fail(&format!(
+                        "checkpoint record {id:?} does not decode as tables"
+                    ))
                 });
                 eprintln!("=== {id} replayed from checkpoint ===");
                 return (id, tables);
@@ -140,20 +143,22 @@ fn main() {
                 "=== {id} computed in {:.1}s ===",
                 t0.elapsed().as_secs_f64()
             );
-            if let Some(path) = manifest_path.as_deref() {
-                let mut guard = manifest.lock().expect("manifest lock");
-                let m = guard.as_mut().expect("manifest exists when path does");
-                m.put(id.to_string(), tables_to_json(&tables));
-                if let Err(e) = m.save(path) {
-                    eprintln!("error: could not checkpoint {id}: {e}");
-                    std::process::exit(1);
-                }
+            if let Some(cp) = &checkpoint {
+                cp.record(id, tables_to_json(&tables));
             }
             (id, tables)
         })
         .collect();
+    if let Some(Err(e)) = checkpoint.map(Checkpoint::finish) {
+        fail(&format!("could not checkpoint: {e}"));
+    }
     for (id, tables) in &computed {
         ttdc_experiments::print_and_write(id, tables);
     }
     eprintln!("=== all done in {:.1}s ===", start.elapsed().as_secs_f64());
+}
+
+fn fail(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(1);
 }

@@ -49,18 +49,20 @@ impl GridScenario {
         &self,
         dir: Option<&Path>,
         mode: ResumeMode,
-        opts: &CampaignOptions,
     ) -> Result<CampaignOutcome, CampaignError> {
-        match &self.extract {
-            Some(f) => {
-                let extras = ExtraMetrics {
-                    names: self.extra_names.clone(),
-                    extract: f.as_ref(),
-                };
-                run_campaign(&self.spec, dir, mode, opts, Some(&extras), &*self.scenario)
-            }
-            None => run_campaign(&self.spec, dir, mode, opts, None, &*self.scenario),
-        }
+        let extras = self.extract.as_ref().map(|f| ExtraMetrics {
+            names: self.extra_names.clone(),
+            extract: f.as_ref(),
+        });
+        let opts = CampaignOptions::default();
+        run_campaign(
+            &self.spec,
+            dir,
+            mode,
+            &opts,
+            extras.as_ref(),
+            &*self.scenario,
+        )
     }
 
     /// The entry the experiment modules use: checkpoints under
@@ -73,12 +75,8 @@ impl GridScenario {
     pub fn run_default(&self) -> CampaignOutcome {
         let dir =
             std::env::var_os(CAMPAIGN_DIR_ENV).map(|d| PathBuf::from(d).join(&self.spec.name));
-        self.run(
-            dir.as_deref(),
-            ResumeMode::Auto,
-            &CampaignOptions::default(),
-        )
-        .unwrap_or_else(|e| panic!("campaign {:?}: {e}", self.spec.name))
+        self.run(dir.as_deref(), ResumeMode::Auto)
+            .unwrap_or_else(|e| panic!("campaign {:?}: {e}", self.spec.name))
     }
 }
 

@@ -125,8 +125,8 @@ pub fn large_grid() -> GridScenario {
             // One replication per checkpoint: the large-n sims are the
             // slowest shards in the repo, so make each one resumable.
             shard_size: 1,
-            // The n = 256 horizon (frame × FRAMES ≈ 2 × 10⁵ slots) bounds
-            // the watchdog budget for every point.
+            // The n = 256 horizon (frame × FRAMES ≈ 2 × 10⁵ slots); it
+            // drives nothing but stays in the fingerprint.
             slots_hint: 220_000,
         },
         extra_names: Vec::new(),

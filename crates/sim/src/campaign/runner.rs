@@ -7,13 +7,15 @@
 //!    point always uses seed `base_seed + r` no matter which shard it
 //!    lands in.
 //! 2. **Execute** — missing shards fan out over the rayon pool. Every
-//!    replication runs under `catch_unwind`; a panic is retried with
-//!    bounded exponential backoff, and a replication that keeps panicking
-//!    quarantines its whole shard (recording the poisoned seed and the
-//!    panic message for reproduction) instead of aborting the campaign.
-//! 3. **Checkpoint** — each completed shard's record is sealed into the
-//!    JSONL manifest and the manifest is rewritten atomically, so a
-//!    SIGKILL at any instant leaves a loadable prefix of the work.
+//!    replication runs under `catch_unwind`. A replication is a pure
+//!    function of (point, seed), so a panic would repeat on any retry: the
+//!    first one quarantines its whole shard (recording the poisoned seed
+//!    and the panic message for reproduction) instead of aborting the
+//!    campaign.
+//! 3. **Checkpoint** — each completed shard's record goes through the
+//!    shared [`Checkpoint`] writer, which seals it into the JSONL manifest
+//!    and rewrites the manifest atomically, so a SIGKILL at any instant
+//!    leaves a loadable prefix of the work.
 //! 4. **Merge** — shard records are decoded *from their manifest
 //!    encoding* (fresh or reloaded — one code path) and folded into one
 //!    [`McSummary`] per point in shard order, which is replication order;
@@ -22,23 +24,14 @@
 //!    bit-identical to an uninterrupted single-process run for *any*
 //!    shard size, thread count, or kill/resume history.
 //!
-//! A watchdog thread flags shards that exceed a slot-budget-derived
-//! timeout (they are *reported*, not killed — a flagged shard may still
-//! complete and checkpoint).
-//!
 //! [`run_replications_summarized`]: crate::montecarlo::run_replications_summarized
 
 use rayon::prelude::*;
 use serde_json::{json, Value};
-use std::collections::BTreeSet;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use ttdc_util::{f64_from_bits_json, f64_to_bits_json, Checkpoint, Manifest, ManifestError};
 
-use super::manifest::{f64_from_bits_json, f64_to_bits_json, Manifest, ManifestError};
 use super::spec::{CampaignSpec, Shard, CAMPAIGN_SCHEMA_VERSION};
 use crate::metrics::SimReport;
 use crate::montecarlo::McSummary;
@@ -66,61 +59,11 @@ pub enum ResumeMode {
     Auto,
 }
 
-/// Watchdog configuration: a shard is flagged when it runs longer than
-/// `floor_ms + ns_per_slot × slots_hint × shard_replications / 10⁶` ms.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WatchdogConfig {
-    /// Per-simulated-slot time budget, in nanoseconds.
-    pub ns_per_slot: u64,
-    /// Grace floor added to every shard's budget, in milliseconds.
-    pub floor_ms: u64,
-    /// Poll interval of the watchdog thread, in milliseconds.
-    pub poll_ms: u64,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig {
-            // Generous: the sparse engine runs orders of magnitude faster
-            // than 250 µs/slot; a shard that exceeds this is truly stuck.
-            ns_per_slot: 250_000,
-            floor_ms: 10_000,
-            poll_ms: 50,
-        }
-    }
-}
-
-impl WatchdogConfig {
-    fn budget(&self, spec: &CampaignSpec, shard: &Shard) -> Duration {
-        let work_ms = self
-            .ns_per_slot
-            .saturating_mul(spec.slots_hint)
-            .saturating_mul(shard.len())
-            / 1_000_000;
-        Duration::from_millis(self.floor_ms.saturating_add(work_ms))
-    }
-}
-
-/// Retry and watchdog knobs.
-#[derive(Clone, Debug)]
-pub struct CampaignOptions {
-    /// Total attempts per replication before its shard is quarantined.
-    pub max_attempts: u32,
-    /// First retry backoff; attempt `k` sleeps `backoff_base_ms · 2^(k-1)`.
-    pub backoff_base_ms: u64,
-    /// Watchdog configuration (`None` disables the thread).
-    pub watchdog: Option<WatchdogConfig>,
-}
-
-impl Default for CampaignOptions {
-    fn default() -> Self {
-        CampaignOptions {
-            max_attempts: 3,
-            backoff_base_ms: 25,
-            watchdog: Some(WatchdogConfig::default()),
-        }
-    }
-}
+/// Campaign options: none are left. The struct stays only because
+/// `e2ebench/` compiles against `CampaignOptions::default()`; it goes with
+/// the next change allowed to edit `e2ebench/`.
+#[derive(Clone, Debug, Default)]
+pub struct CampaignOptions {}
 
 /// Optional per-replication metrics beyond the [`McSummary`] seven,
 /// extracted from each [`SimReport`] and checkpointed bit-exactly.
@@ -131,20 +74,18 @@ pub struct ExtraMetrics<'a> {
     pub extract: &'a (dyn Fn(&SimReport) -> Vec<f64> + Sync),
 }
 
-/// A shard abandoned after every retry of a replication panicked.
+/// A shard abandoned because one of its replications panicked.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QuarantinedShard {
     /// Shard index (manifest record id).
     pub shard: usize,
     /// Grid-point index.
     pub point: usize,
-    /// Seed of the replication that kept panicking — rerun the scenario
-    /// with this seed to reproduce.
+    /// Seed of the replication that panicked — rerun the scenario with
+    /// this seed to reproduce.
     pub seed: u64,
     /// The panic payload, if it was a string.
     pub message: String,
-    /// Attempts spent before giving up.
-    pub attempts: u32,
 }
 
 /// The merged result of a campaign.
@@ -165,8 +106,6 @@ pub struct CampaignOutcome {
     pub executed_shards: usize,
     /// Shards reused from the checkpoint manifest.
     pub reused_shards: usize,
-    /// Shards the watchdog flagged as exceeding their time budget.
-    pub watchdog_flagged: Vec<usize>,
 }
 
 /// Why a campaign could not run to completion.
@@ -180,10 +119,13 @@ pub enum CampaignError {
     AlreadyStarted(PathBuf),
     /// `Resume` mode found no manifest.
     NothingToResume(PathBuf),
-    /// A manifest record contradicts the spec's sharding rule.
-    ShardMismatch {
+    /// A manifest record contradicts the spec's sharding rule or lacks
+    /// a field the merge needs.
+    BadRecord {
         /// The offending record id.
         id: String,
+        /// What is wrong with it.
+        why: String,
     },
 }
 
@@ -200,10 +142,7 @@ impl std::fmt::Display for CampaignError {
             CampaignError::NothingToResume(p) => {
                 write!(f, "{} holds no campaign manifest to resume", p.display())
             }
-            CampaignError::ShardMismatch { id } => write!(
-                f,
-                "manifest record {id:?} does not match the spec's sharding rule"
-            ),
+            CampaignError::BadRecord { id, why } => write!(f, "manifest record {id:?}: {why}"),
         }
     }
 }
@@ -322,16 +261,16 @@ fn header_json(spec: &CampaignSpec) -> Value {
 /// Runs (or resumes) a campaign.
 ///
 /// `scenario(point, seed)` must be a pure function of its arguments —
-/// that is what makes re-execution after a crash, a retry after a
-/// transient panic, and any sharding all converge on the same bytes.
-/// With `dir = None` the campaign runs purely in memory (no checkpoints);
-/// shard records still round-trip through their manifest encoding so the
-/// merge is byte-for-byte the same code path either way.
+/// that is what makes re-execution after a crash and any sharding
+/// converge on the same bytes. With `dir = None` the campaign runs purely
+/// in memory (no checkpoints); shard records still round-trip through
+/// their manifest encoding so the merge is byte-for-byte the same code
+/// path either way.
 pub fn run_campaign<F>(
     spec: &CampaignSpec,
     dir: Option<&Path>,
     mode: ResumeMode,
-    opts: &CampaignOptions,
+    _opts: &CampaignOptions,
     extras: Option<&ExtraMetrics>,
     scenario: F,
 ) -> Result<CampaignOutcome, CampaignError>
@@ -341,114 +280,67 @@ where
     spec.validate().map_err(CampaignError::InvalidSpec)?;
     let shards = spec.shards();
     let manifest_path = dir.map(|d| d.join(MANIFEST_FILE));
-
-    // Load or create the manifest according to the resume mode.
-    let existing = manifest_path.as_deref().filter(|p| p.exists());
-    let manifest = match (mode, existing) {
+    match (mode, manifest_path.as_deref().filter(|p| p.exists())) {
         (ResumeMode::Fresh, Some(p)) => return Err(CampaignError::AlreadyStarted(p.to_path_buf())),
         (ResumeMode::Resume, None) => {
             let d = dir.expect("Resume mode requires a directory");
             return Err(CampaignError::NothingToResume(d.to_path_buf()));
         }
-        (_, Some(p)) => Manifest::load(p, CAMPAIGN_KIND, Some(spec.fingerprint()))?,
-        (_, None) => Manifest::new(CAMPAIGN_KIND, spec.fingerprint(), header_json(spec)),
-    };
-
-    // Partition shards into reused (already checkpointed) and missing.
-    let mut payloads: Vec<Option<Value>> = vec![None; shards.len()];
-    let mut reused = 0usize;
-    for shard in &shards {
-        if let Some(p) = manifest.get(&record_id(shard.index)) {
-            validate_shard_payload(p, shard)?;
-            payloads[shard.index] = Some(p.clone());
-            reused += 1;
-        }
+        _ => {}
     }
-    let todo: Vec<Shard> = shards
-        .iter()
-        .filter(|s| payloads[s.index].is_none())
-        .copied()
-        .collect();
-
-    let kill_after: Option<usize> = std::env::var(KILL_AFTER_ENV)
+    let kill_after = std::env::var(KILL_AFTER_ENV)
         .ok()
         .and_then(|v| v.parse().ok());
-    let checkpoints_this_run = AtomicUsize::new(0);
-    let persist_errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let shared_manifest = Mutex::new(manifest);
+    let checkpoint = Checkpoint::open(
+        manifest_path.as_deref(),
+        CAMPAIGN_KIND,
+        spec.fingerprint(),
+        header_json(spec),
+        kill_after,
+    )?;
 
-    // The watchdog: workers register shard start times; the thread flags
-    // any in-flight shard past its budget.
-    let watchdog = opts.watchdog.map(WatchdogHandle::spawn);
-    let flagged: Vec<usize> = {
-        let executed: Vec<(usize, Value)> = (0..todo.len())
-            .into_par_iter()
-            .map(|i| {
-                let shard = todo[i];
-                let _guard = watchdog
-                    .as_ref()
-                    .map(|w| w.watch(shard.index, w.cfg.budget(spec, &shard)));
-                let payload = run_shard(spec, &shard, opts, extras, &scenario);
-                if let Some(path) = manifest_path.as_deref() {
-                    let mut m = shared_manifest.lock().expect("manifest lock");
-                    m.put(record_id(shard.index), payload.clone());
-                    if let Err(e) = m.save(path) {
-                        persist_errors
-                            .lock()
-                            .expect("error lock")
-                            .push(e.to_string());
-                    }
-                    drop(m);
-                    let done = checkpoints_this_run.fetch_add(1, Ordering::SeqCst) + 1;
-                    if let Some(limit) = kill_after {
-                        if done >= limit {
-                            eprintln!(
-                                "campaign: {KILL_AFTER_ENV}={limit} reached after \
-                                 {done} checkpoint(s); aborting"
-                            );
-                            std::process::abort();
-                        }
-                    }
-                }
-                (shard.index, payload)
-            })
-            .collect();
-        for (index, payload) in executed {
-            payloads[index] = Some(payload);
+    // Checkpointed shards are reused; the missing ones fan out.
+    let mut todo = Vec::new();
+    for shard in &shards {
+        match checkpoint.get(&record_id(shard.index)) {
+            Some(payload) => validate_shard_payload(&payload, shard)?,
+            None => todo.push(*shard),
         }
-        match watchdog {
-            Some(w) => w.finish(),
-            None => Vec::new(),
-        }
-    };
-    let errors = persist_errors.into_inner().expect("error lock");
-    if let Some(first) = errors.into_iter().next() {
-        return Err(CampaignError::Manifest(ManifestError::Io(first)));
     }
+    let executed = todo.len();
+    todo.into_par_iter()
+        .map(|shard| {
+            let payload = run_shard(spec, &shard, extras, &scenario);
+            checkpoint.record(record_id(shard.index), payload);
+        })
+        .collect::<Vec<()>>();
 
-    let executed = shards.len() - reused;
-    let mut outcome = merge(spec, &shards, &payloads)?;
+    let mut outcome = merge(spec, &shards, &checkpoint.finish()?)?;
     outcome.executed_shards = executed;
-    outcome.reused_shards = reused;
-    outcome.watchdog_flagged = flagged;
+    outcome.reused_shards = shards.len() - executed;
     Ok(outcome)
 }
 
 /// Reads a campaign directory's manifest without a spec: completed /
-/// quarantined counts for `ttdc campaign status`.
+/// total / quarantined shard counts for `ttdc campaign status`.
 pub fn manifest_overview(dir: &Path) -> Result<(Manifest, usize, usize), CampaignError> {
     let m = Manifest::load(&dir.join(MANIFEST_FILE), CAMPAIGN_KIND, None)?;
-    let total = {
-        let points = m.header.get("points").and_then(Value::as_u64).unwrap_or(0);
-        let reps = m.header.get("reps").and_then(Value::as_u64).unwrap_or(0);
-        let shard = m
-            .header
-            .get("shard_size")
-            .and_then(Value::as_u64)
-            .unwrap_or(1)
-            .max(1);
-        (points * reps.div_ceil(shard)) as usize
-    };
+    let (points, reps, shard_size) = (
+        m.spec_u64("points")?,
+        m.spec_u64("reps")?,
+        m.spec_u64("shard_size")?,
+    );
+    let total = (shard_size > 0)
+        .then(|| points.checked_mul(reps.div_ceil(shard_size)))
+        .flatten()
+        .and_then(|t| usize::try_from(t).ok())
+        .ok_or_else(|| ManifestError::Corrupt {
+            line: 1,
+            why: format!(
+                "header spec gives no shard count (points {points}, reps {reps}, \
+                 shard_size {shard_size})"
+            ),
+        })?;
     let quarantined = m
         .records()
         .iter()
@@ -464,18 +356,18 @@ fn validate_shard_payload(payload: &Value, shard: &Shard) -> Result<(), Campaign
     if ok {
         Ok(())
     } else {
-        Err(CampaignError::ShardMismatch {
+        Err(CampaignError::BadRecord {
             id: record_id(shard.index),
+            why: "does not match the spec's sharding rule".into(),
         })
     }
 }
 
-/// Executes one shard: every replication under `catch_unwind`, bounded
-/// exponential-backoff retries, quarantine on a persistent panic.
+/// Executes one shard, every replication under `catch_unwind`; the first
+/// panic quarantines the shard.
 fn run_shard<F>(
     spec: &CampaignSpec,
     shard: &Shard,
-    opts: &CampaignOptions,
     extras: Option<&ExtraMetrics>,
     scenario: &F,
 ) -> Value
@@ -485,44 +377,24 @@ where
     let mut reps = Vec::with_capacity(shard.len() as usize);
     for rep in shard.rep_lo..shard.rep_hi {
         let seed = spec.base_seed + rep;
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            match catch_unwind(AssertUnwindSafe(|| scenario(shard.point, seed))) {
-                Ok(report) => {
-                    reps.push(RepMetrics::from_report(&report, extras).to_json());
-                    break;
-                }
-                Err(panic) if attempt < opts.max_attempts => {
-                    let backoff = opts.backoff_base_ms << (attempt - 1);
-                    eprintln!(
-                        "campaign: shard {} seed {seed} panicked ({}); retry {attempt}/{} \
-                         in {backoff} ms",
-                        shard.index,
-                        panic_message(&panic),
-                        opts.max_attempts - 1,
-                    );
-                    std::thread::sleep(Duration::from_millis(backoff));
-                }
-                Err(panic) => {
-                    // Quarantine the whole shard: record the poisoned seed
-                    // for repro and degrade gracefully.
-                    eprintln!(
-                        "campaign: shard {} quarantined after {attempt} attempts \
-                         (seed {seed}: {})",
-                        shard.index,
-                        panic_message(&panic),
-                    );
-                    return json!({
-                        "point": shard.point as u64,
-                        "rep_lo": shard.rep_lo,
-                        "rep_hi": shard.rep_hi,
-                        "status": "quarantined",
-                        "attempts": attempt,
-                        "panic_seed": seed.to_string(),
-                        "panic_msg": panic_message(&panic),
-                    });
-                }
+        match catch_unwind(AssertUnwindSafe(|| scenario(shard.point, seed))) {
+            Ok(report) => reps.push(RepMetrics::from_report(&report, extras).to_json()),
+            Err(panic) => {
+                let message = panic_message(&panic);
+                eprintln!(
+                    "campaign: shard {} quarantined (seed {seed}: {message})",
+                    shard.index
+                );
+                // `attempts` is part of format v1; a shard runs once.
+                return json!({
+                    "point": shard.point as u64,
+                    "rep_lo": shard.rep_lo,
+                    "rep_hi": shard.rep_hi,
+                    "status": "quarantined",
+                    "attempts": 1u64,
+                    "panic_seed": seed.to_string(),
+                    "panic_msg": message,
+                });
             }
         }
     }
@@ -546,62 +418,49 @@ fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Folds shard payloads (all present, fresh or reloaded) into per-point
-/// summaries in replication order.
+/// Folds the shard records (fresh or reloaded) into per-point summaries
+/// in replication order.
 fn merge(
     spec: &CampaignSpec,
     shards: &[Shard],
-    payloads: &[Option<Value>],
+    manifest: &Manifest,
 ) -> Result<CampaignOutcome, CampaignError> {
     let mut summaries = vec![McSummary::default(); spec.points.len()];
     let mut extras = vec![Vec::new(); spec.points.len()];
     let mut quarantined = Vec::new();
     for shard in shards {
-        let payload = payloads[shard.index]
-            .as_ref()
-            .expect("every shard resolved");
-        match payload.get("status").and_then(Value::as_str) {
+        let id = record_id(shard.index);
+        let bad = |why: &str| CampaignError::BadRecord {
+            id: id.clone(),
+            why: why.into(),
+        };
+        let payload = manifest.get(&id).ok_or_else(|| bad("is missing"))?;
+        let text = |key: &str| payload.get(key).and_then(Value::as_str);
+        match text("status") {
             Some("ok") => {
-                let reps = payload.get("reps").and_then(Value::as_array).ok_or(
-                    CampaignError::ShardMismatch {
-                        id: record_id(shard.index),
-                    },
-                )?;
-                if reps.len() as u64 != shard.len() {
-                    return Err(CampaignError::ShardMismatch {
-                        id: record_id(shard.index),
-                    });
-                }
+                let reps = payload
+                    .get("reps")
+                    .and_then(Value::as_array)
+                    .filter(|reps| reps.len() as u64 == shard.len())
+                    .ok_or_else(|| bad("has no `reps` list of the shard's length"))?;
                 for rep in reps {
-                    let m = RepMetrics::from_json(rep).ok_or(CampaignError::ShardMismatch {
-                        id: record_id(shard.index),
-                    })?;
+                    let m = RepMetrics::from_json(rep)
+                        .ok_or_else(|| bad("holds a replication that does not decode"))?;
                     m.push_into(&mut summaries[shard.point]);
                     extras[shard.point].push(m.extras);
                 }
             }
-            Some("quarantined") => {
-                quarantined.push(QuarantinedShard {
-                    shard: shard.index,
-                    point: shard.point,
-                    seed: payload
-                        .get("panic_seed")
-                        .and_then(Value::as_str)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or(0),
-                    message: payload
-                        .get("panic_msg")
-                        .and_then(Value::as_str)
-                        .unwrap_or("")
-                        .to_string(),
-                    attempts: payload.get("attempts").and_then(Value::as_u64).unwrap_or(0) as u32,
-                });
-            }
-            _ => {
-                return Err(CampaignError::ShardMismatch {
-                    id: record_id(shard.index),
-                })
-            }
+            Some("quarantined") => quarantined.push(QuarantinedShard {
+                shard: shard.index,
+                point: shard.point,
+                seed: text("panic_seed")
+                    .and_then(|s| s.parse().ok())
+                    .ok_or_else(|| bad("has no decimal `panic_seed`"))?,
+                message: text("panic_msg")
+                    .ok_or_else(|| bad("has no `panic_msg` string"))?
+                    .to_string(),
+            }),
+            _ => return Err(bad("has no `status` of \"ok\" or \"quarantined\"")),
         }
     }
     Ok(CampaignOutcome {
@@ -611,7 +470,6 @@ fn merge(
         quarantined,
         executed_shards: 0,
         reused_shards: 0,
-        watchdog_flagged: Vec::new(),
     })
 }
 
@@ -652,7 +510,7 @@ impl CampaignOutcome {
                             "point": q.point as u64,
                             "seed": q.seed.to_string(),
                             "message": q.message.clone(),
-                            "attempts": q.attempts as u64,
+                            "attempts": 1u64,
                         })
                     })
                     .collect::<Vec<_>>(),
@@ -695,87 +553,5 @@ impl CampaignOutcome {
     pub fn write_outputs(&self, spec: &CampaignSpec, dir: &Path) -> std::io::Result<()> {
         ttdc_util::write_atomic(&dir.join(MERGED_FILE), self.merged_jsonl(spec).as_bytes())?;
         ttdc_util::write_atomic(&dir.join(SUMMARY_FILE), self.summary_json(spec).as_bytes())
-    }
-}
-
-/// Watchdog bookkeeping shared between workers and the monitor thread.
-struct WatchdogHandle {
-    cfg: WatchdogConfig,
-    inflight: Arc<Mutex<HashMap<usize, (Instant, Duration)>>>,
-    flagged: Arc<Mutex<BTreeSet<usize>>>,
-    stop: Arc<AtomicBool>,
-    thread: std::thread::JoinHandle<()>,
-}
-
-/// Removes a shard from the in-flight table when its worker returns
-/// (normally or by unwinding).
-struct WatchGuard {
-    inflight: Arc<Mutex<HashMap<usize, (Instant, Duration)>>>,
-    shard: usize,
-}
-
-impl Drop for WatchGuard {
-    fn drop(&mut self) {
-        self.inflight
-            .lock()
-            .expect("watchdog lock")
-            .remove(&self.shard);
-    }
-}
-
-impl WatchdogHandle {
-    fn spawn(cfg: WatchdogConfig) -> Self {
-        let inflight: Arc<Mutex<HashMap<usize, (Instant, Duration)>>> =
-            Arc::new(Mutex::new(HashMap::new()));
-        let flagged: Arc<Mutex<BTreeSet<usize>>> = Arc::new(Mutex::new(BTreeSet::new()));
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread = {
-            let inflight = Arc::clone(&inflight);
-            let flagged = Arc::clone(&flagged);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    {
-                        let table = inflight.lock().expect("watchdog lock");
-                        let mut flags = flagged.lock().expect("watchdog lock");
-                        for (&shard, &(start, budget)) in table.iter() {
-                            if start.elapsed() > budget && flags.insert(shard) {
-                                eprintln!(
-                                    "campaign: watchdog — shard {shard} exceeded its \
-                                     {}-ms budget and is still running",
-                                    budget.as_millis()
-                                );
-                            }
-                        }
-                    }
-                    std::thread::sleep(Duration::from_millis(cfg.poll_ms));
-                }
-            })
-        };
-        WatchdogHandle {
-            cfg,
-            inflight,
-            flagged,
-            stop,
-            thread,
-        }
-    }
-
-    fn watch(&self, shard: usize, budget: Duration) -> WatchGuard {
-        self.inflight
-            .lock()
-            .expect("watchdog lock")
-            .insert(shard, (Instant::now(), budget));
-        WatchGuard {
-            inflight: Arc::clone(&self.inflight),
-            shard,
-        }
-    }
-
-    fn finish(self) -> Vec<usize> {
-        self.stop.store(true, Ordering::Relaxed);
-        let _ = self.thread.join();
-        let flags = self.flagged.lock().expect("watchdog lock");
-        flags.iter().copied().collect()
     }
 }

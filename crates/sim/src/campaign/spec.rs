@@ -2,10 +2,11 @@
 
 use ttdc_util::fnv1a64;
 
-/// Version stamp written into every campaign manifest and summary; bump it
-/// whenever the manifest or merged-output format changes shape so a resume
-/// against an old directory fails loudly instead of merging silently
-/// incompatible records.
+/// Version stamp of the campaign formats: written into every line of
+/// `merged.jsonl` and into `summary.json`, and hashed into the spec
+/// fingerprint. Bump it whenever the shard records or the merged output
+/// change shape, so a resume against an old directory fails loudly instead
+/// of merging silently incompatible records.
 pub const CAMPAIGN_SCHEMA_VERSION: u64 = 1;
 
 /// One cell of the parameter grid: a stable label plus the named
@@ -54,12 +55,14 @@ pub struct CampaignSpec {
     pub base_seed: u64,
     /// Replications per shard (the checkpoint granularity).
     pub shard_size: u64,
-    /// Per-replication slot budget, used to derive the watchdog timeout.
+    /// Per-replication slot count, recorded in the manifest header and
+    /// hashed into the fingerprint. It drives nothing; it stays so every
+    /// existing fingerprint and checkpoint directory stays valid.
     pub slots_hint: u64,
 }
 
 /// One unit of campaign work: a contiguous run of replications of a
-/// single grid point. Shards are the checkpoint and retry granularity.
+/// single grid point. Shards are the checkpoint and quarantine granularity.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Shard {
     /// Position in the deterministic shard enumeration (also the merge

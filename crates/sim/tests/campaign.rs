@@ -5,14 +5,14 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 use ttdc_core::Schedule;
 use ttdc_sim::campaign::{
-    manifest_overview, run_campaign, CampaignError, CampaignOptions, CampaignSpec, ManifestError,
-    PointSpec, ResumeMode, WatchdogConfig, MANIFEST_FILE,
+    manifest_overview, run_campaign, CampaignError, CampaignOptions, CampaignSpec, PointSpec,
+    ResumeMode, CAMPAIGN_KIND, MANIFEST_FILE,
 };
 use ttdc_sim::{
     run_replications_summarized, McSummary, ScheduleMac, SimConfig, SimReport, Simulator, Topology,
     TrafficPattern,
 };
-use ttdc_util::BitSet;
+use ttdc_util::{BitSet, Manifest, ManifestError};
 
 const SLOTS: u64 = 300;
 
@@ -51,11 +51,7 @@ fn spec(name: &str, rates: &[f64], reps: u64, shard_size: u64) -> CampaignSpec {
 }
 
 fn fast_opts() -> CampaignOptions {
-    CampaignOptions {
-        max_attempts: 3,
-        backoff_base_ms: 0,
-        watchdog: None,
-    }
+    CampaignOptions::default()
 }
 
 fn tmp_dir(name: &str) -> PathBuf {
@@ -292,9 +288,12 @@ fn persistent_panic_quarantines_the_shard_and_degrades_gracefully() {
     let q = &outcome.quarantined[0];
     assert_eq!(q.point, 1);
     assert_eq!(q.seed, poisoned_seed);
-    assert_eq!(q.attempts, 3, "bounded retries before quarantine");
     assert!(q.message.contains("injected fault"), "{}", q.message);
-    assert_eq!(attempts.load(Ordering::SeqCst), 3);
+    assert_eq!(
+        attempts.load(Ordering::SeqCst),
+        1,
+        "a pure replication is never retried"
+    );
     // The poisoned point still summarizes its healthy replications…
     assert_eq!(outcome.summaries[1].delivery_ratio.count(), 2);
     // …and the healthy point is untouched.
@@ -306,50 +305,6 @@ fn persistent_panic_quarantines_the_shard_and_degrades_gracefully() {
         merged.contains(&format!("\"seed\":\"{poisoned_seed}\"")),
         "{merged}"
     );
-}
-
-#[test]
-fn transient_panic_is_retried_and_the_campaign_stays_clean() {
-    use std::sync::atomic::{AtomicU32, Ordering};
-    let rates = [0.2];
-    let sp = spec("transient", &rates, 2, 1);
-    let failures_left = AtomicU32::new(1);
-    let outcome = run_campaign(&sp, None, ResumeMode::Auto, &fast_opts(), None, |p, s| {
-        if s == 100
-            && failures_left
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
-                .is_ok()
-        {
-            panic!("transient");
-        }
-        scenario(&rates, p, s)
-    })
-    .unwrap();
-    assert!(!outcome.degraded, "a recovered panic must not degrade");
-    assert!(outcome.quarantined.is_empty());
-    assert_eq!(outcome.summaries[0].delivery_ratio.count(), 2);
-}
-
-#[test]
-fn watchdog_flags_a_shard_exceeding_its_budget() {
-    let rates = [0.1];
-    let sp = spec("slow", &rates, 1, 1);
-    let opts = CampaignOptions {
-        max_attempts: 1,
-        backoff_base_ms: 0,
-        watchdog: Some(WatchdogConfig {
-            ns_per_slot: 0,
-            floor_ms: 10,
-            poll_ms: 2,
-        }),
-    };
-    let outcome = run_campaign(&sp, None, ResumeMode::Auto, &opts, None, |p, s| {
-        std::thread::sleep(std::time::Duration::from_millis(120));
-        scenario(&rates, p, s)
-    })
-    .unwrap();
-    assert_eq!(outcome.watchdog_flagged, vec![0]);
-    assert!(!outcome.degraded, "flagging is advisory, not fatal");
 }
 
 #[test]
@@ -371,6 +326,97 @@ fn status_overview_reads_a_manifest_without_the_spec() {
     assert_eq!(m.len(), 4);
     assert_eq!(quarantined, 0);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Runs a small checkpointed campaign, then rewrites its manifest through
+/// `edit`, resealing every line so only the edited field is wrong.
+fn hand_edited(name: &str, edit: impl FnOnce(Manifest) -> Manifest) -> (CampaignSpec, PathBuf) {
+    let rates = [0.1];
+    let sp = spec(name, &rates, 2, 1);
+    let dir = tmp_dir(name);
+    run_campaign(
+        &sp,
+        Some(&dir),
+        ResumeMode::Fresh,
+        &fast_opts(),
+        None,
+        |p, s| scenario(&rates, p, s),
+    )
+    .unwrap();
+    let path = dir.join(MANIFEST_FILE);
+    let m = Manifest::load(&path, CAMPAIGN_KIND, None).unwrap();
+    std::fs::write(&path, edit(m).to_jsonl()).unwrap();
+    (sp, dir)
+}
+
+fn without(v: &serde_json::Value, key: &str) -> serde_json::Value {
+    let mut v = v.clone();
+    if let serde_json::Value::Object(map) = &mut v {
+        map.remove(key);
+    }
+    v
+}
+
+#[test]
+fn status_overview_refuses_a_header_missing_a_shard_count_field() {
+    for key in ["points", "reps", "shard_size"] {
+        let (_, dir) = hand_edited(&format!("overview-{key}"), |mut m| {
+            m.header = without(&m.header, key);
+            m
+        });
+        match manifest_overview(&dir) {
+            Err(CampaignError::Manifest(ManifestError::Corrupt { line: 1, why })) => {
+                assert!(why.contains(key), "{key}: {why}")
+            }
+            other => panic!("{key}: expected a corrupt header, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    // A zero shard size gives no shard count either.
+    let (_, dir) = hand_edited("overview-zero", |mut m| {
+        if let serde_json::Value::Object(map) = &mut m.header {
+            map.insert("shard_size".into(), serde_json::Value::from(0u64));
+        }
+        m
+    });
+    assert!(matches!(
+        manifest_overview(&dir),
+        Err(CampaignError::Manifest(ManifestError::Corrupt {
+            line: 1,
+            ..
+        }))
+    ));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_quarantined_record_missing_its_repro_fields_fails_the_merge() {
+    for key in ["panic_seed", "panic_msg"] {
+        let (sp, dir) = hand_edited(&format!("quarantine-{key}"), |mut m| {
+            let quarantined = serde_json::json!({
+                "point": 0u64, "rep_lo": 1u64, "rep_hi": 2u64, "status": "quarantined",
+                "attempts": 1u64, "panic_seed": "101", "panic_msg": "injected",
+            });
+            m.put("s1", without(&quarantined, key));
+            m
+        });
+        let rates = [0.1];
+        match run_campaign(
+            &sp,
+            Some(&dir),
+            ResumeMode::Resume,
+            &fast_opts(),
+            None,
+            |p, s| scenario(&rates, p, s),
+        ) {
+            Err(CampaignError::BadRecord { id, why }) => {
+                assert_eq!(id, "s1");
+                assert!(why.contains(key), "{key}: {why}");
+            }
+            other => panic!("{key}: expected a bad record, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 proptest! {

@@ -4,8 +4,9 @@
 //! dense [`BitSet`] used to represent node sets and slot sets throughout the
 //! scheduling core, small-sample [`stats`] helpers used by the simulator and
 //! the experiment harness, exact/overflow-safe [`binomial`] arithmetic used
-//! by the throughput formulas, and the plain-text/CSV [`table`] renderer the
-//! experiment runners print their results with.
+//! by the throughput formulas, the plain-text/CSV [`table`] renderer the
+//! experiment runners print their results with, and the checksummed JSONL
+//! [`manifest`] every checkpointed run saves through.
 
 pub mod atomic;
 pub mod binomial;
@@ -14,6 +15,7 @@ pub mod cover;
 pub mod fpfold;
 pub mod histogram;
 pub mod lp;
+pub mod manifest;
 pub mod stats;
 pub mod subsets;
 pub mod table;
@@ -25,6 +27,9 @@ pub use cover::{greedy_packing, CoverCounter, CoverMark};
 pub use fpfold::iterate_add;
 pub use histogram::Histogram;
 pub use lp::{DualAscent, LpItem};
+pub use manifest::{
+    f64_from_bits_json, f64_to_bits_json, Checkpoint, Manifest, ManifestError, ManifestRecord,
+};
 pub use stats::{ConfidenceInterval, OnlineStats};
 pub use subsets::{for_each_subset_delta, for_each_subset_delta_lex, SubsetEvent};
 pub use table::Table;
