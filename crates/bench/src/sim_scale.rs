@@ -19,11 +19,10 @@
 //! trusted; `results_identical` in the record notes that the assertion ran.
 //! The headline claims pinned by `BENCH_sim_scale.json`:
 //!
-//! * plan-sourced per-slot cost stays near-flat as `n` grows: the phase
-//!   work tracks the awake roster (which the schedule caps, not the node
-//!   count); all that remains per sleeping node is the memory-bound bulk
-//!   sleep-charge sweep, a few ns per node versus the two MAC queries per
-//!   node the scan pays every slot;
+//! * plan-sourced per-slot cost tracks the awake roster (which the
+//!   schedule caps, not the node count): a sleeping node is charged as
+//!   sleep debt, settled when it wakes and once at the end of the call,
+//!   versus the two MAC queries per node the scan pays every slot;
 //! * plan-vs-scan speedup is at least 5× from `n = 256` up (asserted).
 //!
 //! The **drift family** runs the same scenario with per-node clock drift
@@ -323,11 +322,11 @@ pub fn run(smoke: bool) -> Value {
 
     json!({
         "description": "roster-source simulation scaling: per-slot MAC scan over all n nodes (scan, Simulator::run_dense) vs precomputed slot-plan rosters (plan, Simulator::run), both feeding the same roster-driven phases, by network size (round-robin duty-cycled schedule with frame n/4 and 8 awake nodes per slot, saturated broadcast, single thread)",
-        "note": "scan per-slot cost grows with n (two MAC queries per node per slot to build the rosters); plan phase work tracks mean_awake_per_slot, which the duty-cycled schedule caps at 8, leaving only the memory-bound bulk sleep-charge sweep (a few ns per sleeping node) to grow with n. results_identical means the full SimReport (counters, per-node energy, latency bits, trace) matched between the two sources at that point.",
+        "note": "scan per-slot cost grows with n (two MAC queries per node per slot to build the rosters); plan phase work tracks mean_awake_per_slot, which the duty-cycled schedule caps at 8, and sleeping nodes are charged as sleep debt, settled when they next wake and once per call, so no per-slot work visits the sleepers; what still grows with n is memory: the scattered awake nodes' ledger entries and the per-call settle. results_identical means the full SimReport (counters, per-node energy, latency bits, trace) matched between the two sources at that point.",
         "rows": rows,
         "drift_note": "the same duty-cycled scenario with per-node clock drift (rates uniform in [-1e-3, 1e-3] slots per slot, at most nine distinct whole-slot skews over the run): the forced per-node scan (Simulator::run_dense, two MAC queries per node per slot) vs the skew-group rosters Simulator::run dispatches to (one slot-mask read per distinct perceived frame slot, cut to each group's members word by word). results_identical is the same full-SimReport assertion, run at every point.",
         "drift_rows": drift_rows,
-        "low_traffic_note": "event-driven time-skipping vs forced plan-roster stepping (Simulator::run_sparse) on a fully duty-cycled matching schedule (frame L = n, 1 tx + 1 rx per slot) under CBR unicast with per-node arrival ~1e-4/slot at n=64 (period scaled with n so network load is flat). Plan stepping pays the per-slot CBR gate over all n nodes; the skip engine's calendar jumps straight between generation and backlog slots, touching only the slot's lone listener in between. results_identical is the same full-SimReport assertion as above, run at every point.",
+        "low_traffic_note": "event-driven time-skipping vs forced plan-roster stepping (Simulator::run_sparse) on a fully duty-cycled matching schedule (frame L = n, 1 tx + 1 rx per slot) under CBR unicast with per-node arrival ~1e-4/slot at n=64 (period scaled with n so network load is flat). Plan stepping runs the full phase pipeline on every slot (its CBR pass walks only the slot's generator residue class and its energy pass only the awake roster); the skip engine's calendar jumps straight between generation and backlog slots, touching only the slot's lone listener in between. results_identical is the same full-SimReport assertion as above, run at every point.",
         "low_traffic_rows": low_rows,
         "horizon_row": horizon,
     })

@@ -21,7 +21,7 @@
 //! ```
 
 use crate::channel::{CaptureChannel, CaptureModel, ChannelModel, IdealChannel};
-use crate::energy::EnergyModel;
+use crate::energy::{EnergyModel, RadioState};
 use crate::engine::{SimConfig, Simulator};
 use crate::error::SimError;
 use crate::faults::FaultPlan;
@@ -146,6 +146,14 @@ impl SimulatorBuilder {
             });
         }
         self.config.faults.validate()?;
+        // Sleep debt is settled by fast-forwarding repeated `f64` addition,
+        // which needs finite, non-negative slot costs.
+        for state in [RadioState::Transmit, RadioState::Listen, RadioState::Sleep] {
+            let value = self.config.energy.slot_energy_mj(state);
+            if !(value.is_finite() && value >= 0.0) {
+                return Err(SimError::InvalidSlotEnergy { state, value });
+            }
+        }
         let channel: Box<dyn ChannelModel> = match self.channel {
             ChannelChoice::Ideal => Box::new(IdealChannel),
             ChannelChoice::Capture(positions, model) => {
@@ -210,6 +218,22 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err, SimError::CaptureRatioTooSmall { ratio: 0.5 });
+
+        let err = SimulatorBuilder::new(Topology::line(2), TrafficPattern::SaturatedBroadcast)
+            .energy(EnergyModel {
+                sleep_mw: -0.09,
+                ..EnergyModel::default()
+            })
+            .build()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SimError::InvalidSlotEnergy {
+                state: RadioState::Sleep,
+                value: -0.09 * 0.01
+            }
+        );
+        assert!(err.to_string().contains("Sleep slot energy"), "{err}");
     }
 
     #[test]

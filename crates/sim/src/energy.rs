@@ -89,29 +89,12 @@ impl EnergyLedger {
         }
     }
 
-    /// Bulk sleep charge for a contiguous node range: one slot of the
-    /// sleep floor (`sleep_mj`, hoisted by the caller) per node. Per node
-    /// this is the exact `+= slot_energy_mj(Sleep)` that [`record`] would
-    /// perform, just stripped of the per-call state dispatch so the
-    /// roster-driven energy pass can charge whole schedule gaps in two
-    /// tight (auto-vectorisable) array sweeps.
-    ///
-    /// [`record`]: EnergyLedger::record
-    pub fn charge_sleep_range(&mut self, sleep_mj: f64, range: std::ops::Range<usize>) {
-        for c in &mut self.consumed_mj[range.clone()] {
-            *c += sleep_mj;
-        }
-        for s in &mut self.sleep_slots[range] {
-            *s += 1;
-        }
-    }
-
     /// Charges `node` for `k` consecutive slots of the sleep floor in one
     /// call, landing on exactly the `f64` that `k` individual
     /// [`record`]`(…, Sleep)` calls would produce
     /// ([`ttdc_util::iterate_add`] fast-forwards the repeated rounding in
-    /// O(binade crossings)). This is the time-skipping engine's bulk
-    /// charge for a node's unflushed sleep debt across a skipped span.
+    /// O(binade crossings)). This is how the simulator settles a node's
+    /// sleep debt: the slots it slept since it was last charged.
     ///
     /// [`record`]: EnergyLedger::record
     pub fn charge_sleep_slots(&mut self, sleep_mj: f64, node: usize, k: u64) {

@@ -108,6 +108,11 @@ pub struct Simulator {
     /// Cumulative per-node energy. Engine-owned (not observer state): the
     /// energy phase must read it mid-loop to decide battery death.
     pub(crate) energy: EnergyLedger,
+    /// Per node, the first slot its energy has not been charged for. Every
+    /// uncharged slot of a live node is a sleep, settled as debt when the
+    /// node next wakes or at a window boundary; every mark equals `slot`
+    /// whenever no run is in progress, so the ledger reads settled.
+    pub(crate) settled: Vec<u64>,
     /// Fault-injection runtime state (crash flags, link channels, drift).
     pub(crate) faults: FaultState,
     /// How concurrent transmissions resolve at a listener.
@@ -159,7 +164,8 @@ impl Simulator {
     }
 
     /// Creates a simulator over `topo`, rejecting invalid configuration
-    /// (out-of-range sink, bad miss probability, bad fault plan) as a
+    /// (out-of-range sink, bad miss probability, bad fault plan, a
+    /// negative or non-finite slot energy) as a
     /// typed [`SimError`] instead of panicking. Routed through
     /// [`SimulatorBuilder`].
     pub fn try_new(
@@ -194,6 +200,7 @@ impl Simulator {
             slot: 0,
             dead: vec![false; n],
             energy: EnergyLedger::new(n),
+            settled: vec![0; n],
             faults: FaultState::new(config.faults, n, config.seed),
             channel,
             metrics: MetricsObserver::new(),
@@ -325,24 +332,33 @@ impl Simulator {
     }
 
     /// Advances one slot: the fault phase, then `roster` is loaded (after
-    /// the drift the fault phase accrued), then traffic, the roster-driven
-    /// exchange and energy, and the slot closes for every observer.
-    fn step_on<R: Roster>(&mut self, mac: &dyn MacProtocol, roster: &mut R) {
+    /// the drift the fault phase accrued), then traffic, election,
+    /// channel, delivery, ARQ and energy, and the slot closes for every
+    /// observer. With `bury` the energy phase also settles every live
+    /// node and checks it for battery death.
+    fn step_on<R: Roster>(&mut self, mac: &dyn MacProtocol, roster: &mut R, bury: bool) {
         phases::faults::run(self);
         roster.load(mac, &self.faults, self.slot);
         phases::traffic::run(self);
-        self.exchange(mac, roster);
-        phases::energy::run(self, roster.awake());
-        self.close_slot();
-    }
-
-    /// The roster-driven middle of every stepped slot, shared with the
-    /// time-skipping engine: election, channel, delivery, ARQ.
-    fn exchange<R: Roster>(&mut self, mac: &dyn MacProtocol, roster: &R) {
         phases::election::run(self, mac, roster);
         phases::channel::run(self, roster.listeners());
         phases::delivery::run(self);
         phases::arq::run(self);
+        phases::energy::run(self, roster.awake(), bury);
+        self.close_slot();
+    }
+
+    /// Steps every slot up to (not including) `to` on `roster`.
+    fn step_until<R: Roster>(
+        &mut self,
+        mac: &dyn MacProtocol,
+        roster: &mut R,
+        to: u64,
+        bury: bool,
+    ) {
+        while self.slot < to {
+            self.step_on(mac, roster, bury);
+        }
     }
 
     /// Announces the slot boundary to every observer and advances time.
@@ -383,23 +399,13 @@ impl Simulator {
     ///   on schedule) and CBR (a closed-form generation calendar) are
     ///   predictable;
     /// * no user observers — they may watch `on_slot_end` for slots the
-    ///   skip engine never announces;
-    /// * a sane energy model — bulk sleep charges fast-forward repeated
-    ///   `f64` addition, which requires finite non-negative slot costs.
+    ///   skip engine never announces.
     fn skip_eligible(&self, mac: &dyn MacProtocol) -> bool {
-        let e = &self.config.energy;
-        let energies_sane = [RadioState::Transmit, RadioState::Listen, RadioState::Sleep]
-            .iter()
-            .all(|&s| {
-                let mj = e.slot_energy_mj(s);
-                mj.is_finite() && mj >= 0.0
-            });
         Simulator::masks_eligible(mac)
             && self.faults.plan().clock_drift == 0.0
             && self.config.miss_probability == 0.0
             && self.faults.plan().crash.is_none()
             && self.extra_observers.is_empty()
-            && energies_sane
             && matches!(
                 self.pattern,
                 TrafficPattern::SaturatedBroadcast | TrafficPattern::CbrUnicast { period: 1.. }
@@ -450,9 +456,9 @@ impl Simulator {
         if self.faults.plan().clock_drift != 0.0 {
             // Moved out while stepping, like the scan in `run_dense`.
             let mut skew = std::mem::take(&mut self.skew);
-            for _ in 0..slots {
-                self.step_on(mac, &mut skew);
-            }
+            self.drive(slots, |sim, to, bury| {
+                sim.step_until(mac, &mut skew, to, bury)
+            });
             self.skew = skew;
             return;
         }
@@ -461,9 +467,9 @@ impl Simulator {
         // under the same MAC keep the whole loop heap-silent.
         let mut plan = self.take_plan(mac);
         let mut roster = PlanRoster::new(&mut plan);
-        for _ in 0..slots {
-            self.step_on(mac, &mut roster);
-        }
+        self.drive(slots, |sim, to, bury| {
+            sim.step_until(mac, &mut roster, to, bury)
+        });
         self.plan_cache = Some(plan);
     }
 
@@ -476,10 +482,42 @@ impl Simulator {
     pub fn run_dense(&mut self, mac: &dyn MacProtocol, slots: u64) {
         // Moved out while stepping (phases borrow the simulator mutably).
         let mut scan = std::mem::take(&mut self.scan);
-        for _ in 0..slots {
-            self.step_on(mac, &mut scan);
-        }
+        self.drive(slots, |sim, to, bury| {
+            sim.step_until(mac, &mut scan, to, bury)
+        });
         self.scan = scan;
+    }
+
+    /// Advances `slots` slots in battery windows, the one loop of every
+    /// path. `advance(sim, to, bury)` must bring `sim.slot` to `to`.
+    ///
+    /// Without a battery the whole run is one window. With one, each
+    /// window is bounded by [`Simulator::battery_epoch_slots`], so no node
+    /// can deplete inside it and its stepped slots charge the awake roster
+    /// only. When that bound falls below `MIN_EPOCH` a depletion is
+    /// imminent: a short window runs with `bury` set, where every stepped
+    /// slot settles every live node and checks deaths in ascending order,
+    /// so each `NodeDied` lands on its exact slot. Sleep debt is flushed at
+    /// every window boundary, which leaves the ledger settled for the next
+    /// headroom and for [`Simulator::report`] at the end.
+    fn drive(&mut self, slots: u64, mut advance: impl FnMut(&mut Simulator, u64, bool)) {
+        // Below this many slots of guaranteed headroom, bury-step instead
+        // of opening another (flush-bracketed) window.
+        const MIN_EPOCH: u64 = 16;
+        // How many slots to bury-step when a depletion is imminent.
+        const STEP_WINDOW: u64 = 64;
+        let end = self.slot + slots;
+        while self.slot < end {
+            let (to, bury) = match self.config.battery_capacity_mj {
+                Some(cap) => match self.battery_epoch_slots(cap) {
+                    h if h < MIN_EPOCH => (end.min(self.slot.saturating_add(STEP_WINDOW)), true),
+                    h => (end.min(self.slot.saturating_add(h)), false),
+                },
+                None => (end, false),
+            };
+            advance(self, to, bury);
+            phases::energy::flush_all(self);
+        }
     }
 
     /// The cached plan rebound to `mac`, moved out of the simulator while
@@ -506,12 +544,11 @@ impl Simulator {
     /// configuration's randomness (drift, sync-miss, crash plans, Poisson
     /// traffic, user observers) cannot be calendared.
     ///
-    /// With a battery capacity configured, skipping proceeds in *epochs*:
-    /// each skip window is bounded so that no node can possibly deplete
-    /// inside it (half the minimum live headroom at the most expensive
-    /// radio state), and when a depletion is near the engine drops to the
-    /// slot-by-slot pipeline for a window so deaths land on
-    /// exactly the slot they would in every other mode.
+    /// With a battery capacity configured, skipping proceeds in the same
+    /// battery windows as every other path: no node can deplete inside a
+    /// skip window, and when a depletion is near every slot of a short
+    /// window is stepped, so deaths land on exactly the slot they would
+    /// in every other mode.
     pub fn run_skipping(&mut self, mac: &dyn MacProtocol, slots: u64) {
         if slots == 0 {
             return;
@@ -520,75 +557,36 @@ impl Simulator {
             self.run_sparse(mac, slots);
             return;
         }
-        // Below this many slots of guaranteed headroom, step instead of
-        // opening another (flush_all-bracketed) epoch.
-        const MIN_EPOCH: u64 = 16;
-        // How many slots to step when a depletion is imminent.
-        const STEP_WINDOW: u64 = 64;
         let n = self.topo.num_nodes();
         let mut plan = self.take_plan(mac);
         // Eager fill: the calendar's frame summaries need every roster.
         plan.ensure_filled(mac, plan.frame_length() - 1);
         let mut skip = self.skip_cache.take().unwrap_or_default();
         skip.prepare(&plan, self.slot, &self.queues, &self.dead);
-        let end = self.slot + slots;
-        while self.slot < end {
-            // Battery epoch: a window no node can deplete within. The
-            // ledger is settled here (prepare/resettle/flush_all all
-            // leave it settled), so the headroom is exact.
-            let bound = match self.config.battery_capacity_mj {
-                Some(cap) => {
-                    let h = self.battery_epoch_slots(cap);
-                    if h < MIN_EPOCH {
-                        // Depletion imminent: run the slot-by-slot
-                        // pipeline so the death lands on its exact slot,
-                        // then re-sync the calendar.
-                        let w = STEP_WINDOW.min(end - self.slot);
-                        let mut roster = PlanRoster::new(&mut plan);
-                        for _ in 0..w {
-                            self.step_on(mac, &mut roster);
-                        }
-                        skip.resettle(self.slot, &self.queues, &self.dead);
-                        continue;
-                    }
-                    end.min(self.slot.saturating_add(h))
-                }
-                None => end,
-            };
-            while self.slot < bound {
+        self.drive(slots, |sim, to, bury| {
+            if bury {
+                // Depletion imminent: step every slot so the death lands
+                // on its exact slot, then re-sync the calendar.
+                sim.step_until(mac, &mut PlanRoster::new(&mut plan), to, true);
+                skip.reseed(sim.slot, &sim.queues, &sim.dead);
+                return;
+            }
+            while sim.slot < to {
                 let next = skip
-                    .next_interesting(self.slot, &self.pattern, n, &self.queues, &self.dead)
-                    .min(bound);
-                if next > self.slot {
-                    phases::energy::advance_span(
-                        self,
-                        &plan,
-                        &skip.active.rx_busy,
-                        &mut skip.last_flush,
-                        next,
-                    );
-                    self.slot = next;
+                    .next_interesting(sim.slot, &sim.pattern, n, &sim.queues, &sim.dead)
+                    .min(to);
+                if next > sim.slot {
+                    phases::energy::advance_span(sim, &plan, &skip.active.rx_busy, next);
+                    sim.slot = next;
                 }
-                if self.slot >= bound {
+                if sim.slot >= to {
                     break;
                 }
-                skip.pop_due(self.slot);
-                self.step_skip(mac, &mut PlanRoster::new(&mut plan), &mut skip);
-                skip.rearm_after_step(
-                    &plan,
-                    self.slot - 1,
-                    &self.pattern,
-                    &self.queues,
-                    &self.dead,
-                );
+                skip.pop_due(sim.slot);
+                sim.step_on(mac, &mut PlanRoster::new(&mut plan), false);
+                skip.rearm_after_step(&plan, sim.slot - 1, &sim.pattern, &sim.queues, &sim.dead);
             }
-            if self.config.battery_capacity_mj.is_some() {
-                // Settle at the epoch boundary so the next headroom (and
-                // any imminent-death window) computes on real numbers.
-                phases::energy::flush_all(self, &mut skip.last_flush);
-            }
-        }
-        phases::energy::flush_all(self, &mut skip.last_flush);
+        });
         self.skip_cache = Some(skip);
         self.plan_cache = Some(plan);
     }
@@ -626,20 +624,6 @@ impl Simulator {
         } else {
             h as u64
         }
-    }
-
-    /// Advances one *interesting* slot inside the skipping engine. The
-    /// fault phase is elided outright: skip eligibility guarantees no
-    /// crash plan and zero drift, under which it draws nothing and
-    /// changes nothing. Traffic runs the calendar-aware pass, energy the
-    /// debt-settling one; the exchange between them is the ordinary
-    /// step's.
-    fn step_skip(&mut self, mac: &dyn MacProtocol, roster: &mut PlanRoster, skip: &mut SkipState) {
-        roster.load(mac, &self.faults, self.slot);
-        phases::traffic::run_skip(self);
-        self.exchange(mac, roster);
-        phases::energy::run_skip(self, roster.awake(), &mut skip.last_flush);
-        self.close_slot();
     }
 
     /// Snapshot of the metrics so far: the metrics observer's counters

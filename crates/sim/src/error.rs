@@ -6,6 +6,7 @@
 //! harnesses) can surface bad configuration as a normal error path. The
 //! panicking constructors remain and format the same messages.
 
+use crate::energy::RadioState;
 use std::fmt;
 
 /// A rejected simulator configuration.
@@ -47,6 +48,14 @@ pub enum SimError {
         /// The offending value.
         value: f64,
     },
+    /// The energy model's cost of one slot in some radio state is
+    /// negative or not finite.
+    InvalidSlotEnergy {
+        /// The radio state whose slot energy is invalid.
+        state: RadioState,
+        /// The offending slot energy (mJ).
+        value: f64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -74,6 +83,12 @@ impl fmt::Display for SimError {
                 write!(
                     f,
                     "clock drift rate must be in [0, 1) slots/slot, got {value}"
+                )
+            }
+            SimError::InvalidSlotEnergy { state, value } => {
+                write!(
+                    f,
+                    "{state:?} slot energy must be finite and non-negative, got {value} mJ"
                 )
             }
         }

@@ -15,9 +15,11 @@
 //! predicate (no crash plan, zero drift, zero sync-miss, no extra
 //! observers, CBR/saturated traffic) the pipeline provably consumes no
 //! randomness and emits no event there, and the only state change is
-//! energy — listeners idle-listen, everyone else sleeps — which the
-//! energy phase charges in bulk across the whole span. [`SkipState`]
-//! tracks the two sources of interesting slots:
+//! energy — listeners idle-listen, everyone else sleeps. The energy phase
+//! charges the span's listener occurrences and leaves the sleepers to the
+//! per-node sleep debt every path keeps, so a skipped slot is settled
+//! exactly like a stepped one. Interesting slots run the ordinary step.
+//! [`SkipState`] tracks the two sources of interesting slots:
 //!
 //! * the deterministic traffic calendar, computed in O(1) from the CBR
 //!   residue arithmetic (or the [`ActiveSlots::tx_busy`] occurrence list
@@ -34,11 +36,12 @@
 //!
 //! Fault transitions never enter the calendar because the eligibility
 //! predicate excludes crash plans outright, and battery-depletion
-//! horizons are handled by the engine's epoch loop (which bounds each
-//! skip window so no node can die inside it) rather than as point events.
+//! horizons are handled by the engine's battery-window loop, shared
+//! with every stepped path (it bounds each window so no node can die
+//! inside it), rather than as point events.
 
 use crate::plan::{ActiveSlots, SlotPlan};
-use crate::traffic::{Packet, TrafficPattern};
+use crate::traffic::{cbr_generators, Packet, TrafficPattern};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::collections::VecDeque;
@@ -56,18 +59,13 @@ pub(crate) struct SkipState {
     heap: BinaryHeap<Reverse<(u64, u32)>>,
     /// Whether a node currently has a (possibly stale) heap entry.
     in_heap: Vec<bool>,
-    /// Per node, the first slot its energy has *not* been charged for.
-    /// Every uncharged slot of a live node during skip mode is a
-    /// guaranteed sleep, settled in bulk by the energy phase.
-    pub(crate) last_flush: Vec<u64>,
     frame_len: u64,
 }
 
 impl SkipState {
-    /// Rebinds the state to a fully-filled `plan` at absolute slot `now`
-    /// with a settled energy ledger: recomputes the occurrence summaries,
-    /// marks every node flushed up to `now`, and seeds the pending-heap
-    /// from the current queue backlog.
+    /// Rebinds the state to a fully-filled `plan` at absolute slot `now`:
+    /// recomputes the occurrence summaries and seeds the pending-heap from
+    /// the current queue backlog.
     pub(crate) fn prepare(
         &mut self,
         plan: &SlotPlan,
@@ -77,18 +75,13 @@ impl SkipState {
     ) {
         self.active.rebuild(plan);
         self.frame_len = plan.frame_length() as u64;
-        let n = plan.num_nodes();
-        self.last_flush.clear();
-        self.last_flush.resize(n, 0);
-        self.resettle(now, queues, dead);
+        self.reseed(now, queues, dead);
     }
 
-    /// Re-synchronises after slots ran outside the skip loop (a stepped
-    /// battery window, or run entry): the ledger is settled at `now` and
-    /// the heap is reseeded from scratch (packets may have been generated
-    /// or dropped, nodes may have died).
-    pub(crate) fn resettle(&mut self, now: u64, queues: &[VecDeque<Packet>], dead: &[bool]) {
-        self.last_flush.fill(now);
+    /// Re-synchronises after slots ran outside the calendar (a stepped
+    /// battery window, or run entry): the heap is reseeded from scratch
+    /// (packets may have been generated or dropped, nodes may have died).
+    pub(crate) fn reseed(&mut self, now: u64, queues: &[VecDeque<Packet>], dead: &[bool]) {
         self.heap.clear();
         self.in_heap.clear();
         self.in_heap.resize(queues.len(), false);
@@ -186,14 +179,10 @@ impl SkipState {
             }
         }
         if let TrafficPattern::CbrUnicast { period } = *pattern {
-            let n = queues.len() as u64;
-            let mut v = (period - stepped % period) % period;
-            while v < n {
-                let vu = v as usize;
-                if !dead[vu] && !queues[vu].is_empty() {
-                    self.arm(vu, stepped + 1);
+            for v in cbr_generators(stepped, period, queues.len()) {
+                if !dead[v] && !queues[v].is_empty() {
+                    self.arm(v, stepped + 1);
                 }
-                v += period;
             }
         }
     }

@@ -21,16 +21,18 @@
 //! word mask), all pre-allocated — the steady-state step loop performs
 //! zero heap allocations (asserted by `ttdc-bench`'s `alloc_audit` test).
 //!
-//! Election, channel, ARQ and energy each have one implementation, and
-//! none of them visits all `n` nodes: they walk the slot's ascending
-//! rosters (the `roster` module) — transmitter candidates, listener
-//! candidates, actual transmitters, the awake union. For frame-periodic
-//! MACs the rosters come from a [`SlotPlan`](crate::SlotPlan) without
-//! clock drift and from per-skew-group reads of the MAC's slot masks
-//! under drift; for any other MAC from a per-slot MAC scan. The
-//! time-skipping engine reuses the same phases on plan rosters with its
-//! own traffic and energy passes. The golden fixtures and the
-//! roster-vs-scan equivalence proptests pin every source bit-identical.
+//! Every phase has one implementation, shared by every roster source and
+//! by the time-skipping engine, which steps its interesting slots through
+//! the same pipeline on plan rosters. Election, channel, ARQ and energy
+//! never visit all `n` nodes: they walk the slot's ascending rosters (the
+//! `roster` module) — transmitter candidates, listener candidates, actual
+//! transmitters, the awake union — and energy leaves sleeping nodes to
+//! their sleep debt, settled bit-exactly later. For frame-periodic MACs
+//! the rosters come from a [`SlotPlan`](crate::SlotPlan) without clock
+//! drift and from per-skew-group reads of the MAC's slot masks under
+//! drift; for any other MAC from a per-slot MAC scan. The golden fixtures
+//! and the roster-vs-scan equivalence proptests pin every source
+//! bit-identical.
 //!
 //! **RNG-draw-order compatibility rule** (see `DESIGN.md`): phases consume
 //! the main RNG stream in pipeline order, node-index order within a phase,

@@ -7,7 +7,7 @@
 
 use crate::engine::Simulator;
 use crate::observer::SlotEvent;
-use crate::traffic::{Packet, TrafficPattern};
+use crate::traffic::{cbr_generators, Packet, TrafficPattern};
 use rand::Rng;
 
 pub(crate) fn run(sim: &mut Simulator) {
@@ -22,11 +22,8 @@ pub(crate) fn run(sim: &mut Simulator) {
             }
         }
         TrafficPattern::CbrUnicast { period } => {
-            for v in 0..n {
-                if !sim.dead[v]
-                    && !sim.faults.is_crashed(v)
-                    && (sim.slot + v as u64).is_multiple_of(period)
-                {
+            for v in cbr_generators(sim.slot, period, n) {
+                if !sim.dead[v] && !sim.faults.is_crashed(v) {
                     generate_unicast(sim, v);
                 }
             }
@@ -57,31 +54,6 @@ pub(crate) fn run(sim: &mut Simulator) {
                 }
             }
         }
-    }
-}
-
-/// The time-skipping traffic pass for a stepped slot. Bit-identical to
-/// [`run`] for the patterns the skip engine admits: saturated broadcast
-/// generates nothing, and CBR's generators — the nodes `v` with
-/// `(slot + v) % period == 0`, i.e. `v ≡ -slot (mod period)` — are
-/// enumerated directly by walking that residue class upward instead of
-/// probing all `n` nodes. Same ascending node order, same RNG draws.
-pub(crate) fn run_skip(sim: &mut Simulator) {
-    let n = sim.topo.num_nodes() as u64;
-    match sim.pattern {
-        TrafficPattern::SaturatedBroadcast => {}
-        TrafficPattern::CbrUnicast { period } => {
-            let mut v = (period - sim.slot % period) % period;
-            while v < n {
-                let vu = v as usize;
-                if !sim.dead[vu] && !sim.faults.is_crashed(vu) {
-                    generate_unicast(sim, vu);
-                }
-                v += period;
-            }
-        }
-        // The skip-eligibility predicate admits no other pattern.
-        _ => unreachable!("time skipping only runs saturated or CBR traffic"),
     }
 }
 

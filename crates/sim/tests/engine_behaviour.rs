@@ -788,8 +788,10 @@ fn try_enable_capture_reports_typed_errors() {
 /// A MAC whose p-persistence is deliberately out of range, to pin the
 /// clamp-at-call-site behaviour (release builds sanitize; debug builds
 /// flag the protocol bug with a `debug_assert!`).
+#[cfg(debug_assertions)]
 struct BadProbabilityMac(f64);
 
+#[cfg(debug_assertions)]
 impl ttdc_sim::MacProtocol for BadProbabilityMac {
     fn name(&self) -> &str {
         "bad-probability"

@@ -130,6 +130,16 @@ fn fresh(
     )
 }
 
+/// The per-slot reference: `step()` once per slot. A one-slot call
+/// settles every node's energy at its end, so this is the ledger a pass
+/// charging all `n` nodes every slot would keep.
+fn stepped(mut sim: Simulator, mac: &dyn MacProtocol, slots: u64) -> SimReport {
+    for _ in 0..slots {
+        sim.step(mac);
+    }
+    sim.report()
+}
+
 /// Forced `run_skipping()`, forced `run_sparse()`, and forced
 /// `run_dense()` on identical inputs.
 fn all_three_reports(
@@ -184,7 +194,8 @@ proptest! {
     /// Mid-run engine transitions on one simulator: skip → sparse → skip
     /// and sparse → skip → dense chunks must equal one uninterrupted
     /// dense run — queues, ARQ retry counts, fault chains, the energy
-    /// ledger, and the calendar re-sync all survive the handoffs.
+    /// ledger, and the calendar re-sync all survive the handoffs — and
+    /// so must a run stepped one slot per call.
     #[test]
     fn chunked_mode_transitions_match_single_run(
         (topo, mac) in arb_scenario(),
@@ -199,6 +210,12 @@ proptest! {
         let mut whole = fresh(&topo, &pattern, seed, &plan, battery, 0.0);
         whole.run_dense(&mac, first + second + third);
         let whole = whole.report();
+        let per_slot = stepped(
+            fresh(&topo, &pattern, seed, &plan, battery, 0.0),
+            &mac,
+            first + second + third,
+        );
+        prop_assert_eq!(&per_slot, &whole);
 
         let mut a = fresh(&topo, &pattern, seed, &plan, battery, 0.0);
         a.run_skipping(&mac, first);
@@ -215,13 +232,16 @@ proptest! {
 
     /// Every configuration whose randomness the calendar cannot represent
     /// must fall back transparently: `run_skipping()` (and the `run()`
-    /// dispatcher) still equal the forced scan under clock drift,
-    /// sync-miss, crash plans, and Poisson-style traffic.
+    /// dispatcher) still equal the forced scan, and the forced scan a run
+    /// stepped one slot per call, under clock drift, sync-miss, crash
+    /// plans, and Poisson-style traffic — with battery caps low enough to
+    /// kill nodes on those stepped paths.
     #[test]
     fn non_calendar_randomness_falls_back(
         (topo, mac) in arb_scenario(),
         which in 0usize..4,
         knob in 0.01f64..0.4,
+        battery in prop::option::of(2.0f64..60.0),
         seed in 0u64..300,
         slots in 50u64..300,
     ) {
@@ -234,13 +254,15 @@ proptest! {
             2 => plan = plan.with_crash(CrashModel::new(knob * 0.1, 0.2)),
             _ => pattern = TrafficPattern::PoissonUnicast { rate: knob },
         }
-        let mut skip = fresh(&topo, &pattern, seed, &plan, None, miss);
+        let mut skip = fresh(&topo, &pattern, seed, &plan, battery, miss);
         skip.run_skipping(&mac, slots);
-        let mut via_run = fresh(&topo, &pattern, seed, &plan, None, miss);
+        let mut via_run = fresh(&topo, &pattern, seed, &plan, battery, miss);
         via_run.run(&mac, slots);
-        let mut dense = fresh(&topo, &pattern, seed, &plan, None, miss);
+        let mut dense = fresh(&topo, &pattern, seed, &plan, battery, miss);
         dense.run_dense(&mac, slots);
-        prop_assert_eq!(&skip.report(), &dense.report());
-        prop_assert_eq!(&via_run.report(), &dense.report());
+        let per_slot = stepped(fresh(&topo, &pattern, seed, &plan, battery, miss), &mac, slots);
+        prop_assert_eq!(&dense.report(), &per_slot);
+        prop_assert_eq!(&skip.report(), &per_slot);
+        prop_assert_eq!(&via_run.report(), &per_slot);
     }
 }
