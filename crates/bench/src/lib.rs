@@ -7,7 +7,8 @@
 //! * [`verify`] — naive vs incremental Requirement-1 verifier, greedy CFF;
 //! * [`parallel`] — the vendored rayon pool at 1/2/4 threads;
 //! * [`sim_scale`] — simulator roster sources and the time-skipping engine;
-//! * [`synth`] — the synthesizer's bound ladder and pinned re-proofs.
+//! * [`synth`] — the synthesizer against exhaustive enumeration, and pinned
+//!   re-proofs.
 //!
 //! `cargo run --release -p ttdc-bench --bin bench_all -- [--smoke] [family…]`
 //! runs the named families (all of them by default) and writes each

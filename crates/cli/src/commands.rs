@@ -424,7 +424,6 @@ fn synth(action: &SynthAction, out: &mut dyn Write) -> CmdResult {
                         None => *max_nodes,
                     },
                     incumbent_len: existing.as_ref().map(|e| e.schedule.frame_length()),
-                    ..SearchOptions::default()
                 },
                 polish_iters: polish.unwrap_or(200),
                 ..SynthOptions::default()

@@ -21,6 +21,11 @@
 use crate::schedule::Schedule;
 use ttdc_util::BitSet;
 
+/// Largest `n` [`from_text`] accepts. Every slot line allocates two
+/// `n`-bit sets, so an unchecked `n` from a damaged or hostile file could
+/// ask for any amount of memory.
+const MAX_NODES: usize = 1 << 20;
+
 /// Serializes a schedule into the v1 text format.
 pub fn to_text(s: &Schedule) -> String {
     let mut out = String::new();
@@ -113,11 +118,19 @@ pub fn from_text(text: &str) -> Result<Schedule, ParseError> {
     }
     let n = n.ok_or_else(|| err(mline, "missing n="))?;
     let l = l.ok_or_else(|| err(mline, "missing L="))?;
+    if n > MAX_NODES {
+        return Err(err(
+            mline,
+            format!("n={n} exceeds the limit of {MAX_NODES}"),
+        ));
+    }
     if l == 0 {
         return Err(err(mline, "L must be positive"));
     }
-    let mut t = Vec::with_capacity(l);
-    let mut r = Vec::with_capacity(l);
+    // Not sized by `l`: a declared length is checked against the slot
+    // lines actually read, never trusted for an allocation.
+    let mut t = Vec::new();
+    let mut r = Vec::new();
     for (idx, line) in lines {
         let lineno = idx + 1;
         let line = line.trim();
@@ -144,7 +157,7 @@ pub fn from_text(text: &str) -> Result<Schedule, ParseError> {
             format!("declared L={l} but found {} slot lines", t.len()),
         ));
     }
-    Ok(Schedule::new(n, t, r))
+    Schedule::try_new(n, t, r).map_err(|e| err(mline, e.to_string()))
 }
 
 #[cfg(test)]
@@ -199,6 +212,11 @@ mod tests {
         assert!(e.message.contains("bad node id"));
         let e = from_text("ttdc-schedule v1\nn=3 L=1\nR=1").unwrap_err();
         assert!(e.message.contains("expected T="));
+        let e = from_text("ttdc-schedule v1\nn=3 L=99999999999999999\nT=0 R=1").unwrap_err();
+        assert!(e.message.contains("found 1 slot lines"));
+        let e = from_text("ttdc-schedule v1\nn=18446744073709551615 L=1\nT=0 R=1").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("exceeds the limit"));
         let e = from_text("ttdc-schedule v1\nn=3 bogus=1").unwrap_err();
         assert!(e.message.contains("unexpected token"));
         assert_eq!(format!("{e}"), format!("line 2: {}", e.message));

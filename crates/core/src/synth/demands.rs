@@ -115,11 +115,6 @@ pub struct CandidateSpace {
     pub cands: Vec<Candidate>,
     /// `suppliers[i]` = candidate ids covering demand `i`, ascending.
     pub suppliers: Vec<Vec<u32>>,
-    /// `reach[i]` = union of `coverage` over every supplier of demand `i`:
-    /// the demands co-coverable with `i` by one slot (always contains
-    /// `i`). These are the conflict neighborhoods the matching bound's
-    /// greedy packing blocks with.
-    pub reach: Vec<BitSet>,
     /// Largest single-candidate coverage (the deficit bound's unit).
     pub max_gain: usize,
 }
@@ -160,19 +155,16 @@ impl CandidateSpace {
             });
         }
         let mut suppliers = vec![Vec::new(); space.len()];
-        let mut reach = vec![BitSet::new(space.len()); space.len()];
         let mut max_gain = 0;
         for (c, cand) in cands.iter().enumerate() {
             max_gain = max_gain.max(cand.coverage.len());
             for i in cand.coverage.iter() {
                 suppliers[i].push(c as u32);
-                reach[i].union_with(&cand.coverage);
             }
         }
         CandidateSpace {
             cands,
             suppliers,
-            reach,
             max_gain,
         }
     }
@@ -224,23 +216,6 @@ mod tests {
             assert!(
                 cs.suppliers.iter().all(|s| !s.is_empty()),
                 "({n},{d},{at},{ar})"
-            );
-        }
-    }
-
-    #[test]
-    fn reach_is_the_union_of_supplier_coverages() {
-        let space = DemandSpace::new(5, 2);
-        let cs = CandidateSpace::new(&space, 1, 2);
-        for i in 0..space.len() {
-            let mut expect = BitSet::new(space.len());
-            for &c in &cs.suppliers[i] {
-                expect.union_with(&cs.cands[c as usize].coverage);
-            }
-            assert_eq!(cs.reach[i], expect, "demand {i}");
-            assert!(
-                cs.reach[i].contains(i),
-                "reach must contain the demand itself"
             );
         }
     }

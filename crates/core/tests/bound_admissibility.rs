@@ -1,21 +1,18 @@
-//! Admissibility oracles for the search's lower-bound hierarchy.
+//! Admissibility oracles for the search's lower bounds.
 //!
-//! Three properties keep the branch-and-bound exact:
+//! Two properties keep the branch-and-bound exact:
 //!
-//! 1. every configured bound (ceiling, matching, LP dual-ascent) is a true
-//!    lower bound on the *residual* optimum — checked against an
-//!    independent brute-force set-cover solver on randomly covered
-//!    sub-instances;
-//! 2. the matching bound dominates the ceiling bound (so enabling it can
-//!    only tighten the search);
-//! 3. the fully pruned default search returns the *identical* `(len, lex)`
-//!    winner as a prune-free exhaustive search, at 1 and at 4 worker
-//!    threads.
+//! 1. both bounds (ceiling, LP dual-ascent) are true lower bounds on the
+//!    *residual* optimum — checked against an independent brute-force
+//!    set-cover solver on randomly covered sub-instances;
+//! 2. the pruned search returns the *identical* `(len, lex)` winner as the
+//!    prune-free [`exhaustive_cover`], at 1 and at 4 worker threads, here
+//!    and at every point of the `bench_all` `synth` sweep.
 
 use proptest::proptest;
 use ttdc_core::synth::demands::{CandidateSpace, DemandSpace};
 use ttdc_core::synth::search::{
-    ceiling_bound, lp_bound, matching_bound, minimum_cover, SearchOptions,
+    ceiling_bound, exhaustive_cover, lp_bound, minimum_cover, SearchOptions,
 };
 use ttdc_util::{BitSet, DualAscent};
 
@@ -27,6 +24,9 @@ const POINTS: &[(usize, usize, usize, usize)] = &[
     (5, 1, 1, 2),
     (5, 1, 2, 2),
 ];
+
+/// The `bench_all` `synth` sweep points not already in [`POINTS`].
+const SWEEP_POINTS: &[(usize, usize, usize, usize)] = &[(5, 2, 1, 2), (5, 3, 1, 2), (5, 2, 2, 2)];
 
 /// Independent exact minimum cover of `unc` by candidate coverages:
 /// branch on the first uncovered demand, try each of its suppliers.
@@ -56,13 +56,11 @@ fn brute_force_optimum(cands: &CandidateSpace, unc: &BitSet) -> usize {
 proptest! {
     #![proptest_config(proptest::ProptestConfig::with_cases(24))]
 
-    /// Every bound in the hierarchy is admissible on residual instances,
-    /// and the matching bound never falls below the ceiling bound.
+    /// Both bounds are admissible on residual instances.
     #[test]
     fn bounds_are_admissible_on_residual_instances(
         point_idx in 0usize..5,
         cover_seed in 0u64..1u64 << 48,
-        passes in 0usize..3,
     ) {
         let (n, d, at, ar) = POINTS[point_idx];
         let space = DemandSpace::new(n, d);
@@ -81,47 +79,30 @@ proptest! {
         let optimum = brute_force_optimum(&cands, &unc);
 
         let ceiling = ceiling_bound(unc.len(), cands.max_gain);
-        let mut blocked = BitSet::new(space.len());
-        let matching = matching_bound(&cands, &unc, &mut blocked);
         let banned = vec![false; cands.cands.len()];
         let mut lp = DualAscent::new(cands.cands.len());
-        let lp_val = lp_bound(&cands, &unc, &banned, passes, &mut lp);
+        let lp_val = lp_bound(&cands, &unc, &banned, &mut lp);
 
         assert!(
             ceiling <= optimum,
             "({n},{d},{at},{ar}): ceiling {ceiling} > optimum {optimum}"
         );
         assert!(
-            matching <= optimum,
-            "({n},{d},{at},{ar}): matching {matching} > optimum {optimum}"
-        );
-        assert!(
             lp_val <= optimum,
-            "({n},{d},{at},{ar}): lp {lp_val} > optimum {optimum} (passes {passes})"
-        );
-        assert!(
-            matching >= ceiling,
-            "({n},{d},{at},{ar}): matching {matching} must dominate ceiling {ceiling}"
+            "({n},{d},{at},{ar}): lp {lp_val} > optimum {optimum}"
         );
     }
+}
 
-    /// The default pruned search and a prune-free exhaustive search agree
-    /// on the exact `(len, lex)` winner — the slot list, not just the
-    /// length — at 1 and 4 worker threads.
-    #[test]
-    fn pruned_search_preserves_the_exhaustive_winner(point_idx in 0usize..5) {
-        let (n, d, at, ar) = POINTS[point_idx];
+/// The pruned search and the prune-free enumeration agree on the exact
+/// `(len, lex)` winner — the slot list, not just the length — at 1 and 4
+/// worker threads.
+#[test]
+fn pruned_search_preserves_the_exhaustive_winner() {
+    for &(n, d, at, ar) in POINTS.iter().chain(SWEEP_POINTS) {
         let space = DemandSpace::new(n, d);
         let cands = CandidateSpace::new(&space, at, ar);
-        let bare = SearchOptions {
-            prune: false,
-            dominance: false,
-            lex_prune: false,
-            symmetry: false,
-            ..SearchOptions::default()
-        };
-        let (reference, ref_stats) = minimum_cover(&space, &cands, &bare);
-        assert!(ref_stats.exact);
+        let (reference, _) = exhaustive_cover(&space, &cands);
         for threads in [1usize, 4] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)

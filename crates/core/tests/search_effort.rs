@@ -48,7 +48,6 @@ fn effort(threads: usize, pin: &Pin) -> (u64, u64, bool, u64) {
         search: SearchOptions {
             incumbent_len,
             max_nodes,
-            ..SearchOptions::default()
         },
         ..SynthOptions::default()
     };

@@ -140,6 +140,9 @@ impl SimulatorBuilder {
                 return Err(SimError::SinkOutOfRange { sink, nodes: n });
             }
         }
+        if let TrafficPattern::CbrUnicast { period: 0 } = self.pattern {
+            return Err(SimError::ZeroCbrPeriod);
+        }
         if !(0.0..=1.0).contains(&self.config.miss_probability) {
             return Err(SimError::InvalidMissProbability {
                 value: self.config.miss_probability,
@@ -234,6 +237,21 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("Sleep slot energy"), "{err}");
+    }
+
+    #[test]
+    fn builder_rejects_a_zero_cbr_period() {
+        // Period 0 used to generate one packet (node 0, slot 0) per run.
+        let err =
+            SimulatorBuilder::new(Topology::line(3), TrafficPattern::CbrUnicast { period: 0 })
+                .build()
+                .unwrap_err();
+        assert_eq!(err, SimError::ZeroCbrPeriod);
+        assert!(
+            SimulatorBuilder::new(Topology::line(3), TrafficPattern::CbrUnicast { period: 1 })
+                .build()
+                .is_ok()
+        );
     }
 
     #[test]

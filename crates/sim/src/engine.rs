@@ -408,7 +408,7 @@ impl Simulator {
             && self.extra_observers.is_empty()
             && matches!(
                 self.pattern,
-                TrafficPattern::SaturatedBroadcast | TrafficPattern::CbrUnicast { period: 1.. }
+                TrafficPattern::SaturatedBroadcast | TrafficPattern::CbrUnicast { .. }
             )
     }
 

@@ -48,6 +48,8 @@ pub enum SimError {
         /// The offending value.
         value: f64,
     },
+    /// A CBR traffic pattern with generation period 0.
+    ZeroCbrPeriod,
     /// The energy model's cost of one slot in some radio state is
     /// negative or not finite.
     InvalidSlotEnergy {
@@ -84,6 +86,9 @@ impl fmt::Display for SimError {
                     f,
                     "clock drift rate must be in [0, 1) slots/slot, got {value}"
                 )
+            }
+            SimError::ZeroCbrPeriod => {
+                write!(f, "CBR generation period must be at least 1 slot, got 0")
             }
             SimError::InvalidSlotEnergy { state, value } => {
                 write!(

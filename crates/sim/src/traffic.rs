@@ -41,7 +41,7 @@ pub enum TrafficPattern {
     /// Each node generates one packet every `period` slots (staggered by
     /// node id), addressed to a random neighbour.
     CbrUnicast {
-        /// Generation period in slots.
+        /// Generation period in slots (at least 1; the builder rejects 0).
         period: u64,
     },
     /// Every non-sink node generates with probability `rate` per slot; the
@@ -72,17 +72,10 @@ impl TrafficPattern {
 /// The nodes `v < n` that generate a [`TrafficPattern::CbrUnicast`] packet
 /// in `slot`, ascending: those with `(slot + v) % period == 0`, i.e. the
 /// residue class `v ≡ -slot (mod period)`, walked directly instead of
-/// probed node by node. Period 0 follows `is_multiple_of(0)`: node 0
-/// generates in slot 0 and nobody ever after.
+/// probed node by node. `period ≥ 1`: the builder rejects period 0.
 pub(crate) fn cbr_generators(slot: u64, period: u64, n: usize) -> impl Iterator<Item = usize> {
-    let (first, step) = match period {
-        0 => (if slot == 0 { 0 } else { n }, n.max(1)),
-        p => (
-            ((p - slot % p) % p).min(n as u64) as usize,
-            usize::try_from(p).unwrap_or(usize::MAX),
-        ),
-    };
-    (first..n).step_by(step)
+    let first = ((period - slot % period) % period).min(n as u64) as usize;
+    (first..n).step_by(usize::try_from(period).unwrap_or(usize::MAX))
 }
 
 #[cfg(test)]
@@ -91,7 +84,7 @@ mod tests {
 
     #[test]
     fn cbr_generators_match_the_gate() {
-        for (period, n) in [(0u64, 3usize), (1, 4), (3, 10), (7, 3), (100, 5)] {
+        for (period, n) in [(1u64, 4usize), (3, 10), (7, 3), (100, 5)] {
             for slot in 0..40u64 {
                 let want: Vec<usize> = (0..n)
                     .filter(|&v| (slot + v as u64).is_multiple_of(period))

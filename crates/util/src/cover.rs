@@ -183,32 +183,6 @@ impl CoverCounter {
     }
 }
 
-/// Greedy packing of pairwise non-co-coverable uncovered elements — the
-/// matching/independent-set relaxation of the residual set cover.
-///
-/// `reach[e]` must contain every element that some single member set
-/// covers *together with* `e` (including `e` itself). Elements of
-/// `uncovered` are visited in ascending order; an element is counted when
-/// no earlier counted element can share a set with it, and counting it
-/// blocks everything in its `reach`. Any single set covers at most one
-/// counted element, so the count is an admissible lower bound on the
-/// number of sets any completion still needs.
-///
-/// `blocked` is caller-provided scratch with the same universe as
-/// `uncovered`; it is cleared on entry (hot search loops reuse one
-/// allocation across millions of bound evaluations).
-pub fn greedy_packing(uncovered: &BitSet, reach: &[BitSet], blocked: &mut BitSet) -> usize {
-    blocked.clear();
-    let mut count = 0;
-    for e in uncovered.iter() {
-        if !blocked.contains(e) {
-            count += 1;
-            blocked.union_with(&reach[e]);
-        }
-    }
-    count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,27 +287,6 @@ mod tests {
         let overlap = bs(6, &[1]);
         c.add_tracked(&overlap);
         assert!(c.is_redundant(&overlap), "slot 1 has three suppliers");
-    }
-
-    #[test]
-    fn greedy_packing_counts_disjoint_groups() {
-        // Universe {0..5}; element e is co-coverable with e±1 (a path).
-        let reach: Vec<BitSet> = (0..6)
-            .map(|e: usize| {
-                let lo = e.saturating_sub(1);
-                let hi = (e + 1).min(5);
-                bs(6, &(lo..=hi).collect::<Vec<_>>())
-            })
-            .collect();
-        let mut blocked = BitSet::new(6);
-        // All uncovered: greedy picks 0, blocks {0,1}; picks 2, blocks
-        // {1,2,3}; picks 4, blocks {3,4,5} → 3 groups.
-        let unc = bs(6, &[0, 1, 2, 3, 4, 5]);
-        assert_eq!(greedy_packing(&unc, &reach, &mut blocked), 3);
-        // Scratch is reusable: a second call clears it itself.
-        assert_eq!(greedy_packing(&bs(6, &[1, 2]), &reach, &mut blocked), 1);
-        // Empty uncovered set ⇒ bound 0.
-        assert_eq!(greedy_packing(&BitSet::new(6), &reach, &mut blocked), 0);
     }
 
     #[test]
