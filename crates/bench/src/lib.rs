@@ -134,7 +134,7 @@ fn repo_root() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
 }
 
-/// The first line a command prints, or `null` when it cannot run or fails.
+/// What a command prints, trimmed, or `null` when it cannot run or fails.
 fn command_output(program: &str, args: &[&str]) -> Value {
     std::process::Command::new(program)
         .args(args)
@@ -146,9 +146,36 @@ fn command_output(program: &str, args: &[&str]) -> Value {
         .map_or(Value::Null, |s| Value::from(s.trim()))
 }
 
+/// The revision a record names: `head`, marked `-dirty` when `porcelain`
+/// (the `git status --porcelain` listing) shows uncommitted changes, so a
+/// record made from a modified tree never passes for its parent's.
+fn revision_string(head: &str, porcelain: &str) -> String {
+    if porcelain.trim().is_empty() {
+        head.to_string()
+    } else {
+        format!("{head}-dirty")
+    }
+}
+
+/// The checked-out revision, or `null` outside a git checkout. The
+/// `BENCH_*.json` records themselves do not count as changes: an earlier
+/// family of the same run may just have rewritten one.
+fn git_revision() -> Value {
+    let head = command_output("git", &["rev-parse", "HEAD"]);
+    let status = command_output(
+        "git",
+        &["status", "--porcelain", "--", ".", ":(exclude)BENCH_*.json"],
+    );
+    match (head.as_str(), status.as_str()) {
+        (Some(head), Some(porcelain)) => Value::from(revision_string(head, porcelain)),
+        _ => Value::Null,
+    }
+}
+
 /// Writes `record` (a JSON object) to `BENCH_<family>.json` at the
 /// repository root with a `host` field naming the hardware parallelism,
-/// the `rustc` on the path and the checked-out git revision.
+/// the `rustc` on the path and the checked-out git revision (marked
+/// `-dirty` when the tree has uncommitted changes).
 pub fn write_record(family: &str, record: Value) -> std::io::Result<PathBuf> {
     let Value::Object(mut fields) = record else {
         panic!("{family}: a family record is a JSON object");
@@ -156,7 +183,7 @@ pub fn write_record(family: &str, record: Value) -> std::io::Result<PathBuf> {
     let host = json!({
         "available_parallelism": available_parallelism() as u64,
         "rustc": command_output("rustc", &["-V"]),
-        "git_revision": command_output("git", &["rev-parse", "HEAD"]),
+        "git_revision": git_revision(),
     });
     fields.insert("host".to_string(), host);
     let body = to_string_pretty(&Value::Object(fields)).expect("serialization cannot fail");
@@ -181,5 +208,16 @@ mod tests {
             assert_eq!(first, 1, "the warm-up call's result is returned");
             assert!(timing.min_ms <= timing.median_ms && timing.median_ms <= timing.max_ms);
         }
+    }
+
+    #[test]
+    fn revision_is_marked_dirty_only_with_uncommitted_changes() {
+        assert_eq!(revision_string("82666c4", ""), "82666c4");
+        assert_eq!(revision_string("82666c4", "\n"), "82666c4");
+        assert_eq!(
+            revision_string("82666c4", " M crates/sim/src/engine.rs\n"),
+            "82666c4-dirty"
+        );
+        assert_eq!(revision_string("82666c4", "?? new.rs"), "82666c4-dirty");
     }
 }

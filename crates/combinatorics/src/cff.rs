@@ -14,7 +14,7 @@ use crate::gf::Gf;
 use crate::poly::Poly;
 use crate::primes::TsmaParams;
 use crate::steiner::SteinerTripleSystem;
-use ttdc_util::{for_each_subset, for_each_subset_delta, BitSet, CoverCounter, SubsetEvent};
+use ttdc_util::{for_each_subset_delta, BitSet, CoverCounter, SubsetEvent};
 
 /// A family of blocks (subsets of a ground set of `L` points).
 #[derive(Clone, Debug)]
@@ -226,12 +226,6 @@ impl CoverFreeFamily {
         }
         d
     }
-}
-
-/// Enumerates D-subsets of `[0, n)` — re-exported shim kept for callers that
-/// iterate neighbourhood candidates the same way the verifier does.
-pub fn for_each_d_subset(n: usize, d: usize, f: impl FnMut(&[usize]) -> bool) {
-    for_each_subset(n, d, f)
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The one construction path for [`Simulator`]s.
 //!
-//! [`SimulatorBuilder`] validates every knob once, assembles the channel
-//! model and observer set, and hands back a ready simulator.
+//! [`SimulatorBuilder`] validates every knob once — physical capture
+//! included, which is set only here — and hands back a ready simulator.
 //! [`Simulator::new`] and [`Simulator::try_new`] are thin wrappers around
 //! it, so legacy call sites and builder call sites construct byte-identical
 //! engines.
@@ -20,22 +20,13 @@
 //! assert_eq!(sim.topology().num_nodes(), 8);
 //! ```
 
-use crate::channel::{CaptureChannel, CaptureModel, ChannelModel, IdealChannel};
+use crate::channel::{CaptureModel, Channel};
 use crate::energy::{EnergyModel, RadioState};
 use crate::engine::{SimConfig, Simulator};
 use crate::error::SimError;
 use crate::faults::FaultPlan;
-use crate::observer::SlotObserver;
 use crate::topology::Topology;
 use crate::traffic::TrafficPattern;
-
-/// How the builder was asked to resolve receptions; the last channel- or
-/// capture-setting call wins.
-enum ChannelChoice {
-    Ideal,
-    Capture(Vec<(f64, f64)>, CaptureModel),
-    Custom(Box<dyn ChannelModel>),
-}
 
 /// Step-by-step construction of a [`Simulator`].
 ///
@@ -46,20 +37,18 @@ pub struct SimulatorBuilder {
     topo: Topology,
     pattern: TrafficPattern,
     config: SimConfig,
-    channel: ChannelChoice,
-    observers: Vec<Box<dyn SlotObserver>>,
+    channel: Channel,
 }
 
 impl SimulatorBuilder {
-    /// A builder over `topo` running `pattern`, with default config, the
-    /// ideal channel, and no extra observers.
+    /// A builder over `topo` running `pattern`, with default config and
+    /// the ideal channel.
     pub fn new(topo: Topology, pattern: TrafficPattern) -> SimulatorBuilder {
         SimulatorBuilder {
             topo,
             pattern,
             config: SimConfig::default(),
-            channel: ChannelChoice::Ideal,
-            observers: Vec::new(),
+            channel: Channel::Ideal,
         }
     }
 
@@ -113,22 +102,12 @@ impl SimulatorBuilder {
     }
 
     /// Resolves receptions with physical capture over node coordinates
-    /// (`positions[v]` is node `v`'s location). Validated in `build`.
+    /// (`positions[v]` is node `v`'s location, e.g. from
+    /// [`crate::GeometricNetwork::positions`]) instead of the paper's
+    /// collision rule. The only way to enable capture; `build` checks one
+    /// position per node and `ratio ≥ 1`.
     pub fn capture(mut self, positions: Vec<(f64, f64)>, model: CaptureModel) -> SimulatorBuilder {
-        self.channel = ChannelChoice::Capture(positions, model);
-        self
-    }
-
-    /// Resolves receptions with a custom [`ChannelModel`].
-    pub fn channel(mut self, channel: impl ChannelModel + 'static) -> SimulatorBuilder {
-        self.channel = ChannelChoice::Custom(Box::new(channel));
-        self
-    }
-
-    /// Attaches an extra [`SlotObserver`]; it sees every event after the
-    /// built-in metrics and trace observers. May be called repeatedly.
-    pub fn observer(mut self, observer: impl SlotObserver + 'static) -> SimulatorBuilder {
-        self.observers.push(Box::new(observer));
+        self.channel = Channel::Capture { positions, model };
         self
     }
 
@@ -157,28 +136,22 @@ impl SimulatorBuilder {
                 return Err(SimError::InvalidSlotEnergy { state, value });
             }
         }
-        let channel: Box<dyn ChannelModel> = match self.channel {
-            ChannelChoice::Ideal => Box::new(IdealChannel),
-            ChannelChoice::Capture(positions, model) => {
-                if positions.len() != n {
-                    return Err(SimError::PositionCountMismatch {
-                        positions: positions.len(),
-                        nodes: n,
-                    });
-                }
-                if model.ratio < 1.0 {
-                    return Err(SimError::CaptureRatioTooSmall { ratio: model.ratio });
-                }
-                Box::new(CaptureChannel::new(positions, model))
+        if let Channel::Capture { positions, model } = &self.channel {
+            if positions.len() != n {
+                return Err(SimError::PositionCountMismatch {
+                    positions: positions.len(),
+                    nodes: n,
+                });
             }
-            ChannelChoice::Custom(channel) => channel,
-        };
+            if model.ratio < 1.0 {
+                return Err(SimError::CaptureRatioTooSmall { ratio: model.ratio });
+            }
+        }
         Ok(Simulator::assemble(
             self.topo,
             self.pattern,
             self.config,
-            channel,
-            self.observers,
+            self.channel,
         ))
     }
 }
@@ -186,7 +159,6 @@ impl SimulatorBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observer::SlotEvent;
 
     #[test]
     fn builder_validates_like_try_new() {
@@ -293,42 +265,5 @@ mod tests {
         let ta: Vec<_> = a.trace.events().collect();
         let tb: Vec<_> = b.trace.events().collect();
         assert_eq!(ta, tb);
-    }
-
-    #[test]
-    fn extra_observers_see_the_event_stream() {
-        #[derive(Debug, Default)]
-        struct Counter {
-            events: u64,
-            slots: u64,
-        }
-        impl SlotObserver for Counter {
-            fn on_event(&mut self, _slot: u64, _event: &SlotEvent) {
-                self.events += 1;
-            }
-            fn on_slot_end(&mut self, _slot: u64) {
-                self.slots += 1;
-            }
-        }
-        // Saturated round-robin pair: one Transmitted + one LinkSuccess
-        // per slot.
-        let mac = crate::mac::ScheduleMac::new(
-            "rr",
-            ttdc_core::Schedule::non_sleeping(
-                2,
-                (0..2)
-                    .map(|i| ttdc_util::BitSet::from_iter(2, [i]))
-                    .collect(),
-            ),
-        );
-        let mut sim = SimulatorBuilder::new(Topology::line(2), TrafficPattern::SaturatedBroadcast)
-            .observer(Counter::default())
-            .build()
-            .unwrap();
-        sim.run(&mac, 10);
-        let obs = sim.observers();
-        let counter = format!("{:?}", obs[0]);
-        assert!(counter.contains("events: 20"), "{counter}");
-        assert!(counter.contains("slots: 10"), "{counter}");
     }
 }

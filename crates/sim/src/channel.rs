@@ -1,24 +1,23 @@
-//! Channel models: how simultaneous transmissions resolve at a listener.
+//! Reception resolution: how simultaneous transmissions resolve at a
+//! listener.
 //!
 //! The paper's collision model (§3) — a reception succeeds iff **exactly
-//! one** neighbour of the listener transmits — is one point in a family of
-//! channel models. [`ChannelModel`] is that family's interface: given the
-//! set of transmitters in a slot, decide what a listener decodes. The two
-//! built-in models are [`IdealChannel`] (the paper's rule) and
-//! [`CaptureChannel`] (physical power capture: the closest sender is still
-//! decoded if it is sufficiently closer than the runner-up). Richer models
-//! — SINR thresholds, distance-dependent PER — are one `impl`, not another
-//! branch in the engine.
+//! one** neighbour of the listener transmits — is [`Channel::Ideal`]. The
+//! one ablation the reproduction studies is physical power capture
+//! ([`Channel::Capture`], configured through
+//! [`SimulatorBuilder::capture`](crate::SimulatorBuilder::capture) with a
+//! [`CaptureModel`]): the closest sender is still decoded if it is
+//! sufficiently closer than the runner-up.
 //!
 //! Injected link loss (uniform PER and/or Gilbert–Elliott bursts, see
-//! [`crate::faults`]) applies *after* decoding, uniformly across models:
-//! the provided [`ChannelModel::resolve`] subjects a decoded transmission
-//! to [`LinkFading`] and reports an erased one as [`Reception::Faded`].
+//! [`crate::faults`]) applies *after* decoding, uniformly across both
+//! rules: [`Channel::resolve`] subjects a decoded transmission to the
+//! fault stream and reports an erased one as [`Reception::Faded`].
 //!
 //! RNG compatibility rule: fading draws exactly one decision from the
 //! dedicated fault stream per *decoded* reception — never for idle or
-//! collided slots — so a model that decodes the same transmitter sequence
-//! as another consumes the same randomness (see `DESIGN.md`).
+//! collided slots — so both rules consume randomness only for the
+//! transmissions they decode (see `DESIGN.md`).
 
 use crate::faults::FaultState;
 use crate::topology::Topology;
@@ -39,136 +38,44 @@ pub struct CaptureModel {
 
 /// What a listening node heard in one slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Reception {
+pub(crate) enum Reception {
     /// No neighbour transmitted; the listener heard silence.
     Idle,
     /// The listener decoded the transmission from `from`.
-    Decoded {
-        /// The decoded transmitter.
-        from: usize,
-    },
+    Decoded { from: usize },
     /// Two or more transmissions interfered and none was decoded.
     Collision,
     /// A transmission from `from` was decoded at the physical layer but
     /// erased by injected link loss (fading).
-    Faded {
-        /// The transmitter whose packet faded.
-        from: usize,
+    Faded { from: usize },
+}
+
+/// How the engine resolves concurrent transmissions at a listener. Both
+/// rules read the slot's transmitters as a word mask (`tx_mask.contains(v)`
+/// iff `v` transmits) and visit transmitting neighbours in ascending order.
+#[derive(Clone, Debug)]
+pub(crate) enum Channel {
+    /// The paper's rule: a reception at `y` succeeds iff exactly one
+    /// neighbour of `y` transmits; two or more always collide.
+    Ideal,
+    /// The ideal rule plus physical power capture: among ≥ 2 transmitting
+    /// neighbours, the closest still wins if the runner-up is at least
+    /// [`CaptureModel::ratio`] times farther away. `positions[v]` is node
+    /// `v`'s location; the builder checks one position per node and
+    /// `ratio ≥ 1`.
+    Capture {
+        positions: Vec<(f64, f64)>,
+        model: CaptureModel,
     },
 }
 
-/// Access to the injected-link-loss process for channel models.
-///
-/// Wraps the engine's fault state so a [`ChannelModel`] can ask whether a
-/// decoded transmission survives the link without seeing the rest of the
-/// fault machinery. When no link-loss knob is active, [`delivers`] returns
-/// `true` without consuming any randomness — the RNG-compatibility
-/// contract that keeps fault-free runs bit-identical.
-///
-/// [`delivers`]: LinkFading::delivers
-#[derive(Debug)]
-pub struct LinkFading<'a> {
-    state: &'a mut FaultState,
-    active: bool,
-}
-
-impl<'a> LinkFading<'a> {
-    pub(crate) fn new(state: &'a mut FaultState, active: bool) -> LinkFading<'a> {
-        LinkFading { state, active }
-    }
-
-    /// Draws whether a decoded transmission `from → to` in `slot` survives
-    /// the link. Advances the per-link burst chain; call at most once per
-    /// decoded reception.
-    pub fn delivers(&mut self, from: usize, to: usize, slot: u64) -> bool {
-        if !self.active {
-            return true;
-        }
-        self.state.link_delivers(from, to, slot)
-    }
-}
-
-/// A physical-layer model resolving concurrent transmissions at a listener.
-///
-/// Implementations must be deterministic functions of their inputs (any
-/// randomness belongs to the engine's streams), and must uphold the fading
-/// contract of [`resolve`]: exactly one [`LinkFading::delivers`] draw per
-/// decoded reception, none otherwise. The provided `resolve` does this for
-/// any [`decode`] (reached through `decode_masked`); override it only for
-/// models where erasure interacts with decoding itself.
-///
-/// [`resolve`]: ChannelModel::resolve
-/// [`decode`]: ChannelModel::decode
-pub trait ChannelModel: std::fmt::Debug + Send {
-    /// Which transmitter, if any, does listener `y` decode given the
-    /// per-node `transmitting` flags? Pure collision resolution: never
-    /// reports [`Reception::Faded`].
-    fn decode(&self, y: usize, topo: &Topology, transmitting: &[bool]) -> Reception;
-
-    /// [`decode`](ChannelModel::decode) with the transmitter set also
-    /// available as a word mask (`tx_mask.contains(v) ⟺ transmitting[v]`
-    /// — the engine maintains both). The default ignores the mask and
-    /// defers to `decode`; models whose resolution is a set intersection
-    /// (the ideal collision rule) override it to work word by word
-    /// instead of per node. Must decode exactly what `decode` would.
-    fn decode_masked(
-        &self,
-        y: usize,
-        topo: &Topology,
-        transmitting: &[bool],
-        tx_mask: &BitSet,
-    ) -> Reception {
-        let _ = tx_mask;
-        self.decode(y, topo, transmitting)
-    }
-
-    /// Full resolution: [`decode_masked`](ChannelModel::decode_masked),
-    /// then subject a decoded transmission to injected link fading.
-    fn resolve(
-        &self,
-        y: usize,
-        slot: u64,
-        topo: &Topology,
-        transmitting: &[bool],
-        tx_mask: &BitSet,
-        fading: &mut LinkFading<'_>,
-    ) -> Reception {
-        match self.decode_masked(y, topo, transmitting, tx_mask) {
-            Reception::Decoded { from } if !fading.delivers(from, y, slot) => {
-                Reception::Faded { from }
-            }
-            r => r,
-        }
-    }
-}
-
-/// The paper's idealized channel: a reception at `y` succeeds iff exactly
-/// one neighbour of `y` transmits; two or more always collide.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct IdealChannel;
-
-impl ChannelModel for IdealChannel {
-    fn decode(&self, y: usize, topo: &Topology, transmitting: &[bool]) -> Reception {
-        let mut tx = topo.neighbors(y).iter().filter(|&v| transmitting[v]);
-        match (tx.next(), tx.next()) {
-            (Some(x), None) => Reception::Decoded { from: x },
-            (Some(_), Some(_)) => Reception::Collision,
-            _ => Reception::Idle,
-        }
-    }
-
-    /// The exactly-one rule as a word intersection: AND each block of
-    /// `neighbors(y)` against the transmitter mask and stop at the second
-    /// set bit. Identical outcome to [`decode`](ChannelModel::decode) —
-    /// both walk transmitting neighbours in ascending order, so the
-    /// decoded `from` is the same node.
-    fn decode_masked(
-        &self,
-        y: usize,
-        topo: &Topology,
-        _transmitting: &[bool],
-        tx_mask: &BitSet,
-    ) -> Reception {
+impl Channel {
+    /// Which transmitter, if any, listener `y` decodes. Pure collision
+    /// resolution: never reports [`Reception::Faded`].
+    pub(crate) fn decode(&self, y: usize, topo: &Topology, tx_mask: &BitSet) -> Reception {
+        // The exactly-one rule as a word intersection: AND each block of
+        // `neighbors(y)` against the transmitter mask and stop at the
+        // second set bit.
         let mut first = usize::MAX;
         let mut collided = false;
         topo.neighbors(y).intersect_for_each(tx_mask, |v| {
@@ -180,80 +87,75 @@ impl ChannelModel for IdealChannel {
                 false
             }
         });
-        if collided {
-            Reception::Collision
-        } else if first != usize::MAX {
-            Reception::Decoded { from: first }
-        } else {
-            Reception::Idle
+        if !collided {
+            return if first == usize::MAX {
+                Reception::Idle
+            } else {
+                Reception::Decoded { from: first }
+            };
         }
-    }
-}
-
-/// The ideal channel plus physical power capture: among ≥ 2 transmitting
-/// neighbours, the closest still wins if the runner-up is at least
-/// [`CaptureModel::ratio`] times farther away.
-#[derive(Clone, Debug)]
-pub struct CaptureChannel {
-    positions: Vec<(f64, f64)>,
-    model: CaptureModel,
-}
-
-impl CaptureChannel {
-    /// A capture channel over node coordinates (`positions[v]` is node
-    /// `v`'s location, e.g. from [`crate::GeometricNetwork::positions`]).
-    ///
-    /// Callers validate shape: the engine's builder checks the position
-    /// count against the topology and that `ratio ≥ 1`.
-    pub fn new(positions: Vec<(f64, f64)>, model: CaptureModel) -> CaptureChannel {
-        CaptureChannel { positions, model }
-    }
-
-    /// The capture threshold in effect.
-    pub fn model(&self) -> CaptureModel {
-        self.model
-    }
-
-    /// Among ≥ 2 transmitting neighbours of `y`, the one that captures the
-    /// channel, if any.
-    fn winner(&self, y: usize, topo: &Topology, transmitting: &[bool]) -> Option<usize> {
-        let pos = &self.positions;
-        let (py, mut best, mut second) = (pos[y], None::<(f64, usize)>, f64::INFINITY);
-        for v in topo.neighbors(y) {
-            if !transmitting[v] {
-                continue;
-            }
-            let d = ((pos[v].0 - py.0).powi(2) + (pos[v].1 - py.1).powi(2)).sqrt();
-            match best {
-                Some((bd, _)) if d >= bd => second = second.min(d),
-                _ => {
-                    if let Some((bd, _)) = best {
-                        second = second.min(bd);
-                    }
-                    best = Some((d, v));
+        match self {
+            Channel::Ideal => Reception::Collision,
+            Channel::Capture { positions, model } => {
+                match capture_winner(positions, model.ratio, y, topo, tx_mask) {
+                    Some(from) => Reception::Decoded { from },
+                    None => Reception::Collision,
                 }
             }
         }
-        let (bd, bv) = best?;
-        if second / bd.max(1e-12) >= self.model.ratio {
-            Some(bv)
-        } else {
-            None
+    }
+
+    /// Full resolution: [`decode`](Channel::decode), then subject a decoded
+    /// transmission `from → y` in `slot` to injected link fading — exactly
+    /// one fault-stream decision per decoded reception, none otherwise
+    /// (and none at all when the plan has no link loss).
+    pub(crate) fn resolve(
+        &self,
+        y: usize,
+        slot: u64,
+        topo: &Topology,
+        tx_mask: &BitSet,
+        faults: &mut FaultState,
+    ) -> Reception {
+        match self.decode(y, topo, tx_mask) {
+            Reception::Decoded { from }
+                if faults.plan().has_link_loss() && !faults.link_delivers(from, y, slot) =>
+            {
+                Reception::Faded { from }
+            }
+            r => r,
         }
     }
 }
 
-impl ChannelModel for CaptureChannel {
-    fn decode(&self, y: usize, topo: &Topology, transmitting: &[bool]) -> Reception {
-        let mut tx = topo.neighbors(y).iter().filter(|&v| transmitting[v]);
-        match (tx.next(), tx.next()) {
-            (Some(x), None) => Reception::Decoded { from: x },
-            (Some(_), Some(_)) => match self.winner(y, topo, transmitting) {
-                Some(x) => Reception::Decoded { from: x },
-                None => Reception::Collision,
-            },
-            _ => Reception::Idle,
+/// Among ≥ 2 transmitting neighbours of `y`, the one that captures the
+/// channel, if any.
+fn capture_winner(
+    pos: &[(f64, f64)],
+    ratio: f64,
+    y: usize,
+    topo: &Topology,
+    tx_mask: &BitSet,
+) -> Option<usize> {
+    let (py, mut best, mut second) = (pos[y], None::<(f64, usize)>, f64::INFINITY);
+    topo.neighbors(y).intersect_for_each(tx_mask, |v| {
+        let d = ((pos[v].0 - py.0).powi(2) + (pos[v].1 - py.1).powi(2)).sqrt();
+        match best {
+            Some((bd, _)) if d >= bd => second = second.min(d),
+            _ => {
+                if let Some((bd, _)) = best {
+                    second = second.min(bd);
+                }
+                best = Some((d, v));
+            }
         }
+        true
+    });
+    let (bd, bv) = best?;
+    if second / bd.max(1e-12) >= ratio {
+        Some(bv)
+    } else {
+        None
     }
 }
 
@@ -262,57 +164,59 @@ mod tests {
     use super::*;
     use crate::faults::FaultPlan;
 
-    fn star_flags(n: usize, txs: &[usize]) -> Vec<bool> {
-        let mut f = vec![false; n];
-        for &v in txs {
-            f[v] = true;
+    fn mask(n: usize, txs: &[usize]) -> BitSet {
+        BitSet::from_iter(n, txs.iter().copied())
+    }
+
+    fn capture(positions: Vec<(f64, f64)>, ratio: f64) -> Channel {
+        Channel::Capture {
+            positions,
+            model: CaptureModel { ratio },
         }
-        f
     }
 
     #[test]
     fn ideal_channel_implements_the_paper_rule() {
         let topo = Topology::star(4);
-        let ch = IdealChannel;
-        assert_eq!(ch.decode(0, &topo, &star_flags(4, &[])), Reception::Idle);
+        let ch = Channel::Ideal;
+        assert_eq!(ch.decode(0, &topo, &mask(4, &[])), Reception::Idle);
         assert_eq!(
-            ch.decode(0, &topo, &star_flags(4, &[2])),
+            ch.decode(0, &topo, &mask(4, &[2])),
             Reception::Decoded { from: 2 }
         );
-        assert_eq!(
-            ch.decode(0, &topo, &star_flags(4, &[1, 3])),
-            Reception::Collision
-        );
+        assert_eq!(ch.decode(0, &topo, &mask(4, &[1, 3])), Reception::Collision);
     }
 
     #[test]
     fn capture_channel_prefers_the_much_closer_sender() {
         let topo = Topology::star(3);
-        let positions = vec![(0.0, 0.0), (0.05, 0.0), (0.9, 0.0)];
-        let ch = CaptureChannel::new(positions, CaptureModel { ratio: 2.0 });
+        let ch = capture(vec![(0.0, 0.0), (0.05, 0.0), (0.9, 0.0)], 2.0);
         assert_eq!(
-            ch.decode(0, &topo, &star_flags(3, &[1, 2])),
+            ch.decode(0, &topo, &mask(3, &[1, 2])),
             Reception::Decoded { from: 1 }
         );
         // Nearly equidistant senders still collide.
-        let close = CaptureChannel::new(
-            vec![(0.0, 0.0), (0.50, 0.0), (0.55, 0.0)],
-            CaptureModel { ratio: 2.0 },
-        );
+        let close = capture(vec![(0.0, 0.0), (0.50, 0.0), (0.55, 0.0)], 2.0);
         assert_eq!(
-            close.decode(0, &topo, &star_flags(3, &[1, 2])),
+            close.decode(0, &topo, &mask(3, &[1, 2])),
             Reception::Collision
         );
-        assert_eq!(close.model().ratio, 2.0);
+        // A lone sender is decoded whatever its distance.
+        assert_eq!(
+            close.decode(0, &topo, &mask(3, &[2])),
+            Reception::Decoded { from: 2 }
+        );
     }
 
     #[test]
     fn masked_decode_matches_dense_decode() {
         // A 70-node ring crosses the 64-bit word boundary; exercise idle,
-        // decoded, and collided listeners through both entry points.
+        // decoded, and collided listeners against the per-node rule over
+        // transmitter flags.
         let n = 70;
         let topo = Topology::ring(n);
-        let ch = IdealChannel;
+        let positions: Vec<(f64, f64)> = (0..n).map(|v| (v as f64, 0.0)).collect();
+        let cap = capture(positions, 1.5);
         for txs in [
             vec![],
             vec![63usize],
@@ -320,50 +224,49 @@ mod tests {
             vec![0, 69],
             vec![1, 2, 3, 64],
         ] {
-            let flags = star_flags(n, &txs);
-            let mask = ttdc_util::BitSet::from_iter(n, txs.iter().copied());
+            let tx = mask(n, &txs);
             for y in 0..n {
+                let heard: Vec<usize> = topo
+                    .neighbors(y)
+                    .iter()
+                    .filter(|v| txs.contains(v))
+                    .collect();
+                let expected = match heard[..] {
+                    [] => Reception::Idle,
+                    [from] => Reception::Decoded { from },
+                    _ => Reception::Collision,
+                };
                 assert_eq!(
-                    ch.decode_masked(y, &topo, &flags, &mask),
-                    ch.decode(y, &topo, &flags),
+                    Channel::Ideal.decode(y, &topo, &tx),
+                    expected,
                     "listener {y}, txs {txs:?}"
                 );
+                // On a ring both transmitting neighbours of a listener sit
+                // at distance 1, so capture never breaks the tie.
+                assert_eq!(cap.decode(y, &topo, &tx), expected, "capture, {y}");
             }
         }
-        // The default (capture) implementation ignores the mask entirely.
-        let positions: Vec<(f64, f64)> = (0..3).map(|v| (v as f64, 0.0)).collect();
-        let cap = CaptureChannel::new(positions, CaptureModel { ratio: 1.5 });
-        let topo3 = Topology::star(3);
-        let flags = star_flags(3, &[1, 2]);
-        let mask = ttdc_util::BitSet::from_iter(3, [1, 2]);
-        assert_eq!(
-            cap.decode_masked(0, &topo3, &flags, &mask),
-            cap.decode(0, &topo3, &flags)
-        );
     }
 
     #[test]
     fn resolve_fades_only_decoded_receptions() {
         let topo = Topology::star(3);
-        let resolve = |ch: &dyn ChannelModel, slot, txs: &[usize], fading: &mut LinkFading| {
-            let mask = ttdc_util::BitSet::from_iter(3, txs.iter().copied());
-            ch.resolve(0, slot, &topo, &star_flags(3, txs), &mask, fading)
-        };
         // Total loss: every decoded reception fades; collisions stay
         // collisions (no fade draw is spent on them).
         let mut state = FaultState::new(FaultPlan::lossy(1.0), 3, 1);
-        let mut fading = LinkFading::new(&mut state, true);
-        let ch = IdealChannel;
+        let ch = Channel::Ideal;
         assert_eq!(
-            resolve(&ch, 0, &[1], &mut fading),
+            ch.resolve(0, 0, &topo, &mask(3, &[1]), &mut state),
             Reception::Faded { from: 1 }
         );
-        assert_eq!(resolve(&ch, 1, &[1, 2], &mut fading), Reception::Collision);
-        // Inactive fading passes everything through untouched.
-        let mut state = FaultState::new(FaultPlan::none(), 3, 1);
-        let mut off = LinkFading::new(&mut state, false);
         assert_eq!(
-            resolve(&ch, 0, &[1], &mut off),
+            ch.resolve(0, 1, &topo, &mask(3, &[1, 2]), &mut state),
+            Reception::Collision
+        );
+        // Without link loss everything passes through untouched.
+        let mut state = FaultState::new(FaultPlan::none(), 3, 1);
+        assert_eq!(
+            ch.resolve(0, 0, &topo, &mask(3, &[1]), &mut state),
             Reception::Decoded { from: 1 }
         );
     }

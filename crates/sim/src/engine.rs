@@ -8,10 +8,9 @@
 //! 1. fault processes (crash/recovery, clock drift);
 //! 2. traffic generation per the [`TrafficPattern`];
 //! 3. transmit election (schedule, sync-miss, p-persistence);
-//! 4. reception resolution through the configured
-//!    [`ChannelModel`] — by default the paper's rule:
-//!    a reception at `y` succeeds iff **exactly one** of its neighbours
-//!    transmits;
+//! 4. reception resolution — the paper's rule, a reception at `y`
+//!    succeeds iff **exactly one** of its neighbours transmits, unless
+//!    physical capture was set with [`SimulatorBuilder::capture`];
 //! 5. handoff delivery; 6. bounded ARQ; 7. energy and battery depletion.
 //!
 //! Election, channel and energy visit only the slot's rosters — who may
@@ -22,25 +21,23 @@
 //! at its drift-perceived slot ([`Simulator::run_dense`] forces the scan).
 //! All sources give bit-identical runs; the choice is only about speed.
 //!
-//! Anything observable is announced as a [`SlotEvent`] to the attached
-//! [`SlotObserver`]s; the built-in metrics and trace observers assemble
-//! the [`SimReport`]. Senders can be *schedule-aware* (transmit a packet
-//! only in slots where its next hop is scheduled to listen — possible
-//! because the schedule is global knowledge even though the topology is
-//! not) or eager. The topology may be swapped between steps
+//! Anything observable is announced as an event to the built-in metrics
+//! and trace recorders, which assemble the [`SimReport`]. Senders can be
+//! *schedule-aware* (transmit a packet only in slots where its next hop is
+//! scheduled to listen — possible because the schedule is global
+//! knowledge even though the topology is not) or eager. The topology may be swapped between steps
 //! ([`Simulator::set_topology`]) to exercise topology transparency under
 //! churn and mobility.
 
 use crate::builder::SimulatorBuilder;
-pub use crate::channel::CaptureModel;
-use crate::channel::ChannelModel;
+use crate::channel::Channel;
 use crate::energy::{EnergyLedger, EnergyModel, RadioState};
 use crate::error::SimError;
 use crate::events::SkipState;
 use crate::faults::{FaultPlan, FaultState};
 use crate::mac::MacProtocol;
 use crate::metrics::SimReport;
-use crate::observer::{MetricsObserver, SlotEvent, SlotObserver, TraceObserver};
+use crate::observer::{MetricsObserver, SlotEvent, TraceObserver};
 use crate::phases;
 use crate::plan::SlotPlan;
 use crate::roster::{PlanRoster, Roster, ScanRoster, SkewRoster};
@@ -89,7 +86,7 @@ impl Default for SimConfig {
     }
 }
 
-/// The simulator state: topology, per-node queues, observers, and the RNG.
+/// The simulator state: topology, per-node queues, recorders, and the RNG.
 ///
 /// Construct through [`SimulatorBuilder`] (or the [`Simulator::new`] /
 /// [`Simulator::try_new`] shorthands, which route through it).
@@ -105,7 +102,7 @@ pub struct Simulator {
     pub(crate) slot: u64,
     /// Battery-exhausted nodes (radio permanently off).
     pub(crate) dead: Vec<bool>,
-    /// Cumulative per-node energy. Engine-owned (not observer state): the
+    /// Cumulative per-node energy. Engine-owned (not recorder state): the
     /// energy phase must read it mid-loop to decide battery death.
     pub(crate) energy: EnergyLedger,
     /// Per node, the first slot its energy has not been charged for. Every
@@ -116,12 +113,11 @@ pub struct Simulator {
     /// Fault-injection runtime state (crash flags, link channels, drift).
     pub(crate) faults: FaultState,
     /// How concurrent transmissions resolve at a listener.
-    pub(crate) channel: Box<dyn ChannelModel>,
-    /// Built-in observers (concrete types — no dynamic dispatch on the
-    /// hot path) plus any user-attached extras.
+    pub(crate) channel: Channel,
+    /// The event recorders (concrete types — no dynamic dispatch on the
+    /// hot path).
     pub(crate) metrics: MetricsObserver,
     pub(crate) trace_obs: TraceObserver,
-    pub(crate) extra_observers: Vec<Box<dyn SlotObserver>>,
     // Per-slot scratch (reused across steps to avoid allocation).
     pub(crate) transmitting: Vec<bool>,
     pub(crate) listening: Vec<bool>,
@@ -182,8 +178,7 @@ impl Simulator {
         topo: Topology,
         pattern: TrafficPattern,
         config: SimConfig,
-        channel: Box<dyn ChannelModel>,
-        extra_observers: Vec<Box<dyn SlotObserver>>,
+        channel: Channel,
     ) -> Simulator {
         let n = topo.num_nodes();
         let mut sim = Simulator {
@@ -205,7 +200,6 @@ impl Simulator {
             channel,
             metrics: MetricsObserver::new(),
             trace_obs: TraceObserver::new(config.trace_capacity),
-            extra_observers,
             transmitting: vec![false; n],
             listening: vec![false; n],
             tx_queue_idx: vec![usize::MAX; n],
@@ -238,54 +232,6 @@ impl Simulator {
         self.rebuild_routing();
     }
 
-    /// Current slot counter.
-    pub fn current_slot(&self) -> u64 {
-        self.slot
-    }
-
-    /// Enables physical capture: `positions[v]` is node `v`'s coordinate
-    /// (e.g. from [`crate::GeometricNetwork::positions`]). Replaces the
-    /// channel model with a [`crate::CaptureChannel`].
-    ///
-    /// Panics on invalid input; [`Simulator::try_enable_capture`] is the
-    /// fallible equivalent.
-    pub fn enable_capture(&mut self, positions: Vec<(f64, f64)>, model: CaptureModel) {
-        if let Err(e) = self.try_enable_capture(positions, model) {
-            panic!("{e}");
-        }
-    }
-
-    /// Enables physical capture, rejecting invalid input as a typed
-    /// [`SimError`] instead of panicking.
-    pub fn try_enable_capture(
-        &mut self,
-        positions: Vec<(f64, f64)>,
-        model: CaptureModel,
-    ) -> Result<(), SimError> {
-        if positions.len() != self.topo.num_nodes() {
-            return Err(SimError::PositionCountMismatch {
-                positions: positions.len(),
-                nodes: self.topo.num_nodes(),
-            });
-        }
-        if model.ratio < 1.0 {
-            return Err(SimError::CaptureRatioTooSmall { ratio: model.ratio });
-        }
-        self.channel = Box::new(crate::channel::CaptureChannel::new(positions, model));
-        Ok(())
-    }
-
-    /// Replaces the channel model mid-run (e.g. to degrade conditions).
-    pub fn set_channel(&mut self, channel: impl ChannelModel + 'static) {
-        self.channel = Box::new(channel);
-    }
-
-    /// The user-attached observers, in attachment order (the built-in
-    /// metrics and trace observers are not included).
-    pub fn observers(&self) -> &[Box<dyn SlotObserver>] {
-        &self.extra_observers
-    }
-
     fn rebuild_routing(&mut self) {
         if let Some(sink) = self.pattern.sink() {
             let dist = self.topo.bfs_distances(sink);
@@ -313,29 +259,25 @@ impl Simulator {
         }
     }
 
-    /// Announces `event` to every observer: the built-in metrics and trace
-    /// recorders first, then user extras in attachment order.
+    /// Announces `event` to the metrics and trace recorders.
     #[inline]
     pub(crate) fn emit(&mut self, event: SlotEvent) {
         self.metrics.on_event(self.slot, &event);
         self.trace_obs.on_event(self.slot, &event);
-        for obs in &mut self.extra_observers {
-            obs.on_event(self.slot, &event);
-        }
     }
 
     /// Advances one slot under `mac` on the per-slot roster scan — the
     /// source [`Simulator::run_dense`] forces, valid for any MAC and any
-    /// fault plan — and closes the slot for every observer.
+    /// fault plan.
     pub fn step(&mut self, mac: &dyn MacProtocol) {
         self.run_dense(mac, 1);
     }
 
     /// Advances one slot: the fault phase, then `roster` is loaded (after
     /// the drift the fault phase accrued), then traffic, election,
-    /// channel, delivery, ARQ and energy, and the slot closes for every
-    /// observer. With `bury` the energy phase also settles every live
-    /// node and checks it for battery death.
+    /// channel, delivery, ARQ and energy, and the slot counter advances.
+    /// With `bury` the energy phase also settles every live node and
+    /// checks it for battery death.
     fn step_on<R: Roster>(&mut self, mac: &dyn MacProtocol, roster: &mut R, bury: bool) {
         phases::faults::run(self);
         roster.load(mac, &self.faults, self.slot);
@@ -345,7 +287,7 @@ impl Simulator {
         phases::delivery::run(self);
         phases::arq::run(self);
         phases::energy::run(self, roster.awake(), bury);
-        self.close_slot();
+        self.slot += 1;
     }
 
     /// Steps every slot up to (not including) `to` on `roster`.
@@ -359,17 +301,6 @@ impl Simulator {
         while self.slot < to {
             self.step_on(mac, roster, bury);
         }
-    }
-
-    /// Announces the slot boundary to every observer and advances time.
-    fn close_slot(&mut self) {
-        let slot = self.slot;
-        self.metrics.on_slot_end(slot);
-        self.trace_obs.on_slot_end(slot);
-        for obs in &mut self.extra_observers {
-            obs.on_slot_end(slot);
-        }
-        self.slot += 1;
     }
 
     /// `true` when the MAC's rosters can be read from its per-frame-slot
@@ -397,15 +328,12 @@ impl Simulator {
     ///   receptions);
     /// * no Poisson-style traffic — only saturated broadcast (transmits
     ///   on schedule) and CBR (a closed-form generation calendar) are
-    ///   predictable;
-    /// * no user observers — they may watch `on_slot_end` for slots the
-    ///   skip engine never announces.
+    ///   predictable.
     fn skip_eligible(&self, mac: &dyn MacProtocol) -> bool {
         Simulator::masks_eligible(mac)
             && self.faults.plan().clock_drift == 0.0
             && self.config.miss_probability == 0.0
             && self.faults.plan().crash.is_none()
-            && self.extra_observers.is_empty()
             && matches!(
                 self.pattern,
                 TrafficPattern::SaturatedBroadcast | TrafficPattern::CbrUnicast { .. }
@@ -542,7 +470,7 @@ impl Simulator {
     /// and traces bit-identical to [`Simulator::run_sparse`] /
     /// [`Simulator::run_dense`]; falls back to them when the
     /// configuration's randomness (drift, sync-miss, crash plans, Poisson
-    /// traffic, user observers) cannot be calendared.
+    /// traffic) cannot be calendared.
     ///
     /// With a battery capacity configured, skipping proceeds in the same
     /// battery windows as every other path: no node can deplete inside a

@@ -1,10 +1,11 @@
 //! Typed configuration errors for simulator construction.
 //!
-//! [`Simulator::try_new`](crate::Simulator::try_new) and
-//! [`Simulator::try_enable_capture`](crate::Simulator::try_enable_capture)
-//! return these instead of panicking, so embedders (the CLI, experiment
-//! harnesses) can surface bad configuration as a normal error path. The
-//! panicking constructors remain and format the same messages.
+//! [`SimulatorBuilder::build`](crate::SimulatorBuilder::build) and
+//! [`Simulator::try_new`](crate::Simulator::try_new), which routes through
+//! it, return these instead of panicking, so embedders (the CLI,
+//! experiment harnesses) can surface bad configuration as a normal error
+//! path. The panicking [`Simulator::new`](crate::Simulator::new) formats
+//! the same messages.
 
 use crate::energy::RadioState;
 use std::fmt;

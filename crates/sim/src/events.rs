@@ -12,8 +12,8 @@
 //!   simply sit in the queue);
 //!
 //! Everything else is a **boring** slot: under the engine's eligibility
-//! predicate (no crash plan, zero drift, zero sync-miss, no extra
-//! observers, CBR/saturated traffic) the pipeline provably consumes no
+//! predicate (no crash plan, zero drift, zero sync-miss, CBR/saturated
+//! traffic) the pipeline provably consumes no
 //! randomness and emits no event there, and the only state change is
 //! energy — listeners idle-listen, everyone else sleeps. The energy phase
 //! charges the span's listener occurrences and leaves the sleepers to the

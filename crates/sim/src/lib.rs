@@ -20,15 +20,15 @@
 //!   `phases/` (faults → traffic → election → channel → delivery → arq →
 //!   energy);
 //! * [`builder`] — [`SimulatorBuilder`], the one construction path every
-//!   constructor routes through;
-//! * [`channel`] — the [`ChannelModel`] trait with ideal-collision and
-//!   physical-capture resolution;
-//! * [`observer`] — the [`SlotObserver`] trait; metrics accumulation and
-//!   event tracing are its two built-in implementations;
+//!   constructor routes through, and the only place physical capture
+//!   ([`CaptureModel`]) is set; receptions otherwise follow the paper's
+//!   exactly-one rule;
 //! * [`energy`] — transmit/listen/sleep accounting;
 //! * [`faults`] — fault injection (lossy/bursty links, transient node
 //!   crashes, clock drift) and the bounded link-layer ARQ;
-//! * [`metrics`], [`montecarlo`] — reports and parallel replication.
+//! * [`metrics`], [`trace`], [`montecarlo`] — reports (folded from the
+//!   engine's event stream by two built-in recorders), event traces and
+//!   parallel replication.
 //!
 //! # Fault model
 //!
@@ -65,7 +65,7 @@
 
 pub mod builder;
 pub mod campaign;
-pub mod channel;
+mod channel;
 pub mod energy;
 pub mod engine;
 pub mod error;
@@ -74,7 +74,7 @@ pub mod faults;
 pub mod mac;
 pub mod metrics;
 pub mod montecarlo;
-pub mod observer;
+mod observer;
 mod phases;
 pub mod plan;
 mod roster;
@@ -87,15 +87,14 @@ pub use campaign::{
     run_campaign, CampaignError, CampaignOptions, CampaignOutcome, CampaignSpec, PointSpec,
     ResumeMode,
 };
-pub use channel::{CaptureChannel, ChannelModel, IdealChannel, LinkFading, Reception};
+pub use channel::CaptureModel;
 pub use energy::{EnergyLedger, EnergyModel, RadioState};
-pub use engine::{CaptureModel, SimConfig, Simulator};
+pub use engine::{SimConfig, Simulator};
 pub use error::SimError;
 pub use faults::{CrashModel, FaultPlan, GilbertElliott};
 pub use mac::{MacProtocol, ScheduleMac};
 pub use metrics::SimReport;
 pub use montecarlo::{run_replications, run_replications_summarized, summarize, McSummary};
-pub use observer::{MetricsObserver, SlotEvent, SlotObserver, TraceObserver};
 pub use plan::SlotPlan;
 pub use topology::{churn, GeometricNetwork, Topology};
 pub use trace::{Trace, TraceEvent};

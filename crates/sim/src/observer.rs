@@ -1,25 +1,18 @@
-//! Slot observers: decoupled recording of engine events.
+//! The built-in recorders of the engine's event stream.
 //!
 //! The phase pipeline announces everything observable as a [`SlotEvent`];
-//! a [`SlotObserver`] turns the stream into whatever it likes. The two
-//! built-in observers reproduce the classic [`SimReport`] exactly:
+//! two recorders fold the stream into the classic [`SimReport`] exactly:
 //!
 //! * [`MetricsObserver`] — counters, latency statistics, per-link success
 //!   counts, fault and battery accounting;
 //! * [`TraceObserver`] — the bounded ring buffer of [`TraceEvent`]s
 //!   (a strict projection of the richer [`SlotEvent`] stream).
 //!
-//! Additional observers can be attached via
-//! [`SimulatorBuilder::observer`](crate::SimulatorBuilder::observer);
-//! they see every event after the built-ins, plus an [`on_slot_end`]
-//! boundary marker.
-//!
-//! Events are small `Copy` values and dispatch is a direct method call, so
-//! observation adds no steady-state allocations to the step loop (the
-//! allocation audit in `ttdc-bench`'s `alloc_audit` test covers this).
-//!
-//! [`on_slot_end`]: SlotObserver::on_slot_end
-//! [`SimReport`]: crate::SimReport
+//! Events are small `Copy` values and both recorders are concrete fields
+//! of the engine, so recording is a direct call that adds no steady-state
+//! allocations to the step loop (the allocation audit in `ttdc-bench`'s
+//! `alloc_audit` test covers this) and no path restriction: every path,
+//! the time-skipping engine included, announces the same events.
 
 use crate::metrics::SimReport;
 use crate::trace::{Trace, TraceEvent};
@@ -31,7 +24,7 @@ use crate::trace::{Trace, TraceEvent};
 /// queue loss attached to a crash — bookkeeping the trace never recorded
 /// but the metrics need.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SlotEvent {
+pub(crate) enum SlotEvent {
     /// `node` generated a packet for `final_dst`. `routed` is `false` when
     /// the packet was dead on arrival (no neighbour / no route to the
     /// sink, `final_dst` may be `usize::MAX`) and was counted as
@@ -119,21 +112,6 @@ pub enum SlotEvent {
     },
 }
 
-/// A consumer of the per-slot event stream.
-///
-/// Observers must not assume anything about event ordering beyond what the
-/// pipeline guarantees: events arrive in phase order within a slot
-/// (faults, traffic, election, channel, delivery, ARQ, energy) and
-/// [`on_slot_end`](SlotObserver::on_slot_end) fires once after the energy
-/// phase, before the slot counter advances.
-pub trait SlotObserver: std::fmt::Debug + Send {
-    /// Called for every engine event in `slot`.
-    fn on_event(&mut self, slot: u64, event: &SlotEvent);
-
-    /// Called once per slot after all phases ran.
-    fn on_slot_end(&mut self, _slot: u64) {}
-}
-
 /// The built-in metrics accumulator: folds the event stream into a
 /// [`SimReport`] exactly as the pre-pipeline engine did inline.
 ///
@@ -142,13 +120,13 @@ pub trait SlotObserver: std::fmt::Debug + Send {
 /// [`Simulator::report`](crate::Simulator::report) grafts those onto this
 /// observer's snapshot.
 #[derive(Clone, Debug)]
-pub struct MetricsObserver {
+pub(crate) struct MetricsObserver {
     report: SimReport,
 }
 
 impl MetricsObserver {
     /// A fresh accumulator with every counter at zero.
-    pub fn new() -> MetricsObserver {
+    pub(crate) fn new() -> MetricsObserver {
         MetricsObserver {
             report: SimReport::new(0),
         }
@@ -157,19 +135,12 @@ impl MetricsObserver {
     /// The counters accumulated so far. The `slots`, `backlog`, `energy`,
     /// and `trace` fields are *not* maintained here — they belong to the
     /// engine and the trace observer.
-    pub fn snapshot(&self) -> &SimReport {
+    pub(crate) fn snapshot(&self) -> &SimReport {
         &self.report
     }
-}
 
-impl Default for MetricsObserver {
-    fn default() -> Self {
-        MetricsObserver::new()
-    }
-}
-
-impl SlotObserver for MetricsObserver {
-    fn on_event(&mut self, slot: u64, event: &SlotEvent) {
+    /// Folds one engine event in `slot` into the counters.
+    pub(crate) fn on_event(&mut self, slot: u64, event: &SlotEvent) {
         let r = &mut self.report;
         match *event {
             SlotEvent::PacketGenerated { routed, .. } => {
@@ -212,32 +183,25 @@ impl SlotObserver for MetricsObserver {
 /// generations) are skipped, matching the pre-pipeline trace contents
 /// exactly.
 #[derive(Clone, Debug)]
-pub struct TraceObserver {
+pub(crate) struct TraceObserver {
     trace: Trace,
 }
 
 impl TraceObserver {
     /// A recorder keeping at most `capacity` events (0 disables tracing).
-    pub fn new(capacity: usize) -> TraceObserver {
+    pub(crate) fn new(capacity: usize) -> TraceObserver {
         TraceObserver {
             trace: Trace::new(capacity),
         }
     }
 
     /// The retained trace.
-    pub fn trace(&self) -> &Trace {
+    pub(crate) fn trace(&self) -> &Trace {
         &self.trace
     }
 
-    /// Mutable access (e.g. to [`Trace::clear`] between measurement
-    /// windows).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
-    }
-}
-
-impl SlotObserver for TraceObserver {
-    fn on_event(&mut self, slot: u64, event: &SlotEvent) {
+    /// Records the trace projection of one engine event in `slot`, if any.
+    pub(crate) fn on_event(&mut self, slot: u64, event: &SlotEvent) {
         if !self.trace.enabled() {
             return;
         }
@@ -375,8 +339,6 @@ mod tests {
                 TraceEvent::NodeCrashed { node: 0 },
             ]
         );
-        t.trace_mut().clear();
-        assert!(t.trace().is_empty());
     }
 
     #[test]

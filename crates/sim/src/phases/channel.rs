@@ -3,11 +3,11 @@
 //! Each eligible listener makes its listen decision — including the
 //! sync-miss roll — exactly once per slot; the energy phase reuses the
 //! stored `listening` flag, so a missed listen is charged as sleep, not
-//! listening. Concurrent transmissions then resolve through the
-//! configured [`ChannelModel`](crate::ChannelModel), with injected link
-//! fading applied to decoded receptions only.
+//! listening. Concurrent transmissions then resolve through the engine's
+//! channel rule (the paper's exactly-one rule, or physical capture), with
+//! injected link fading applied to decoded receptions only.
 
-use crate::channel::{LinkFading, Reception};
+use crate::channel::Reception;
 use crate::engine::Simulator;
 use crate::observer::SlotEvent;
 use rand::Rng;
@@ -15,12 +15,11 @@ use rand::Rng;
 /// Visits only the slot's listener candidates, ascending: a node off the
 /// roster fails the schedule gate before its sync-miss draw, so skipping
 /// it consumes no randomness. Receptions resolve against the
-/// actual-transmitter word mask (for the ideal channel, `neighbors(y)`
-/// intersected word by word).
+/// actual-transmitter word mask (`neighbors(y)` intersected word by
+/// word).
 pub(crate) fn run(sim: &mut Simulator, listeners: &[u32]) {
     let saturated = sim.pattern.is_saturated();
     let miss = sim.config.miss_probability;
-    let lossy_links = sim.faults.plan().has_link_loss();
     sim.successes.clear();
     // Clear the previous slot's listen flags roster-wise.
     for i in 0..sim.active_rx.len() {
@@ -39,17 +38,9 @@ pub(crate) fn run(sim: &mut Simulator, listeners: &[u32]) {
         }
         sim.listening[y] = true;
         sim.active_rx.push(y);
-        let reception = {
-            let mut fading = LinkFading::new(&mut sim.faults, lossy_links);
-            sim.channel.resolve(
-                y,
-                sim.slot,
-                &sim.topo,
-                &sim.transmitting,
-                &sim.tx_mask,
-                &mut fading,
-            )
-        };
+        let reception = sim
+            .channel
+            .resolve(y, sim.slot, &sim.topo, &sim.tx_mask, &mut sim.faults);
         match reception {
             Reception::Idle => {}
             Reception::Collision => sim.emit(SlotEvent::Collision { at: y }),

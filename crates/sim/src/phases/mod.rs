@@ -7,18 +7,18 @@
 //! 2. [`traffic`] — workload packet generation;
 //! 3. [`election`] — transmit decisions (schedule, sync-miss roll,
 //!    p-persistence, stale-packet drop, schedule-aware packet choice);
-//! 4. [`channel`] — listen decisions and reception resolution through the
-//!    configured [`ChannelModel`](crate::ChannelModel);
+//! 4. [`channel`] — listen decisions and reception resolution (the
+//!    paper's exactly-one rule, or physical capture);
 //! 5. [`delivery`] — applying successful handoffs;
 //! 6. [`arq`] — the bounded link-layer retry pass;
 //! 7. [`energy`] — radio-state accounting and battery death.
 //!
 //! Each phase is a free function over the engine state; anything
-//! observable is announced as a [`SlotEvent`](crate::SlotEvent) rather
-//! than recorded inline. Phases communicate only through per-slot scratch
-//! on the `Simulator` (`transmitting`, `listening`, `tx_queue_idx`,
-//! `successes`, the `active_tx`/`active_rx` rosters with the `tx_mask`
-//! word mask), all pre-allocated — the steady-state step loop performs
+//! observable is announced as a `SlotEvent` to the engine's metrics and
+//! trace recorders rather than recorded inline. Phases communicate only
+//! through per-slot scratch on the `Simulator` (`transmitting`,
+//! `listening`, `tx_queue_idx`, `successes`, the `active_tx`/`active_rx`
+//! rosters with the `tx_mask` word mask), all pre-allocated — the steady-state step loop performs
 //! zero heap allocations (asserted by `ttdc-bench`'s `alloc_audit` test).
 //!
 //! Every phase has one implementation, shared by every roster source and

@@ -5,7 +5,7 @@
 use ttdc_core::Schedule;
 use ttdc_sim::{
     CaptureModel, CrashModel, FaultPlan, GilbertElliott, RadioState, ScheduleMac, SimConfig,
-    SimError, Simulator, Topology, TraceEvent, TrafficPattern,
+    SimError, Simulator, SimulatorBuilder, Topology, TraceEvent, TrafficPattern,
 };
 use ttdc_util::BitSet;
 
@@ -282,12 +282,10 @@ fn capture_decodes_the_much_closer_sender() {
     assert_eq!(rp.collisions, 10);
     assert!(rp.link_success.is_empty());
 
-    let mut cap = Simulator::new(
-        topo,
-        TrafficPattern::SaturatedBroadcast,
-        SimConfig::default(),
-    );
-    cap.enable_capture(positions, CaptureModel { ratio: 2.0 });
+    let mut cap = SimulatorBuilder::new(topo, TrafficPattern::SaturatedBroadcast)
+        .capture(positions, CaptureModel { ratio: 2.0 })
+        .build()
+        .unwrap();
     cap.run(&mac, 10);
     let rc = cap.report();
     assert_eq!(rc.collisions, 0);
@@ -304,25 +302,12 @@ fn capture_below_threshold_still_collides() {
     let mac = ScheduleMac::new("both", Schedule::new(n, t, r));
     // Nearly equidistant: ratio 1.1 < required 2.0.
     let positions = vec![(0.0, 0.0), (0.50, 0.0), (0.55, 0.0)];
-    let mut sim = Simulator::new(
-        topo,
-        TrafficPattern::SaturatedBroadcast,
-        SimConfig::default(),
-    );
-    sim.enable_capture(positions, CaptureModel { ratio: 2.0 });
+    let mut sim = SimulatorBuilder::new(topo, TrafficPattern::SaturatedBroadcast)
+        .capture(positions, CaptureModel { ratio: 2.0 })
+        .build()
+        .unwrap();
     sim.run(&mac, 10);
     assert_eq!(sim.report().collisions, 10);
-}
-
-#[test]
-#[should_panic(expected = "one position per node")]
-fn capture_requires_all_positions() {
-    let mut sim = Simulator::new(
-        Topology::line(3),
-        TrafficPattern::SaturatedBroadcast,
-        SimConfig::default(),
-    );
-    sim.enable_capture(vec![(0.0, 0.0)], CaptureModel { ratio: 2.0 });
 }
 
 #[test]
@@ -756,33 +741,6 @@ fn invalid_fault_plan_panics_in_new() {
             ..Default::default()
         },
     );
-}
-
-#[test]
-fn try_enable_capture_reports_typed_errors() {
-    let mut sim = Simulator::new(
-        Topology::line(3),
-        TrafficPattern::SaturatedBroadcast,
-        SimConfig::default(),
-    );
-    let err = sim
-        .try_enable_capture(vec![(0.0, 0.0)], CaptureModel { ratio: 2.0 })
-        .unwrap_err();
-    assert_eq!(
-        err,
-        SimError::PositionCountMismatch {
-            positions: 1,
-            nodes: 3
-        }
-    );
-    let positions = vec![(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)];
-    let err = sim
-        .try_enable_capture(positions.clone(), CaptureModel { ratio: 0.5 })
-        .unwrap_err();
-    assert_eq!(err, SimError::CaptureRatioTooSmall { ratio: 0.5 });
-    assert!(sim
-        .try_enable_capture(positions, CaptureModel { ratio: 2.0 })
-        .is_ok());
 }
 
 /// A MAC whose p-persistence is deliberately out of range, to pin the

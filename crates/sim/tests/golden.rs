@@ -1,8 +1,8 @@
 //! Golden equivalence fixtures for the slot-phase pipeline.
 //!
 //! The simulator refactor from one inlined `step()` into `phases/` modules
-//! (with pluggable [`ChannelModel`]s and [`SlotObserver`]s) is required to
-//! be behaviour-preserving: identical RNG draw order, identical reports.
+//! (with the channel rule and the metrics and trace recorders split out)
+//! is required to be behaviour-preserving: identical RNG draw order, identical reports.
 //! These tests pin that invariant against *recorded* fixtures: each pinned
 //! seed deterministically derives a full scenario — topology, schedule,
 //! traffic pattern, fault plan, capture config, sync-miss probability,
@@ -18,9 +18,6 @@
 //! ```text
 //! TTDC_BLESS=1 cargo test -p ttdc-sim --test golden
 //! ```
-//!
-//! [`ChannelModel`]: ttdc_sim::ChannelModel
-//! [`SlotObserver`]: ttdc_sim::SlotObserver
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -29,7 +26,7 @@ use std::fmt::Write as _;
 use ttdc_core::Schedule;
 use ttdc_sim::{
     CaptureModel, CrashModel, FaultPlan, GilbertElliott, MacProtocol, ScheduleMac, SimConfig,
-    SimReport, Simulator, Topology, TrafficPattern,
+    SimReport, Simulator, SimulatorBuilder, Topology, TrafficPattern,
 };
 use ttdc_util::BitSet;
 
@@ -159,10 +156,10 @@ fn scenario_fingerprint(seed: u64) -> String {
     };
     let slots = rng.gen_range(120u64..320);
 
-    let mut sim = Simulator::new(topo, pattern, config);
+    let mut builder = SimulatorBuilder::new(topo, pattern).config(config);
     if let Some(positions) = positions {
         if rng.gen_bool(0.6) {
-            sim.enable_capture(
+            builder = builder.capture(
                 positions,
                 CaptureModel {
                     ratio: rng.gen_range(1.2..3.0),
@@ -170,6 +167,7 @@ fn scenario_fingerprint(seed: u64) -> String {
             );
         }
     }
+    let mut sim = builder.build().expect("valid golden scenario");
     sim.run(&mac, slots);
     fingerprint(&sim.report())
 }
@@ -405,11 +403,13 @@ fn nonperiodic_scenario_fingerprint(seed: u64) -> String {
     };
 
     let build = || {
-        let mut sim = Simulator::new(topo.clone(), pattern, config);
-        if let Some((positions, model)) = &capture {
-            sim.enable_capture(positions.clone(), *model);
+        let builder = SimulatorBuilder::new(topo.clone(), pattern).config(config);
+        match &capture {
+            Some((positions, model)) => builder.capture(positions.clone(), *model),
+            None => builder,
         }
-        sim
+        .build()
+        .expect("valid golden scenario")
     };
     let mut dispatched = build();
     dispatched.run(&mac, slots);

@@ -2,27 +2,28 @@
 //! slot-by-slot pipelines.
 //!
 //! [`Simulator::run`] dispatches eligible runs (frame-periodic MAC, zero
-//! drift, zero sync-miss, no crash plan, saturated/CBR traffic, no user
-//! observers) through the slot calendar; [`Simulator::run_sparse`] and
+//! drift, zero sync-miss, no crash plan, saturated/CBR traffic) through
+//! the slot calendar; [`Simulator::run_sparse`] and
 //! [`Simulator::run_dense`] force the reference paths. The properties
 //! here pin all three to the same *full* [`SimReport`] — every counter,
 //! the per-node energy ledger `f64`s, the latency histogram bit patterns,
 //! and the retained event trace — across random topologies and schedules,
-//! per-link loss and bursty (Gilbert-Elliott) fault plans, ARQ bounds,
-//! battery depletion, mid-run engine transitions, and 1- vs 4-thread
-//! rayon pools; and they pin the fallback dispatch for every
+//! the paper's collision rule and physical capture over random node
+//! positions, per-link loss and bursty (Gilbert-Elliott) fault plans, ARQ
+//! bounds, battery depletion, mid-run engine transitions, and 1- vs
+//! 4-thread rayon pools; and they pin the fallback dispatch for every
 //! configuration the calendar cannot represent (drift, sync-miss, crash
 //! plans, Poisson-style traffic).
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rayon::ThreadPool;
 use std::sync::OnceLock;
 use ttdc_core::Schedule;
 use ttdc_sim::{
-    CrashModel, FaultPlan, GilbertElliott, MacProtocol, ScheduleMac, SimConfig, SimReport,
-    Simulator, Topology, TrafficPattern,
+    CaptureModel, CrashModel, FaultPlan, GilbertElliott, MacProtocol, ScheduleMac, SimConfig,
+    SimReport, Simulator, SimulatorBuilder, Topology, TrafficPattern,
 };
 use ttdc_util::BitSet;
 
@@ -68,10 +69,37 @@ fn arb_skippable_fault_plan() -> impl Strategy<Value = FaultPlan> {
         })
 }
 
+/// A topology, a periodic schedule MAC over it, and optional physical
+/// capture.
+#[derive(Clone, Debug)]
+struct Scenario {
+    topo: Topology,
+    mac: ScheduleMac,
+    capture: Option<(Vec<(f64, f64)>, CaptureModel)>,
+}
+
+/// Physical capture over `n` random positions in the unit square, with
+/// ratios from the degenerate 1 (the nearer of two senders always wins)
+/// upward; `None` keeps the paper's collision rule.
+fn arb_capture(n: usize) -> impl Strategy<Value = Option<(Vec<(f64, f64)>, CaptureModel)>> {
+    prop::option::of((0u64..1000, prop_oneof![Just(1.0f64), 1.0f64..3.0])).prop_map(
+        move |capture| {
+            capture.map(|(seed, ratio)| {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let positions = (0..n)
+                    .map(|_| (rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)))
+                    .collect();
+                (positions, CaptureModel { ratio })
+            })
+        },
+    )
+}
+
 /// A random degree-capped topology with a random periodic schedule MAC —
 /// including duty-cycled slots where most (or all) nodes sleep, and
-/// frames with no transmit opportunities at all (an empty calendar).
-fn arb_scenario() -> impl Strategy<Value = (Topology, ScheduleMac)> {
+/// frames with no transmit opportunities at all (an empty calendar) —
+/// under the paper's collision rule or physical capture.
+fn arb_scenario() -> impl Strategy<Value = Scenario> {
     (3usize..10).prop_flat_map(|n| {
         let topo = (0u64..1000, 2usize..5).prop_map(move |(seed, dcap)| {
             let mut rng = SmallRng::seed_from_u64(seed);
@@ -93,7 +121,7 @@ fn arb_scenario() -> impl Strategy<Value = (Topology, ScheduleMac)> {
             }
             ScheduleMac::new("prop", Schedule::new(n, t, r))
         });
-        (topo, mac)
+        (topo, mac, arb_capture(n)).prop_map(|(topo, mac, capture)| Scenario { topo, mac, capture })
     })
 }
 
@@ -109,25 +137,27 @@ fn arb_skippable_pattern() -> impl Strategy<Value = TrafficPattern> {
 }
 
 fn fresh(
-    topo: &Topology,
+    scn: &Scenario,
     pattern: &TrafficPattern,
     seed: u64,
     faults: &FaultPlan,
     battery: Option<f64>,
     miss: f64,
 ) -> Simulator {
-    Simulator::new(
-        topo.clone(),
-        *pattern,
-        SimConfig {
-            seed,
-            faults: *faults,
-            trace_capacity: 64,
-            battery_capacity_mj: battery,
-            miss_probability: miss,
-            ..Default::default()
-        },
-    )
+    let builder = SimulatorBuilder::new(scn.topo.clone(), *pattern).config(SimConfig {
+        seed,
+        faults: *faults,
+        trace_capacity: 64,
+        battery_capacity_mj: battery,
+        miss_probability: miss,
+        ..Default::default()
+    });
+    match &scn.capture {
+        Some((positions, model)) => builder.capture(positions.clone(), *model),
+        None => builder,
+    }
+    .build()
+    .expect("valid scenario")
 }
 
 /// The per-slot reference: `step()` once per slot. A one-slot call
@@ -143,19 +173,19 @@ fn stepped(mut sim: Simulator, mac: &dyn MacProtocol, slots: u64) -> SimReport {
 /// Forced `run_skipping()`, forced `run_sparse()`, and forced
 /// `run_dense()` on identical inputs.
 fn all_three_reports(
-    topo: &Topology,
-    mac: &dyn MacProtocol,
+    scn: &Scenario,
     pattern: &TrafficPattern,
     seed: u64,
     faults: &FaultPlan,
     battery: Option<f64>,
     slots: u64,
 ) -> (SimReport, SimReport, SimReport) {
-    let mut skip = fresh(topo, pattern, seed, faults, battery, 0.0);
+    let mac = &scn.mac;
+    let mut skip = fresh(scn, pattern, seed, faults, battery, 0.0);
     skip.run_skipping(mac, slots);
-    let mut sparse = fresh(topo, pattern, seed, faults, battery, 0.0);
+    let mut sparse = fresh(scn, pattern, seed, faults, battery, 0.0);
     sparse.run_sparse(mac, slots);
-    let mut dense = fresh(topo, pattern, seed, faults, battery, 0.0);
+    let mut dense = fresh(scn, pattern, seed, faults, battery, 0.0);
     dense.run_dense(mac, slots);
     (skip.report(), sparse.report(), dense.report())
 }
@@ -163,15 +193,15 @@ fn all_three_reports(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The heart of the contract: across schedules, loss/burst fault
-    /// plans, battery caps, and both traffic calendars, the skipping
-    /// engine reproduces the sparse and dense reports bit for bit, on a
+    /// The heart of the contract: across schedules, both channel rules,
+    /// loss/burst fault plans, battery caps, and both traffic calendars,
+    /// the skipping engine reproduces the sparse and dense reports bit for bit, on a
     /// 1-thread and a 4-thread rayon pool alike. Battery caps low enough
     /// to kill nodes mid-run exercise the epoch loop's sparse windows and
     /// death re-sync.
     #[test]
     fn skipping_is_bit_identical_to_sparse_and_dense(
-        (topo, mac) in arb_scenario(),
+        scn in arb_scenario(),
         pattern in arb_skippable_pattern(),
         plan in arb_skippable_fault_plan(),
         battery in prop::option::of(2.0f64..60.0),
@@ -179,11 +209,11 @@ proptest! {
         slots in 50u64..400,
     ) {
         let (skip_seq, sparse_seq, dense_seq) = sequential_pool()
-            .install(|| all_three_reports(&topo, &mac, &pattern, seed, &plan, battery, slots));
+            .install(|| all_three_reports(&scn, &pattern, seed, &plan, battery, slots));
         prop_assert_eq!(&skip_seq, &sparse_seq);
         prop_assert_eq!(&skip_seq, &dense_seq);
         let (skip_par, sparse_par, _) = parallel_pool()
-            .install(|| all_three_reports(&topo, &mac, &pattern, seed, &plan, battery, slots));
+            .install(|| all_three_reports(&scn, &pattern, seed, &plan, battery, slots));
         prop_assert_eq!(&skip_par, &sparse_par);
         // Pool size must not matter either.
         prop_assert_eq!(&skip_seq, &skip_par);
@@ -198,7 +228,7 @@ proptest! {
     /// so must a run stepped one slot per call.
     #[test]
     fn chunked_mode_transitions_match_single_run(
-        (topo, mac) in arb_scenario(),
+        scn in arb_scenario(),
         pattern in arb_skippable_pattern(),
         plan in arb_skippable_fault_plan(),
         battery in prop::option::of(2.0f64..60.0),
@@ -207,26 +237,26 @@ proptest! {
         second in 20u64..150,
         third in 20u64..150,
     ) {
-        let mut whole = fresh(&topo, &pattern, seed, &plan, battery, 0.0);
-        whole.run_dense(&mac, first + second + third);
+        let mut whole = fresh(&scn, &pattern, seed, &plan, battery, 0.0);
+        whole.run_dense(&scn.mac, first + second + third);
         let whole = whole.report();
         let per_slot = stepped(
-            fresh(&topo, &pattern, seed, &plan, battery, 0.0),
-            &mac,
+            fresh(&scn, &pattern, seed, &plan, battery, 0.0),
+            &scn.mac,
             first + second + third,
         );
         prop_assert_eq!(&per_slot, &whole);
 
-        let mut a = fresh(&topo, &pattern, seed, &plan, battery, 0.0);
-        a.run_skipping(&mac, first);
-        a.run_sparse(&mac, second);
-        a.run_skipping(&mac, third);
+        let mut a = fresh(&scn, &pattern, seed, &plan, battery, 0.0);
+        a.run_skipping(&scn.mac, first);
+        a.run_sparse(&scn.mac, second);
+        a.run_skipping(&scn.mac, third);
         prop_assert_eq!(&a.report(), &whole);
 
-        let mut b = fresh(&topo, &pattern, seed, &plan, battery, 0.0);
-        b.run_sparse(&mac, first);
-        b.run_skipping(&mac, second);
-        b.run_dense(&mac, third);
+        let mut b = fresh(&scn, &pattern, seed, &plan, battery, 0.0);
+        b.run_sparse(&scn.mac, first);
+        b.run_skipping(&scn.mac, second);
+        b.run_dense(&scn.mac, third);
         prop_assert_eq!(&b.report(), &whole);
     }
 
@@ -238,7 +268,7 @@ proptest! {
     /// kill nodes on those stepped paths.
     #[test]
     fn non_calendar_randomness_falls_back(
-        (topo, mac) in arb_scenario(),
+        scn in arb_scenario(),
         which in 0usize..4,
         knob in 0.01f64..0.4,
         battery in prop::option::of(2.0f64..60.0),
@@ -254,13 +284,13 @@ proptest! {
             2 => plan = plan.with_crash(CrashModel::new(knob * 0.1, 0.2)),
             _ => pattern = TrafficPattern::PoissonUnicast { rate: knob },
         }
-        let mut skip = fresh(&topo, &pattern, seed, &plan, battery, miss);
-        skip.run_skipping(&mac, slots);
-        let mut via_run = fresh(&topo, &pattern, seed, &plan, battery, miss);
-        via_run.run(&mac, slots);
-        let mut dense = fresh(&topo, &pattern, seed, &plan, battery, miss);
-        dense.run_dense(&mac, slots);
-        let per_slot = stepped(fresh(&topo, &pattern, seed, &plan, battery, miss), &mac, slots);
+        let mut skip = fresh(&scn, &pattern, seed, &plan, battery, miss);
+        skip.run_skipping(&scn.mac, slots);
+        let mut via_run = fresh(&scn, &pattern, seed, &plan, battery, miss);
+        via_run.run(&scn.mac, slots);
+        let mut dense = fresh(&scn, &pattern, seed, &plan, battery, miss);
+        dense.run_dense(&scn.mac, slots);
+        let per_slot = stepped(fresh(&scn, &pattern, seed, &plan, battery, miss), &scn.mac, slots);
         prop_assert_eq!(&dense.report(), &per_slot);
         prop_assert_eq!(&skip.report(), &per_slot);
         prop_assert_eq!(&via_run.report(), &per_slot);

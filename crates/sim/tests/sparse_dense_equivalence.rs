@@ -8,8 +8,9 @@
 //! about every node at its perceived slot. The properties here pin the
 //! sources to the same *full* [`SimReport`] — every counter, the per-node
 //! energy ledger, the latency histogram bit patterns, and the retained
-//! event trace — across random topologies, schedules, fault plans, and
-//! 1- vs 4-thread rayon pools.
+//! event trace — across random topologies, schedules, the paper's
+//! collision rule and physical capture over random node positions, fault
+//! plans, and 1- vs 4-thread rayon pools.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -18,8 +19,8 @@ use rayon::ThreadPool;
 use std::sync::OnceLock;
 use ttdc_core::Schedule;
 use ttdc_sim::{
-    CrashModel, FaultPlan, GilbertElliott, MacProtocol, ScheduleMac, SimConfig, SimReport,
-    Simulator, Topology, TrafficPattern,
+    CaptureModel, CrashModel, FaultPlan, GilbertElliott, MacProtocol, ScheduleMac, SimConfig,
+    SimReport, Simulator, SimulatorBuilder, Topology, TrafficPattern,
 };
 use ttdc_util::BitSet;
 
@@ -70,9 +71,57 @@ fn arb_driftless_fault_plan() -> impl Strategy<Value = FaultPlan> {
         })
 }
 
+/// Optional physical capture: node positions and the capture threshold.
+type Capture = Option<(Vec<(f64, f64)>, CaptureModel)>;
+
+/// A topology, a periodic schedule MAC over it, and optional physical
+/// capture.
+#[derive(Clone, Debug)]
+struct Scenario {
+    topo: Topology,
+    mac: ScheduleMac,
+    capture: Capture,
+}
+
+/// `n` random positions in the unit square.
+fn random_positions(n: usize, seed: u64) -> Vec<(f64, f64)> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| (rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)))
+        .collect()
+}
+
+/// Physical capture over `n` random positions, with ratios from the
+/// degenerate 1 (the nearer of two senders always wins) upward; `None`
+/// keeps the paper's collision rule.
+fn arb_capture(n: usize) -> impl Strategy<Value = Capture> {
+    prop::option::of((0u64..1000, prop_oneof![Just(1.0f64), 1.0f64..3.0])).prop_map(
+        move |capture| {
+            capture.map(|(seed, ratio)| (random_positions(n, seed), CaptureModel { ratio }))
+        },
+    )
+}
+
+/// Builds a simulator, with capture when `capture` is set.
+fn build(
+    topo: Topology,
+    pattern: TrafficPattern,
+    config: SimConfig,
+    capture: &Capture,
+) -> Simulator {
+    let builder = SimulatorBuilder::new(topo, pattern).config(config);
+    match capture {
+        Some((positions, model)) => builder.capture(positions.clone(), *model),
+        None => builder,
+    }
+    .build()
+    .expect("valid scenario")
+}
+
 /// A random degree-capped topology with a random periodic schedule MAC —
-/// including duty-cycled slots where most (or all) nodes sleep.
-fn arb_scenario() -> impl Strategy<Value = (Topology, ScheduleMac)> {
+/// including duty-cycled slots where most (or all) nodes sleep — under
+/// the paper's collision rule or physical capture.
+fn arb_scenario() -> impl Strategy<Value = Scenario> {
     (3usize..10).prop_flat_map(|n| {
         let topo = (0u64..1000, 2usize..5).prop_map(move |(seed, dcap)| {
             let mut rng = SmallRng::seed_from_u64(seed);
@@ -94,7 +143,7 @@ fn arb_scenario() -> impl Strategy<Value = (Topology, ScheduleMac)> {
             }
             ScheduleMac::new("prop", Schedule::new(n, t, r))
         });
-        (topo, mac)
+        (topo, mac, arb_capture(n)).prop_map(|(topo, mac, capture)| Scenario { topo, mac, capture })
     })
 }
 
@@ -130,39 +179,36 @@ fn random_schedule_mac(n: usize, frame: usize, density: f64, seed: u64) -> Sched
 }
 
 fn fresh(
-    topo: &Topology,
+    scn: &Scenario,
     pattern: &TrafficPattern,
     seed: u64,
     faults: &FaultPlan,
     battery: Option<f64>,
 ) -> Simulator {
-    Simulator::new(
-        topo.clone(),
-        *pattern,
-        SimConfig {
-            seed,
-            faults: *faults,
-            trace_capacity: 64,
-            battery_capacity_mj: battery,
-            ..Default::default()
-        },
-    )
+    let config = SimConfig {
+        seed,
+        faults: *faults,
+        trace_capacity: 64,
+        battery_capacity_mj: battery,
+        ..Default::default()
+    };
+    build(scn.topo.clone(), *pattern, config, &scn.capture)
 }
 
 /// `run()` (plan-sourced when eligible) and `run_dense()` (the forced
 /// scan) on identical inputs.
 fn both_reports(
-    topo: &Topology,
-    mac: &dyn MacProtocol,
+    scn: &Scenario,
     pattern: &TrafficPattern,
     seed: u64,
     faults: &FaultPlan,
     battery: Option<f64>,
     slots: u64,
 ) -> (SimReport, SimReport) {
-    let mut sparse = fresh(topo, pattern, seed, faults, battery);
+    let mac: &dyn MacProtocol = &scn.mac;
+    let mut sparse = fresh(scn, pattern, seed, faults, battery);
     sparse.run(mac, slots);
-    let mut dense = fresh(topo, pattern, seed, faults, battery);
+    let mut dense = fresh(scn, pattern, seed, faults, battery);
     dense.run_dense(mac, slots);
     (sparse.report(), dense.report())
 }
@@ -177,19 +223,19 @@ proptest! {
     /// death-checked gap walk).
     #[test]
     fn sparse_path_is_bit_identical_to_dense(
-        (topo, mac) in arb_scenario(),
+        scn in arb_scenario(),
         pattern in arb_pattern(),
         plan in arb_driftless_fault_plan(),
         battery in prop::option::of(2.0f64..60.0),
         seed in 0u64..500,
         slots in 50u64..400,
     ) {
-        prop_assert!(mac.frame_periodic(), "ScheduleMac wraps by definition");
+        prop_assert!(scn.mac.frame_periodic(), "ScheduleMac wraps by definition");
         let (sparse_seq, dense_seq) = sequential_pool()
-            .install(|| both_reports(&topo, &mac, &pattern, seed, &plan, battery, slots));
+            .install(|| both_reports(&scn, &pattern, seed, &plan, battery, slots));
         prop_assert_eq!(&sparse_seq, &dense_seq);
         let (sparse_par, dense_par) = parallel_pool()
-            .install(|| both_reports(&topo, &mac, &pattern, seed, &plan, battery, slots));
+            .install(|| both_reports(&scn, &pattern, seed, &plan, battery, slots));
         prop_assert_eq!(&sparse_par, &dense_par);
         // Pool size must not matter either.
         prop_assert_eq!(&sparse_seq, &sparse_par);
@@ -201,14 +247,14 @@ proptest! {
     /// rosters, which must stay interchangeable with `run_dense()`.
     #[test]
     fn drifted_run_matches_dense_scan(
-        (topo, mac) in arb_scenario(),
+        scn in arb_scenario(),
         drift in 0.001f64..0.4,
         seed in 0u64..300,
         slots in 50u64..300,
     ) {
         let plan = FaultPlan::none().with_drift(drift);
         let pattern = TrafficPattern::PoissonUnicast { rate: 0.1 };
-        let (via_run, via_dense) = both_reports(&topo, &mac, &pattern, seed, &plan, None, slots);
+        let (via_run, via_dense) = both_reports(&scn, &pattern, seed, &plan, None, slots);
         prop_assert_eq!(via_run, via_dense);
     }
 
@@ -218,8 +264,9 @@ proptest! {
     /// so the groups are rebuilt nearly every slot; drift near 1 puts
     /// lagging clocks on perceived slot 0 (no accrued skew can go below
     /// it; the `roster` unit tests cover the saturation itself). An L = 1
-    /// frame maps every group onto one frame slot. Crash and sync-miss
-    /// each run on and off.
+    /// frame maps every group onto one frame slot. Crash, sync-miss and
+    /// capture each run on and off; capture positions spanning word
+    /// boundaries exercise its masked neighbour walk.
     #[test]
     fn skew_roster_matches_dense_on_multiword_networks(
         (n, frame, density, shape_seed) in (
@@ -234,6 +281,7 @@ proptest! {
             prop_oneof![Just(0.0f64), 0.01f64..0.3],
         ),
         pattern in arb_pattern(),
+        capture_ratio in prop::option::of(prop_oneof![Just(1.0f64), 1.0f64..3.0]),
         seed in 0u64..300,
         slots in 50u64..250,
     ) {
@@ -251,9 +299,11 @@ proptest! {
             trace_capacity: 64,
             ..Default::default()
         };
-        let mut via_run = Simulator::new(topo.clone(), pattern, config);
+        let capture = capture_ratio
+            .map(|ratio| (random_positions(n, shape_seed), CaptureModel { ratio }));
+        let mut via_run = build(topo.clone(), pattern, config, &capture);
         via_run.run(&mac, slots);
-        let mut via_dense = Simulator::new(topo, pattern, config);
+        let mut via_dense = build(topo, pattern, config, &capture);
         via_dense.run_dense(&mac, slots);
         prop_assert_eq!(via_run.report(), via_dense.report());
     }
@@ -264,25 +314,25 @@ proptest! {
     /// word mask, queue indices) survives the handoff in both directions.
     #[test]
     fn chunked_mode_transitions_match_single_run(
-        (topo, mac) in arb_scenario(),
+        scn in arb_scenario(),
         plan in arb_driftless_fault_plan(),
         seed in 0u64..300,
         first in 20u64..150,
         second in 20u64..150,
     ) {
         let pattern = TrafficPattern::PoissonUnicast { rate: 0.1 };
-        let mut whole = fresh(&topo, &pattern, seed, &plan, None);
-        whole.run_dense(&mac, first + second);
+        let mut whole = fresh(&scn, &pattern, seed, &plan, None);
+        whole.run_dense(&scn.mac, first + second);
         let whole = whole.report();
 
-        let mut dense_then_sparse = fresh(&topo, &pattern, seed, &plan, None);
-        dense_then_sparse.run_dense(&mac, first);
-        dense_then_sparse.run(&mac, second);
+        let mut dense_then_sparse = fresh(&scn, &pattern, seed, &plan, None);
+        dense_then_sparse.run_dense(&scn.mac, first);
+        dense_then_sparse.run(&scn.mac, second);
         prop_assert_eq!(&dense_then_sparse.report(), &whole);
 
-        let mut sparse_then_dense = fresh(&topo, &pattern, seed, &plan, None);
-        sparse_then_dense.run(&mac, first);
-        sparse_then_dense.run_dense(&mac, second);
+        let mut sparse_then_dense = fresh(&scn, &pattern, seed, &plan, None);
+        sparse_then_dense.run(&scn.mac, first);
+        sparse_then_dense.run_dense(&scn.mac, second);
         prop_assert_eq!(&sparse_then_dense.report(), &whole);
     }
 }

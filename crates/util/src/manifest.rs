@@ -551,6 +551,24 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_line_is_corrupt_not_a_stack_overflow() {
+        // The line is parsed before its checksum is checked, so the
+        // parser's nesting cap is what turns it into a typed error.
+        let p = tmp("deep");
+        let good = sample().to_jsonl();
+        let mut lines: Vec<String> = good.lines().map(str::to_string).collect();
+        lines.insert(2, "[".repeat(100_000));
+        std::fs::write(&p, lines.join("\n")).unwrap();
+        match Manifest::load(&p, "campaign", None) {
+            Err(ManifestError::Corrupt { line: 3, why }) => {
+                assert!(why.contains("nesting"), "{why}")
+            }
+            other => panic!("expected interior corruption, got {other:?}"),
+        }
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
     fn detects_bit_flips_via_checksum() {
         let p = tmp("bitflip");
         let text = sample().to_jsonl();
