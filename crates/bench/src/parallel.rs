@@ -9,7 +9,7 @@ use crate::thread_rows;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde_json::{json, Value};
-use ttdc_core::requirements::is_topology_transparent_par;
+use ttdc_core::requirements::is_topology_transparent;
 use ttdc_core::throughput::average_throughput_bruteforce;
 use ttdc_core::tsma::build_polynomial;
 use ttdc_protocols::TsmaMac;
@@ -67,7 +67,7 @@ pub fn run(smoke: bool) -> Value {
             average_throughput_bruteforce(&ns20.schedule, 3).to_bits()
         }),
         run_workload("requirements/exhaustive_n36_d2", iters, &|| {
-            is_topology_transparent_par(&ns36.schedule, 2)
+            is_topology_transparent(&ns36.schedule, 2)
         }),
     ];
     json!({

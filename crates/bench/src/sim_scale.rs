@@ -2,11 +2,14 @@
 //! rosters vs skew-group rosters vs the event-driven time-skipping engine,
 //! by network size.
 //!
-//! For each `n` the same duty-cycled scenario runs through
-//! `Simulator::run_dense` — which forces the roster scan, asking the MAC
-//! about all `n` nodes every slot — and through `Simulator::run`, which
-//! takes the slot's rosters from a precomputed `SlotPlan` (the "scan" and
-//! "plan" columns of the record). Both feed the same phases. The schedule
+//! For each `n` the same duty-cycled scenario runs on `SimPath::Scan` —
+//! the roster scan, asking the MAC about all `n` nodes every slot — and on
+//! `SimPath::Plan`, which takes the slot's rosters from a precomputed
+//! `SlotPlan` (the "scan" and "plan" columns of the record). Both feed the
+//! same phases. Every run is forced onto its column's path through
+//! `Simulator::run_on`, and the returned path is asserted, so a column
+//! never times a path it does not name (under saturated broadcast at zero
+//! drift, `Simulator::run` would take the skip calendar). The schedule
 //! is a round-robin duty cycle with frame `L = n / 4`: slot `i` wakes
 //! transmitter group `i` and listener group `(i + 1) mod L` (four nodes
 //! each), so the awake roster is eight nodes per slot *regardless of
@@ -27,14 +30,14 @@
 //!
 //! The **drift family** runs the same scenario with per-node clock drift
 //! (rate up to 10⁻³ slots per slot, so at most nine distinct whole-slot
-//! skews over the run). No slot plan can serve it: `Simulator::run` builds
+//! skews over the run). No slot plan can serve it: `SimPath::Skew` builds
 //! the rosters per skew group from the schedule's slot masks, and
-//! `Simulator::run_dense` forces the per-node scan. Reports are asserted
+//! `SimPath::Scan` forces the per-node scan. Reports are asserted
 //! identical in full at every point, in smoke runs too.
 //!
 //! The **low-traffic family** measures the time-skipping engine
-//! (`Simulator::run_skipping`) against forced plan-roster stepping
-//! (`Simulator::run_sparse`, the "plan" column) on the
+//! (`SimPath::Skip`) against forced plan-roster stepping
+//! (`SimPath::Plan`, the "plan" column) on the
 //! workload it exists for: a fully duty-cycled schedule (frame `L = n`,
 //! one transmitter and one listener per slot over a perfect-matching
 //! topology) under CBR traffic with per-node arrival ~10⁻⁴/slot at
@@ -52,7 +55,8 @@ use serde_json::{json, Value};
 use std::time::Instant;
 use ttdc_core::Schedule;
 use ttdc_sim::{
-    FaultPlan, MacProtocol, ScheduleMac, SimConfig, SimReport, Simulator, Topology, TrafficPattern,
+    FaultPlan, MacProtocol, ScheduleMac, SimConfig, SimPath, SimReport, Simulator, Topology,
+    TrafficPattern,
 };
 use ttdc_util::BitSet;
 
@@ -71,7 +75,13 @@ fn duty_cycled_mac(n: usize) -> ScheduleMac {
 /// Maximum per-slot clock drift rate of the drift family.
 const DRIFT: f64 = 1e-3;
 
-fn report(point: &(Topology, ScheduleMac), faults: FaultPlan, slots: u64, scan: bool) -> SimReport {
+/// Runs `point` on `path` (asserting it ran there) and returns the report.
+fn report(
+    point: &(Topology, ScheduleMac),
+    faults: FaultPlan,
+    slots: u64,
+    path: SimPath,
+) -> SimReport {
     let (topo, mac) = point;
     let mut sim = Simulator::new(
         topo.clone(),
@@ -82,11 +92,7 @@ fn report(point: &(Topology, ScheduleMac), faults: FaultPlan, slots: u64, scan: 
             ..Default::default()
         },
     );
-    if scan {
-        sim.run_dense(mac, slots);
-    } else {
-        sim.run(mac, slots);
-    }
+    assert_eq!(sim.run_on(path, mac, slots), path);
     sim.report()
 }
 
@@ -149,8 +155,8 @@ fn compare(
     Value::Object(row)
 }
 
-/// The duty-cycled scenario: forced roster scan (`run_dense`) against the
-/// slot-plan rosters `run` dispatches to.
+/// The duty-cycled scenario: the forced roster scan against forced
+/// slot-plan rosters.
 fn run_point(n: usize, slots: u64, iters: usize) -> Value {
     let point = duty_cycled_point(n);
     let mac = &point.1;
@@ -164,13 +170,13 @@ fn run_point(n: usize, slots: u64, iters: usize) -> Value {
         slots,
         iters,
         json!({"n": n, "frame_length": mac.frame_length(), "mean_awake_per_slot": awake}),
-        ("scan", &|| report(&point, none, slots, true)),
-        ("plan", &|| report(&point, none, slots, false)),
+        ("scan", &|| report(&point, none, slots, SimPath::Scan)),
+        ("plan", &|| report(&point, none, slots, SimPath::Plan)),
     )
 }
 
 /// The duty-cycled scenario under clock drift: the forced per-node scan
-/// (`run_dense`) against the skew-group rosters `run` dispatches to.
+/// against the skew-group rosters.
 fn run_drift_point(n: usize, slots: u64, iters: usize) -> Value {
     let point = duty_cycled_point(n);
     let mac = &point.1;
@@ -183,8 +189,8 @@ fn run_drift_point(n: usize, slots: u64, iters: usize) -> Value {
         slots,
         iters,
         json!({"n": n, "frame_length": mac.frame_length(), "clock_drift": DRIFT}),
-        ("scan", &|| report(&point, drift, slots, true)),
-        ("skew", &|| report(&point, drift, slots, false)),
+        ("scan", &|| report(&point, drift, slots, SimPath::Scan)),
+        ("skew", &|| report(&point, drift, slots, SimPath::Skew)),
     )
 }
 
@@ -216,7 +222,7 @@ fn low_traffic_period(n: usize) -> u64 {
     10_000 * n as u64 / 64
 }
 
-fn low_traffic_report(n: usize, slots: u64, skip: bool) -> SimReport {
+fn low_traffic_report(n: usize, slots: u64, path: SimPath) -> SimReport {
     let topo = matching_topo(n);
     let mac = matching_mac(n);
     let mut sim = Simulator::new(
@@ -229,11 +235,7 @@ fn low_traffic_report(n: usize, slots: u64, skip: bool) -> SimReport {
             ..Default::default()
         },
     );
-    if skip {
-        sim.run_skipping(&mac, slots);
-    } else {
-        sim.run_sparse(&mac, slots);
-    }
+    assert_eq!(sim.run_on(path, &mac, slots), path);
     sim.report()
 }
 
@@ -248,8 +250,8 @@ fn run_low_traffic_point(n: usize, slots: u64, iters: usize) -> Value {
         slots,
         iters,
         json!({"n": n, "frame_length": n, "cbr_period": period}),
-        ("plan", &|| low_traffic_report(n, slots, false)),
-        ("skip", &|| low_traffic_report(n, slots, true)),
+        ("plan", &|| low_traffic_report(n, slots, SimPath::Plan)),
+        ("skip", &|| low_traffic_report(n, slots, SimPath::Skip)),
     )
 }
 
@@ -275,7 +277,7 @@ fn assert_floor(rows: &[Value], speedup: &str, from_n: u64, floor: f64) {
 fn run_horizon_row(n: usize, slots: u64) -> Value {
     eprintln!("horizon point n={n}: {slots} slots, skip engine only");
     let t0 = Instant::now();
-    let report = low_traffic_report(n, slots, true);
+    let report = low_traffic_report(n, slots, SimPath::Skip);
     let secs = t0.elapsed().as_secs_f64();
     let delivered = report.delivered;
     eprintln!(
@@ -321,12 +323,12 @@ pub fn run(smoke: bool) -> Value {
     };
 
     json!({
-        "description": "roster-source simulation scaling: per-slot MAC scan over all n nodes (scan, Simulator::run_dense) vs precomputed slot-plan rosters (plan, Simulator::run), both feeding the same roster-driven phases, by network size (round-robin duty-cycled schedule with frame n/4 and 8 awake nodes per slot, saturated broadcast, single thread)",
+        "description": "roster-source simulation scaling: per-slot MAC scan over all n nodes (scan, SimPath::Scan) vs precomputed slot-plan rosters (plan, SimPath::Plan), each forced through Simulator::run_on, both feeding the same roster-driven phases, by network size (round-robin duty-cycled schedule with frame n/4 and 8 awake nodes per slot, saturated broadcast, single thread)",
         "note": "scan per-slot cost grows with n (two MAC queries per node per slot to build the rosters); plan phase work tracks mean_awake_per_slot, which the duty-cycled schedule caps at 8, and sleeping nodes are charged as sleep debt, settled when they next wake and once per call, so no per-slot work visits the sleepers; what still grows with n is memory: the scattered awake nodes' ledger entries and the per-call settle. results_identical means the full SimReport (counters, per-node energy, latency bits, trace) matched between the two sources at that point.",
         "rows": rows,
-        "drift_note": "the same duty-cycled scenario with per-node clock drift (rates uniform in [-1e-3, 1e-3] slots per slot, at most nine distinct whole-slot skews over the run): the forced per-node scan (Simulator::run_dense, two MAC queries per node per slot) vs the skew-group rosters Simulator::run dispatches to (one slot-mask read per distinct perceived frame slot, cut to each group's members word by word). results_identical is the same full-SimReport assertion, run at every point.",
+        "drift_note": "the same duty-cycled scenario with per-node clock drift (rates uniform in [-1e-3, 1e-3] slots per slot, at most nine distinct whole-slot skews over the run): the forced per-node scan (SimPath::Scan, two MAC queries per node per slot) vs the forced skew-group rosters (SimPath::Skew, one slot-mask read per distinct perceived frame slot, cut to each group's members word by word). results_identical is the same full-SimReport assertion, run at every point.",
         "drift_rows": drift_rows,
-        "low_traffic_note": "event-driven time-skipping vs forced plan-roster stepping (Simulator::run_sparse) on a fully duty-cycled matching schedule (frame L = n, 1 tx + 1 rx per slot) under CBR unicast with per-node arrival ~1e-4/slot at n=64 (period scaled with n so network load is flat). Plan stepping runs the full phase pipeline on every slot (its CBR pass walks only the slot's generator residue class and its energy pass only the awake roster); the skip engine's calendar jumps straight between generation and backlog slots, touching only the slot's lone listener in between. results_identical is the same full-SimReport assertion as above, run at every point.",
+        "low_traffic_note": "event-driven time-skipping (SimPath::Skip) vs forced plan-roster stepping (SimPath::Plan) on a fully duty-cycled matching schedule (frame L = n, 1 tx + 1 rx per slot) under CBR unicast with per-node arrival ~1e-4/slot at n=64 (period scaled with n so network load is flat). Plan stepping runs the full phase pipeline on every slot (its CBR pass walks only the slot's generator residue class and its energy pass only the awake roster); the skip engine's calendar jumps straight between generation and backlog slots, touching only the slot's lone listener in between. results_identical is the same full-SimReport assertion as above, run at every point.",
         "low_traffic_rows": low_rows,
         "horizon_row": horizon,
     })

@@ -10,7 +10,7 @@
 //! `None` if the target is infeasible within the attempt budget.
 
 use crate::cff::CoverFreeFamily;
-use ttdc_util::{BitSet, CoverCounter};
+use ttdc_util::{splitmix64, BitSet, CoverCounter};
 
 /// Configuration for the greedy search.
 #[derive(Clone, Copy, Debug)]
@@ -40,18 +40,6 @@ impl GreedyConfig {
             attempts_per_block: 2000,
             seed: 0x5EED,
         }
-    }
-}
-
-struct SplitMix(u64);
-
-impl SplitMix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
     }
 }
 
@@ -292,7 +280,7 @@ fn greedy_cff_impl(
         .weight
         .unwrap_or_else(|| (cfg.ground / (cfg.d + 1)).max(cfg.d + 1))
         .min(cfg.ground);
-    let mut rng = SplitMix(cfg.seed);
+    let mut rng = cfg.seed;
     let mut accepted: Vec<BitSet> = Vec::with_capacity(cfg.n);
     while accepted.len() < cfg.n {
         let mut ok = false;
@@ -300,7 +288,7 @@ fn greedy_cff_impl(
             // Random weight-`weight` block via partial Fisher-Yates.
             let mut pool: Vec<usize> = (0..cfg.ground).collect();
             for i in 0..weight {
-                let j = i + (rng.next() as usize) % (cfg.ground - i);
+                let j = i + (splitmix64(&mut rng) as usize) % (cfg.ground - i);
                 pool.swap(i, j);
             }
             let cand = BitSet::from_iter(cfg.ground, pool[..weight].iter().copied());

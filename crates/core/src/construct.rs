@@ -18,7 +18,7 @@
 
 use crate::bounds::alpha_bound;
 use crate::schedule::Schedule;
-use ttdc_util::BitSet;
+use ttdc_util::{splitmix64, BitSet};
 
 /// How a slot's transmitter/receiver set is divided into fixed-size,
 /// covering (but not necessarily disjoint) subsets — lines 3–4 of Figure 2.
@@ -175,11 +175,7 @@ pub fn partition(
             let mut v = elements.to_vec();
             // Fisher-Yates with splitmix64 steps.
             for i in (1..v.len()).rev() {
-                *rng_state = rng_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = *rng_state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^= z >> 31;
+                let z = splitmix64(rng_state);
                 v.swap(i, (z % (i as u64 + 1)) as usize);
             }
             v

@@ -40,7 +40,7 @@
 use crate::schedule::Schedule;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use ttdc_util::{for_each_subset_delta, BitSet, CoverCounter, SubsetEvent};
+use ttdc_util::{for_each_subset_delta, splitmix64, BitSet, CoverCounter, SubsetEvent};
 
 /// A witness that a schedule is **not** topology-transparent: transmissions
 /// from `x` to `y` (when `y`'s other neighbours are `interferers`) are never
@@ -450,15 +450,6 @@ pub fn is_topology_transparent(s: &Schedule, d: usize) -> bool {
     satisfies_requirement3(s, d)
 }
 
-/// Parallel Requirement-3 check: the outer quantifier over `x` fans out
-/// across the rayon pool. Exact (not sampled); use for medium `n` where the
-/// serial scan is the bottleneck.
-pub fn is_topology_transparent_par(s: &Schedule, d: usize) -> bool {
-    (0..s.num_nodes())
-        .into_par_iter()
-        .all(|x| requirement3_scan_x(s, d, x).is_none())
-}
-
 /// Randomized spot check: draws `samples` random `(x, Y)` pairs and tests
 /// Requirement 3 on each. Finding a violation proves the schedule is *not*
 /// topology-transparent; finding none is only evidence. Deterministic in
@@ -474,14 +465,7 @@ pub fn spot_check_topology_transparent(
         return None;
     }
     let mut state = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut next = move || {
-        // splitmix64
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
+    let mut next = move || splitmix64(&mut state);
     let mut free = BitSet::new(s.frame_length());
     for _ in 0..samples {
         let x = (next() % n as u64) as usize;
@@ -534,7 +518,6 @@ mod tests {
             assert!(satisfies_requirement2(&s, d), "req2 d={d}");
             assert!(satisfies_requirement3(&s, d), "req3 d={d}");
             assert!(is_topology_transparent(&s, d));
-            assert!(is_topology_transparent_par(&s, d));
             assert!(spot_check_topology_transparent(&s, d, 200, 7).is_none());
         }
     }
@@ -559,7 +542,7 @@ mod tests {
         assert_eq!(v.interferers.len(), 3);
         assert!(requirement3_violation(&s, 3).is_some());
         assert!(requirement2_violation(&s, 3).is_some());
-        assert!(!is_topology_transparent_par(&s, 3));
+        assert!(!is_topology_transparent(&s, 3));
         assert!(
             spot_check_topology_transparent(&s, 3, 5000, 42).is_some(),
             "a dense violation set should be hit by 5000 samples"

@@ -27,7 +27,7 @@ use crate::schedule::Schedule;
 use demands::{CandidateSpace, DemandSpace};
 use search::{greedy_cover, minimum_cover, CoverSolution, SearchOptions, SearchStats};
 use std::collections::{HashMap, VecDeque};
-use ttdc_util::{BitSet, CoverCounter};
+use ttdc_util::{splitmix64, BitSet, CoverCounter};
 
 /// A synthesis target: the four paper parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -167,18 +167,6 @@ pub fn finish(
     }
 }
 
-struct SplitMix(u64);
-
-impl SplitMix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
-
 /// Drops every redundant slot (all of its demands have another supplier,
 /// per `CoverCounter` multiplicities), scanning from the highest candidate
 /// id down so the surviving set is deterministic.
@@ -206,14 +194,14 @@ pub fn polish(
     iters: u64,
 ) -> CoverSolution {
     let target = BitSet::from_iter(space.len(), 0..space.len());
-    let mut rng = SplitMix(seed);
+    let mut rng = seed;
     let mut current = start.slots.clone();
     let mut counter = CoverCounter::new(space.len());
     for _ in 0..iters {
         if current.len() <= 1 {
             break;
         }
-        let drop_at = (rng.next() % current.len() as u64) as usize;
+        let drop_at = (splitmix64(&mut rng) % current.len() as u64) as usize;
         let mut trial: Vec<u32> = current
             .iter()
             .enumerate()

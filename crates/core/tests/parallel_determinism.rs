@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use rayon::ThreadPool;
 use std::sync::OnceLock;
 use ttdc_core::latency::{average_access_delay, worst_case_access_delay};
-use ttdc_core::requirements::is_topology_transparent_par;
+use ttdc_core::requirements::is_topology_transparent;
 use ttdc_core::throughput::{average_throughput_bruteforce, min_throughput};
 use ttdc_core::Schedule;
 use ttdc_util::BitSet;
@@ -81,8 +81,8 @@ proptest! {
     #[test]
     fn requirement_check_matches_sequential(s in arb_schedule(), d in 1usize..4) {
         prop_assume!(d < s.num_nodes());
-        let seq = sequential_pool().install(|| is_topology_transparent_par(&s, d));
-        let par = parallel_pool().install(|| is_topology_transparent_par(&s, d));
+        let seq = sequential_pool().install(|| is_topology_transparent(&s, d));
+        let par = parallel_pool().install(|| is_topology_transparent(&s, d));
         prop_assert_eq!(seq, par);
     }
 

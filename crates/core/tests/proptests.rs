@@ -13,7 +13,7 @@ use ttdc_core::throughput::{
     average_throughput, average_throughput_bruteforce, guaranteed_slots, min_throughput,
 };
 use ttdc_core::{io, Schedule};
-use ttdc_util::BitSet;
+use ttdc_util::{splitmix64, BitSet};
 
 /// A random schedule over `n ∈ [4, 8]` nodes with `L ∈ [1, 6]` slots.
 /// Each slot gets a random non-empty transmitter set and a random receiver
@@ -57,16 +57,9 @@ fn arb_non_sleeping() -> impl Strategy<Value = Schedule> {
 /// A seed-deterministic permutation of `0..n` (Fisher–Yates over splitmix).
 fn shuffled(n: usize, seed: u64) -> Vec<usize> {
     let mut state = seed;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
     let mut p: Vec<usize> = (0..n).collect();
     for i in (1..n).rev() {
-        let j = (next() % (i as u64 + 1)) as usize;
+        let j = (splitmix64(&mut state) % (i as u64 + 1)) as usize;
         p.swap(i, j);
     }
     p

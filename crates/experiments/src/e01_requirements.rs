@@ -10,18 +10,12 @@ use ttdc_core::requirements::{
 };
 use ttdc_core::tsma::{build_identity, build_polynomial, build_steiner};
 use ttdc_core::Schedule;
-use ttdc_util::{BitSet, Table};
+use ttdc_util::{splitmix64, BitSet, Table};
 
 fn random_schedule(n: usize, l: usize, seed: u64) -> Schedule {
     // Deterministic splitmix-driven random ⟨T,R⟩.
     let mut state = seed;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
+    let mut next = move || splitmix64(&mut state);
     let mut t = Vec::new();
     let mut r = Vec::new();
     for _ in 0..l {

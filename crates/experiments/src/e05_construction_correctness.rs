@@ -4,7 +4,7 @@
 //! `(α_T + α_R)/n`.
 
 use ttdc_core::construct::{construct, PartitionStrategy};
-use ttdc_core::requirements::is_topology_transparent_par;
+use ttdc_core::requirements::is_topology_transparent;
 use ttdc_core::tsma::{build_polynomial, build_steiner};
 use ttdc_util::Table;
 
@@ -58,7 +58,7 @@ pub fn run() -> Vec<Table> {
                     ns.frame_length().to_string(),
                     c.schedule.frame_length().to_string(),
                     c.schedule.is_alpha_schedule(at, ar).to_string(),
-                    is_topology_transparent_par(&c.schedule, *d).to_string(),
+                    is_topology_transparent(&c.schedule, *d).to_string(),
                     format!("{duty:.4}"),
                     format!("{bound:.4}"),
                 ]);

@@ -143,7 +143,8 @@ impl SimulatorBuilder {
                     nodes: n,
                 });
             }
-            if model.ratio < 1.0 {
+            // A NaN ratio is outside the range too.
+            if !(1.0..).contains(&model.ratio) {
                 return Err(SimError::CaptureRatioTooSmall { ratio: model.ratio });
             }
         }
@@ -193,6 +194,15 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err, SimError::CaptureRatioTooSmall { ratio: 0.5 });
+
+        let err = SimulatorBuilder::new(Topology::line(2), TrafficPattern::SaturatedBroadcast)
+            .capture(
+                vec![(0.0, 0.0), (1.0, 0.0)],
+                CaptureModel { ratio: f64::NAN },
+            )
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, SimError::CaptureRatioTooSmall { ratio } if ratio.is_nan()));
 
         let err = SimulatorBuilder::new(Topology::line(2), TrafficPattern::SaturatedBroadcast)
             .energy(EnergyModel {

@@ -14,12 +14,13 @@
 //! 5. handoff delivery; 6. bounded ARQ; 7. energy and battery depletion.
 //!
 //! Election, channel and energy visit only the slot's rosters — who may
-//! transmit, who may listen, who is awake — in ascending order. For a
-//! frame-periodic MAC a [`SlotPlan`] supplies them without clock drift,
-//! and per-skew-group reads of the MAC's slot masks supply them under
-//! drift; for any other MAC a per-slot scan asks the MAC about every node
-//! at its drift-perceived slot ([`Simulator::run_dense`] forces the scan).
-//! All sources give bit-identical runs; the choice is only about speed.
+//! transmit, who may listen, who is awake — in ascending order. A run
+//! takes one of four paths ([`SimPath`], picked by [`Simulator::run_on`]):
+//! for a frame-periodic MAC the skip calendar or a [`SlotPlan`] supplies
+//! the rosters without clock drift, and per-skew-group reads of the MAC's
+//! slot masks supply them under drift; for any other MAC a per-slot scan
+//! asks the MAC about every node at its drift-perceived slot. All paths
+//! give bit-identical runs; the choice is only about speed.
 //!
 //! Anything observable is announced as an event to the built-in metrics
 //! and trace recorders, which assemble the [`SimReport`]. Senders can be
@@ -86,6 +87,30 @@ impl Default for SimConfig {
     }
 }
 
+/// The four ways a run can step its slots; [`Simulator::run_on`] takes
+/// the requested one or the first eligible one below it, and returns the
+/// path that ran. All four give bit-identical reports and traces.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SimPath {
+    /// The event-driven skip calendar: the clock jumps between
+    /// *interesting* slots (traffic generation, scheduled transmit
+    /// occurrences of backlogged nodes — see the `events` module), which
+    /// are stepped on a [`SlotPlan`]'s rosters, and the spans between them
+    /// are settled in bulk (listener occurrences charged from the frame
+    /// summaries, per-node sleep debt fast-forwarded bit-exactly).
+    Skip,
+    /// Every slot stepped on a [`SlotPlan`]'s rosters (frame-periodic MAC,
+    /// zero clock drift).
+    Plan,
+    /// Every slot stepped on per-skew-group rosters read from the MAC's
+    /// slot masks (frame-periodic MAC under clock drift).
+    Skew,
+    /// Every slot stepped on a scan asking the MAC about every node at its
+    /// perceived slot (any MAC, any fault plan): the reference the other
+    /// paths are measured and verified against.
+    Scan,
+}
+
 /// The simulator state: topology, per-node queues, recorders, and the RNG.
 ///
 /// Construct through [`SimulatorBuilder`] (or the [`Simulator::new`] /
@@ -139,11 +164,11 @@ pub struct Simulator {
     /// Skew-group roster for frame-periodic MACs under clock drift;
     /// reused across slots and runs like `scan`.
     skew: SkewRoster,
-    /// Cached slot plan, rebuilt in place by [`Simulator::run`] whenever
-    /// the plan source is eligible (rebuilding reuses buffers, so
-    /// steady-state runs stay allocation-free).
+    /// Cached slot plan, rebuilt in place by every skip or plan run
+    /// (rebuilding reuses buffers, so steady-state runs stay
+    /// allocation-free).
     plan_cache: Option<SlotPlan>,
-    /// Cached time-skipping calendar state, buffer-reused like the plan.
+    /// Cached skip-calendar state, buffer-reused like the plan.
     skip_cache: Option<SkipState>,
 }
 
@@ -266,13 +291,6 @@ impl Simulator {
         self.trace_obs.on_event(self.slot, &event);
     }
 
-    /// Advances one slot under `mac` on the per-slot roster scan — the
-    /// source [`Simulator::run_dense`] forces, valid for any MAC and any
-    /// fault plan.
-    pub fn step(&mut self, mac: &dyn MacProtocol) {
-        self.run_dense(mac, 1);
-    }
-
     /// Advances one slot: the fault phase, then `roster` is loaded (after
     /// the drift the fault phase accrued), then traffic, election,
     /// channel, delivery, ARQ and energy, and the slot counter advances.
@@ -303,117 +321,153 @@ impl Simulator {
         }
     }
 
-    /// `true` when the MAC's rosters can be read from its per-frame-slot
-    /// masks: it must genuinely be frame-periodic, so the rosters of any
-    /// (perceived) slot are those of frame slot `slot % L`. Otherwise only
-    /// the per-slot scan can supply them.
-    fn masks_eligible(mac: &dyn MacProtocol) -> bool {
-        mac.frame_periodic() && mac.frame_length() > 0
-    }
-
-    /// `true` when the time-skipping engine reproduces the slot-by-slot
-    /// pipeline bit for bit. It needs a [`SlotPlan`] (a frame-periodic MAC
-    /// and zero clock drift, so every node perceives the true slot), and
-    /// *boring* slots (no scheduled transmitter with a backlog, no
-    /// traffic generation) must provably consume no randomness and emit no
-    /// event, so the clock can jump over them:
+    /// The path a run asking for `want` takes: `want` itself when the
+    /// configuration admits it, otherwise the next path down the chain
+    /// skip → plan/skew → scan. This is the whole dispatch rule.
     ///
-    /// * zero clock drift — the calendar's frame summaries are per true
-    ///   frame slot;
-    /// * sync-miss off — a miss roll draws per roster transmitter/listener
-    ///   even when idle;
-    /// * no crash plan — crash/recovery draws every slot and changes
-    ///   radio states off-calendar (per-link loss and bursty GE spans are
-    ///   fine: their lazily-advanced chains only draw on actual
-    ///   receptions);
-    /// * no Poisson-style traffic — only saturated broadcast (transmits
-    ///   on schedule) and CBR (a closed-form generation calendar) are
-    ///   predictable.
-    fn skip_eligible(&self, mac: &dyn MacProtocol) -> bool {
-        Simulator::masks_eligible(mac)
-            && self.faults.plan().clock_drift == 0.0
+    /// * **Skip** — the calendar reproduces the slot-by-slot pipeline bit
+    ///   for bit only when *boring* slots (no scheduled transmitter with a
+    ///   backlog, no traffic generation) provably consume no randomness and
+    ///   emit no event, so the clock can jump over them. It needs
+    ///   everything the plan needs plus zero clock drift (the calendar's
+    ///   frame summaries are per true frame slot), zero sync-miss (a miss
+    ///   roll draws per roster node even when idle), no crash plan
+    ///   (crash/recovery draws every slot and changes radio states
+    ///   off-calendar; per-link loss and bursty GE spans are fine, their
+    ///   lazily-advanced chains only draw on actual receptions), and
+    ///   saturated broadcast or CBR traffic (the only predictable
+    ///   patterns: one transmits on schedule, the other has a closed-form
+    ///   generation calendar).
+    /// * **Plan / Skew** — one tier: a frame-periodic MAC, so the rosters
+    ///   of any (perceived) slot are those of frame slot `slot % L`. Zero
+    ///   drift reads them from a [`SlotPlan`]; under drift every node
+    ///   perceives its own slot, so they are read per skew group.
+    /// * **Scan** — any MAC, any fault plan.
+    fn eligible(&self, want: SimPath, mac: &dyn MacProtocol) -> SimPath {
+        let faults = self.faults.plan();
+        if want == SimPath::Scan || !mac.frame_periodic() || mac.frame_length() == 0 {
+            SimPath::Scan
+        } else if faults.clock_drift != 0.0 {
+            SimPath::Skew
+        } else if want == SimPath::Skip
             && self.config.miss_probability == 0.0
-            && self.faults.plan().crash.is_none()
+            && faults.crash.is_none()
             && matches!(
                 self.pattern,
                 TrafficPattern::SaturatedBroadcast | TrafficPattern::CbrUnicast { .. }
             )
-    }
-
-    /// Runs `slots` consecutive slots under `mac`.
-    ///
-    /// Dispatches to the fastest eligible path: the event-driven
-    /// time-skipping engine when the run is deterministic enough for a
-    /// slot calendar ([`Simulator::run_skipping`]) and long enough to
-    /// amortise its eager frame fill, otherwise the slot-by-slot pipeline
-    /// ([`Simulator::run_sparse`]) on a [`SlotPlan`]'s rosters when `mac`
-    /// is frame-periodic and clock drift is inactive, on per-skew-group
-    /// rosters read from the MAC's slot masks when `mac` is frame-periodic
-    /// under drift, and on the per-slot roster scan otherwise
-    /// ([`Simulator::run_dense`] forces the scan).
-    /// All paths produce bit-identical reports and traces — the golden
-    /// fixtures and the equivalence proptests pin this — so the dispatch
-    /// is purely a performance decision.
-    pub fn run(&mut self, mac: &dyn MacProtocol, slots: u64) {
-        if slots == 0 {
-            return;
-        }
-        // Time skipping pays an eager fill of all L frame slots up front; only
-        // worth it when the run visits at least a frame's worth of slots.
-        if slots >= mac.frame_length() as u64 && self.skip_eligible(mac) {
-            self.run_skipping(mac, slots);
+        {
+            SimPath::Skip
         } else {
-            self.run_sparse(mac, slots);
+            SimPath::Plan
         }
     }
 
-    /// Runs `slots` consecutive slots on a [`SlotPlan`]'s rosters, never
-    /// time-skipping. Under clock drift a frame-periodic MAC runs on
-    /// per-skew-group rosters instead, and a MAC that is not
-    /// frame-periodic on the per-slot scan. This is the reference the
-    /// skipping engine is measured and verified against;
-    /// [`Simulator::run`] normally picks the fastest eligible path.
-    pub fn run_sparse(&mut self, mac: &dyn MacProtocol, slots: u64) {
+    /// Runs `slots` consecutive slots under `mac` on the fastest eligible
+    /// path and returns it: the skip calendar when the run is long enough
+    /// to amortise its eager fill of all `L` frame slots, otherwise the
+    /// slot plan (see [`Simulator::run_on`]).
+    pub fn run(&mut self, mac: &dyn MacProtocol, slots: u64) -> SimPath {
+        let want = if slots >= mac.frame_length() as u64 {
+            SimPath::Skip
+        } else {
+            SimPath::Plan
+        };
+        self.run_on(want, mac, slots)
+    }
+
+    /// Runs `slots` consecutive slots under `mac` on `want`, or on the
+    /// first path down the chain skip → plan/skew → scan that the MAC and
+    /// configuration admit, and returns the path that ran (also for zero
+    /// slots, when nothing runs). Forcing a path is always safe.
+    ///
+    /// All paths produce bit-identical reports and traces — the golden
+    /// fixtures and the equivalence proptests pin this — so the choice is
+    /// purely about speed. Every path advances in the same battery windows
+    /// (no node can deplete inside one, and when a depletion is near every
+    /// slot of a short window is stepped), so deaths land on the same slot
+    /// on every path.
+    pub fn run_on(&mut self, want: SimPath, mac: &dyn MacProtocol, slots: u64) -> SimPath {
+        let path = self.eligible(want, mac);
         if slots == 0 {
-            return;
+            return path;
         }
-        if !Simulator::masks_eligible(mac) {
-            self.run_dense(mac, slots);
-            return;
+        match path {
+            SimPath::Skip => self.skip_through(mac, slots),
+            SimPath::Plan => {
+                // Build the plan into the cached buffers: the refill
+                // allocates only when the frame/node shape actually grew, so
+                // repeated runs under the same MAC keep the loop heap-silent.
+                let mut plan = self.take_plan(mac);
+                let mut roster = PlanRoster::new(&mut plan);
+                self.drive(slots, |sim, to, bury| {
+                    sim.step_until(mac, &mut roster, to, bury)
+                });
+                self.plan_cache = Some(plan);
+            }
+            // The rosters are moved out while stepping (the phases borrow
+            // the simulator mutably) and put back for the next run.
+            SimPath::Skew => {
+                let mut skew = std::mem::take(&mut self.skew);
+                self.drive(slots, |sim, to, bury| {
+                    sim.step_until(mac, &mut skew, to, bury)
+                });
+                self.skew = skew;
+            }
+            SimPath::Scan => {
+                let mut scan = std::mem::take(&mut self.scan);
+                self.drive(slots, |sim, to, bury| {
+                    sim.step_until(mac, &mut scan, to, bury)
+                });
+                self.scan = scan;
+            }
         }
-        if self.faults.plan().clock_drift != 0.0 {
-            // Moved out while stepping, like the scan in `run_dense`.
-            let mut skew = std::mem::take(&mut self.skew);
-            self.drive(slots, |sim, to, bury| {
-                sim.step_until(mac, &mut skew, to, bury)
-            });
-            self.skew = skew;
-            return;
-        }
-        // Build the plan into the cached buffers: the refill allocates
-        // only when the frame/node shape actually grew, so repeated runs
-        // under the same MAC keep the whole loop heap-silent.
-        let mut plan = self.take_plan(mac);
-        let mut roster = PlanRoster::new(&mut plan);
-        self.drive(slots, |sim, to, bury| {
-            sim.step_until(mac, &mut roster, to, bury)
-        });
-        self.plan_cache = Some(plan);
+        path
     }
 
-    /// Runs `slots` consecutive slots on the per-slot roster scan
-    /// unconditionally: each slot asks the MAC about every node at its
-    /// perceived slot. The only source for non-periodic MACs, and the
-    /// reference the plan and skew-group sources are measured and verified
-    /// against (the `sim_scale` family of `bench_all`, the equivalence
-    /// proptests).
+    /// Runs `slots` consecutive slots on the per-slot roster scan:
+    /// `run_on(SimPath::Scan, …)`.
     pub fn run_dense(&mut self, mac: &dyn MacProtocol, slots: u64) {
-        // Moved out while stepping (phases borrow the simulator mutably).
-        let mut scan = std::mem::take(&mut self.scan);
+        self.run_on(SimPath::Scan, mac, slots);
+    }
+
+    /// The [`SimPath::Skip`] loop: between interesting slots the calendar
+    /// settles the span in bulk; each interesting slot is stepped on the
+    /// plan's rosters and re-arms the calendar. A bury window steps every
+    /// slot like the other paths.
+    fn skip_through(&mut self, mac: &dyn MacProtocol, slots: u64) {
+        let n = self.topo.num_nodes();
+        let mut plan = self.take_plan(mac);
+        // Eager fill: the calendar's frame summaries need every roster.
+        plan.ensure_filled(mac, plan.frame_length() - 1);
+        let mut skip = self.skip_cache.take().unwrap_or_default();
+        skip.prepare(&plan, self.slot, &self.queues, &self.dead);
         self.drive(slots, |sim, to, bury| {
-            sim.step_until(mac, &mut scan, to, bury)
+            if bury {
+                // Depletion imminent: step every slot so the death lands
+                // on its exact slot, then re-sync the calendar.
+                sim.step_until(mac, &mut PlanRoster::new(&mut plan), to, true);
+                skip.reseed(sim.slot, &sim.queues, &sim.dead);
+                return;
+            }
+            while sim.slot < to {
+                let next = skip
+                    .next_interesting(sim.slot, &sim.pattern, n, &sim.queues, &sim.dead)
+                    .min(to);
+                if next > sim.slot {
+                    phases::energy::advance_span(sim, &plan, &skip.active.rx_busy, next);
+                    sim.slot = next;
+                }
+                if sim.slot >= to {
+                    break;
+                }
+                skip.pop_due(sim.slot);
+                sim.step_on(mac, &mut PlanRoster::new(&mut plan), false);
+                skip.rearm_after_step(&plan, sim.slot - 1, &sim.pattern, &sim.queues, &sim.dead);
+            }
         });
-        self.scan = scan;
+        self.skip_cache = Some(skip);
+        self.plan_cache = Some(plan);
     }
 
     /// Advances `slots` slots in battery windows, the one loop of every
@@ -459,64 +513,6 @@ impl Simulator {
             }
             None => SlotPlan::build(mac, n),
         }
-    }
-
-    /// Runs `slots` consecutive slots through the event-driven
-    /// time-skipping engine: the clock jumps between *interesting* slots
-    /// (traffic generation, scheduled transmit occurrences of backlogged
-    /// nodes — see the `events` module) and the skipped spans are settled in
-    /// bulk (listener occurrences charged from the frame summaries,
-    /// per-node sleep debt fast-forwarded bit-exactly). Produces reports
-    /// and traces bit-identical to [`Simulator::run_sparse`] /
-    /// [`Simulator::run_dense`]; falls back to them when the
-    /// configuration's randomness (drift, sync-miss, crash plans, Poisson
-    /// traffic) cannot be calendared.
-    ///
-    /// With a battery capacity configured, skipping proceeds in the same
-    /// battery windows as every other path: no node can deplete inside a
-    /// skip window, and when a depletion is near every slot of a short
-    /// window is stepped, so deaths land on exactly the slot they would
-    /// in every other mode.
-    pub fn run_skipping(&mut self, mac: &dyn MacProtocol, slots: u64) {
-        if slots == 0 {
-            return;
-        }
-        if !self.skip_eligible(mac) {
-            self.run_sparse(mac, slots);
-            return;
-        }
-        let n = self.topo.num_nodes();
-        let mut plan = self.take_plan(mac);
-        // Eager fill: the calendar's frame summaries need every roster.
-        plan.ensure_filled(mac, plan.frame_length() - 1);
-        let mut skip = self.skip_cache.take().unwrap_or_default();
-        skip.prepare(&plan, self.slot, &self.queues, &self.dead);
-        self.drive(slots, |sim, to, bury| {
-            if bury {
-                // Depletion imminent: step every slot so the death lands
-                // on its exact slot, then re-sync the calendar.
-                sim.step_until(mac, &mut PlanRoster::new(&mut plan), to, true);
-                skip.reseed(sim.slot, &sim.queues, &sim.dead);
-                return;
-            }
-            while sim.slot < to {
-                let next = skip
-                    .next_interesting(sim.slot, &sim.pattern, n, &sim.queues, &sim.dead)
-                    .min(to);
-                if next > sim.slot {
-                    phases::energy::advance_span(sim, &plan, &skip.active.rx_busy, next);
-                    sim.slot = next;
-                }
-                if sim.slot >= to {
-                    break;
-                }
-                skip.pop_due(sim.slot);
-                sim.step_on(mac, &mut PlanRoster::new(&mut plan), false);
-                skip.rearm_after_step(&plan, sim.slot - 1, &sim.pattern, &sim.queues, &sim.dead);
-            }
-        });
-        self.skip_cache = Some(skip);
-        self.plan_cache = Some(plan);
     }
 
     /// How many slots are *guaranteed* death-free from a settled ledger:

@@ -46,10 +46,10 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 
-/// The calendar-queue state for one [`run_skipping`] invocation, cached
-/// and buffer-reused across runs like the [`SlotPlan`].
+/// The calendar-queue state for one [`SimPath::Skip`] run, cached and
+/// buffer-reused across runs like the [`SlotPlan`].
 ///
-/// [`run_skipping`]: crate::Simulator::run_skipping
+/// [`SimPath::Skip`]: crate::SimPath::Skip
 #[derive(Debug, Default)]
 pub(crate) struct SkipState {
     /// Inverted per-frame occurrence summaries (listener-busy slots,

@@ -345,6 +345,12 @@ impl FaultState {
     /// Advances the crash/recovery chain for `v` one slot. Returns the
     /// transition that happened, if any. Dead nodes must be skipped by the
     /// caller (battery death dominates transient churn).
+    ///
+    /// `#[inline]` on purpose: the fault phase calls this once per node per
+    /// slot from another module, and without the hint whether it is inlined
+    /// there depends on how the crate happens to be split into codegen
+    /// units.
+    #[inline]
     pub(crate) fn step_crash(&mut self, v: usize) -> Option<CrashTransition> {
         let model = self.plan.crash?;
         if self.crashed[v] {

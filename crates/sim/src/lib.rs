@@ -89,7 +89,7 @@ pub use campaign::{
 };
 pub use channel::CaptureModel;
 pub use energy::{EnergyLedger, EnergyModel, RadioState};
-pub use engine::{SimConfig, Simulator};
+pub use engine::{SimConfig, SimPath, Simulator};
 pub use error::SimError;
 pub use faults::{CrashModel, FaultPlan, GilbertElliott};
 pub use mac::{MacProtocol, ScheduleMac};

@@ -5,11 +5,13 @@
 //! channel and energy phases therefore iterate ascending rosters — the
 //! slot's transmitter candidates, its listener candidates and their awake
 //! union — never the whole node set. [`Roster`] is that input, and it has
-//! three sources, picked per run by [`Simulator::run`](crate::Simulator::run):
+//! three sources, one per stepping [`SimPath`](crate::SimPath), picked per
+//! run by [`Simulator::run_on`](crate::Simulator::run_on):
 //!
 //! * [`PlanRoster`] reads one frame slot of a [`SlotPlan`], for
 //!   frame-periodic MACs without clock drift (every node perceives the
-//!   true slot, so the rosters repeat every frame);
+//!   true slot, so the rosters repeat every frame); the skip calendar
+//!   steps its interesting slots on it too;
 //! * [`SkewRoster`] serves frame-periodic MACs under clock drift. Nodes
 //!   whose clocks are off by the same whole number of slots perceive the
 //!   same slot, so each such *skew group* reads one frame slot of the
@@ -17,8 +19,8 @@
 //!   word by word;
 //! * [`ScanRoster`] asks the MAC about every node at that node's
 //!   drift-perceived slot, one O(n) scan per slot, for non-periodic MACs
-//!   (and for any run [`Simulator::run_dense`](crate::Simulator::run_dense)
-//!   forces onto it, as the reference the other two are checked against).
+//!   (and for any run forced onto [`SimPath::Scan`](crate::SimPath::Scan),
+//!   as the reference the other two are checked against).
 //!
 //! Every source lists nodes in ascending order and draws no randomness, so
 //! the phases consume the RNG exactly as an all-node scan would (the

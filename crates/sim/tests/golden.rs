@@ -26,7 +26,7 @@ use std::fmt::Write as _;
 use ttdc_core::Schedule;
 use ttdc_sim::{
     CaptureModel, CrashModel, FaultPlan, GilbertElliott, MacProtocol, ScheduleMac, SimConfig,
-    SimReport, Simulator, SimulatorBuilder, Topology, TrafficPattern,
+    SimPath, SimReport, Simulator, SimulatorBuilder, Topology, TrafficPattern,
 };
 use ttdc_util::BitSet;
 
@@ -38,8 +38,8 @@ const FIXTURE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/
 
 /// Pinned drift + crash scenarios — every one keeps clock drift active, so
 /// [`Simulator::run`] must take the skew-group rosters rather than the
-/// slot plan (verified in-test by comparing against a forced
-/// [`Simulator::run_dense`]).
+/// slot plan (verified in-test through the returned [`SimPath`] and by
+/// comparing against a forced [`SimPath::Scan`] run).
 const DRIFT_SEEDS: u64 = 16;
 
 const DRIFT_FIXTURE_PATH: &str = concat!(
@@ -49,7 +49,8 @@ const DRIFT_FIXTURE_PATH: &str = concat!(
 
 /// Pinned scenarios under a MAC that is *not* frame-periodic — the
 /// per-slot roster scan is the only path that can run them (verified
-/// in-test against a forced [`Simulator::run_dense`]).
+/// in-test through the returned [`SimPath`] and against a forced
+/// [`SimPath::Scan`] run).
 const NONPERIODIC_SEEDS: u64 = 16;
 
 const NONPERIODIC_FIXTURE_PATH: &str = concat!(
@@ -57,7 +58,11 @@ const NONPERIODIC_FIXTURE_PATH: &str = concat!(
     "/tests/fixtures/golden_nonperiodic.txt"
 );
 
-/// Runs the scenario derived from `seed` and fingerprints its report.
+/// Runs the scenario derived from `seed` and fingerprints its report,
+/// asserting the path `run()` took: the skip calendar for every seed it
+/// can represent (zero drift, zero sync-miss, no crash plan,
+/// saturated/CBR traffic), skew groups under drift, the slot plan
+/// otherwise.
 fn scenario_fingerprint(seed: u64) -> String {
     // Scenario derivation draws from its own stream; the simulation itself
     // is seeded separately so scenario shape and run randomness decouple.
@@ -167,8 +172,21 @@ fn scenario_fingerprint(seed: u64) -> String {
             );
         }
     }
+    let expected = if config.faults.clock_drift != 0.0 {
+        SimPath::Skew
+    } else if config.miss_probability == 0.0
+        && config.faults.crash.is_none()
+        && matches!(
+            pattern,
+            TrafficPattern::SaturatedBroadcast | TrafficPattern::CbrUnicast { .. }
+        )
+    {
+        SimPath::Skip
+    } else {
+        SimPath::Plan
+    };
     let mut sim = builder.build().expect("valid golden scenario");
-    sim.run(&mac, slots);
+    assert_eq!(sim.run(&mac, slots), expected, "seed {seed}");
     fingerprint(&sim.report())
 }
 
@@ -237,11 +255,11 @@ fn drift_scenario_fingerprint(seed: u64) -> String {
     let slots = rng.gen_range(120u64..320);
 
     let mut dispatched = Simulator::new(topo.clone(), pattern, config);
-    dispatched.run(&mac, slots);
+    assert_eq!(dispatched.run(&mac, slots), SimPath::Skew, "seed {seed}");
     let fp = fingerprint(&dispatched.report());
 
     let mut forced = Simulator::new(topo, pattern, config);
-    forced.run_dense(&mac, slots);
+    forced.run_on(SimPath::Scan, &mac, slots);
     assert_eq!(
         fp,
         fingerprint(&forced.report()),
@@ -311,7 +329,8 @@ impl MacProtocol for HashMac {
 }
 
 /// Runs the non-periodic scenario derived from `seed` through the
-/// dispatching `run()` *and* the forced `run_dense()`, asserts they agree,
+/// dispatching `run()` (which must take the scan) *and* a forced scan
+/// run, asserts they agree,
 /// and fingerprints the report. The seed's low bits pick the traffic
 /// pattern, clock drift and battery, so the 16 seeds cover every
 /// combination of the three; every other axis — topology family, capture,
@@ -412,11 +431,11 @@ fn nonperiodic_scenario_fingerprint(seed: u64) -> String {
         .expect("valid golden scenario")
     };
     let mut dispatched = build();
-    dispatched.run(&mac, slots);
+    assert_eq!(dispatched.run(&mac, slots), SimPath::Scan, "seed {seed}");
     let fp = fingerprint(&dispatched.report());
 
     let mut forced = build();
-    forced.run_dense(&mac, slots);
+    forced.run_on(SimPath::Scan, &mac, slots);
     assert_eq!(
         fp,
         fingerprint(&forced.report()),
@@ -538,8 +557,8 @@ fn golden_fixtures_cover_every_pinned_seed() {
 }
 
 /// The drift + crash family: scenarios no slot plan can represent, which
-/// `run()` serves from skew-group rosters. Each seed also cross-checks
-/// `run()` against a forced `run_dense()` inside
+/// `run()` serves from skew-group rosters. Each seed also checks the path
+/// `run()` took and cross-checks it against a forced scan inside
 /// `drift_scenario_fingerprint`, so a dispatcher that wrongly took the
 /// plan source under drift, or skew groups that disagree with the
 /// per-node scan, fail here even before the fixture diff.

@@ -1,19 +1,20 @@
 //! The event-driven time-skipping engine must be bit-identical to the
 //! slot-by-slot pipelines.
 //!
-//! [`Simulator::run`] dispatches eligible runs (frame-periodic MAC, zero
-//! drift, zero sync-miss, no crash plan, saturated/CBR traffic) through
-//! the slot calendar; [`Simulator::run_sparse`] and
-//! [`Simulator::run_dense`] force the reference paths. The properties
-//! here pin all three to the same *full* [`SimReport`] — every counter,
-//! the per-node energy ledger `f64`s, the latency histogram bit patterns,
-//! and the retained event trace — across random topologies and schedules,
-//! the paper's collision rule and physical capture over random node
-//! positions, per-link loss and bursty (Gilbert-Elliott) fault plans, ARQ
-//! bounds, battery depletion, mid-run engine transitions, and 1- vs
-//! 4-thread rayon pools; and they pin the fallback dispatch for every
-//! configuration the calendar cannot represent (drift, sync-miss, crash
-//! plans, Poisson-style traffic).
+//! [`Simulator::run_on`] with [`SimPath::Skip`] runs eligible
+//! configurations (frame-periodic MAC, zero drift, zero sync-miss, no
+//! crash plan, saturated/CBR traffic) through the slot calendar;
+//! [`SimPath::Plan`] and [`SimPath::Scan`] force the reference paths.
+//! The properties here pin all three to the same *full* [`SimReport`] —
+//! every counter, the per-node energy ledger `f64`s, the latency histogram
+//! bit patterns, and the retained event trace — across random topologies
+//! and schedules, the paper's collision rule and physical capture over
+//! random node positions, per-link loss and bursty (Gilbert-Elliott) fault
+//! plans, ARQ bounds, battery depletion, mid-run path transitions, and 1-
+//! vs 4-thread rayon pools; and, through the path each run returns, that the
+//! calendarable configurations really run the calendar and that every
+//! configuration it cannot represent (drift, sync-miss, crash plans,
+//! Poisson-style traffic) falls back to the path below it.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -23,7 +24,7 @@ use std::sync::OnceLock;
 use ttdc_core::Schedule;
 use ttdc_sim::{
     CaptureModel, CrashModel, FaultPlan, GilbertElliott, MacProtocol, ScheduleMac, SimConfig,
-    SimReport, Simulator, SimulatorBuilder, Topology, TrafficPattern,
+    SimPath, SimReport, Simulator, SimulatorBuilder, Topology, TrafficPattern,
 };
 use ttdc_util::BitSet;
 
@@ -160,18 +161,18 @@ fn fresh(
     .expect("valid scenario")
 }
 
-/// The per-slot reference: `step()` once per slot. A one-slot call
+/// The per-slot reference: a one-slot scan call per slot. A one-slot call
 /// settles every node's energy at its end, so this is the ledger a pass
 /// charging all `n` nodes every slot would keep.
 fn stepped(mut sim: Simulator, mac: &dyn MacProtocol, slots: u64) -> SimReport {
     for _ in 0..slots {
-        sim.step(mac);
+        sim.run_on(SimPath::Scan, mac, 1);
     }
     sim.report()
 }
 
-/// Forced `run_skipping()`, forced `run_sparse()`, and forced
-/// `run_dense()` on identical inputs.
+/// Forced skip, plan and scan runs on identical inputs; every run
+/// asserts it took the path it asked for.
 fn all_three_reports(
     scn: &Scenario,
     pattern: &TrafficPattern,
@@ -181,13 +182,12 @@ fn all_three_reports(
     slots: u64,
 ) -> (SimReport, SimReport, SimReport) {
     let mac = &scn.mac;
-    let mut skip = fresh(scn, pattern, seed, faults, battery, 0.0);
-    skip.run_skipping(mac, slots);
-    let mut sparse = fresh(scn, pattern, seed, faults, battery, 0.0);
-    sparse.run_sparse(mac, slots);
-    let mut dense = fresh(scn, pattern, seed, faults, battery, 0.0);
-    dense.run_dense(mac, slots);
-    (skip.report(), sparse.report(), dense.report())
+    let [skip, sparse, dense] = [SimPath::Skip, SimPath::Plan, SimPath::Scan].map(|path| {
+        let mut sim = fresh(scn, pattern, seed, faults, battery, 0.0);
+        assert_eq!(sim.run_on(path, mac, slots), path);
+        sim.report()
+    });
+    (skip, sparse, dense)
 }
 
 proptest! {
@@ -221,9 +221,9 @@ proptest! {
         prop_assert!(skip_seq.trace.enabled());
     }
 
-    /// Mid-run engine transitions on one simulator: skip → sparse → skip
-    /// and sparse → skip → dense chunks must equal one uninterrupted
-    /// dense run — queues, ARQ retry counts, fault chains, the energy
+    /// Mid-run engine transitions on one simulator: skip → plan → skip
+    /// and plan → skip → scan chunks must equal one uninterrupted
+    /// scan run — queues, ARQ retry counts, fault chains, the energy
     /// ledger, and the calendar re-sync all survive the handoffs — and
     /// so must a run stepped one slot per call.
     #[test]
@@ -238,7 +238,7 @@ proptest! {
         third in 20u64..150,
     ) {
         let mut whole = fresh(&scn, &pattern, seed, &plan, battery, 0.0);
-        whole.run_dense(&scn.mac, first + second + third);
+        whole.run_on(SimPath::Scan, &scn.mac, first + second + third);
         let whole = whole.report();
         let per_slot = stepped(
             fresh(&scn, &pattern, seed, &plan, battery, 0.0),
@@ -248,24 +248,25 @@ proptest! {
         prop_assert_eq!(&per_slot, &whole);
 
         let mut a = fresh(&scn, &pattern, seed, &plan, battery, 0.0);
-        a.run_skipping(&scn.mac, first);
-        a.run_sparse(&scn.mac, second);
-        a.run_skipping(&scn.mac, third);
+        prop_assert_eq!(a.run_on(SimPath::Skip, &scn.mac, first), SimPath::Skip);
+        prop_assert_eq!(a.run_on(SimPath::Plan, &scn.mac, second), SimPath::Plan);
+        prop_assert_eq!(a.run_on(SimPath::Skip, &scn.mac, third), SimPath::Skip);
         prop_assert_eq!(&a.report(), &whole);
 
         let mut b = fresh(&scn, &pattern, seed, &plan, battery, 0.0);
-        b.run_sparse(&scn.mac, first);
-        b.run_skipping(&scn.mac, second);
-        b.run_dense(&scn.mac, third);
+        prop_assert_eq!(b.run_on(SimPath::Plan, &scn.mac, first), SimPath::Plan);
+        prop_assert_eq!(b.run_on(SimPath::Skip, &scn.mac, second), SimPath::Skip);
+        b.run_on(SimPath::Scan, &scn.mac, third);
         prop_assert_eq!(&b.report(), &whole);
     }
 
     /// Every configuration whose randomness the calendar cannot represent
-    /// must fall back transparently: `run_skipping()` (and the `run()`
-    /// dispatcher) still equal the forced scan, and the forced scan a run
-    /// stepped one slot per call, under clock drift, sync-miss, crash
-    /// plans, and Poisson-style traffic — with battery caps low enough to
-    /// kill nodes on those stepped paths.
+    /// must fall back transparently: a forced skip run (and the `run()`
+    /// dispatcher) takes skew groups under clock drift and the slot plan
+    /// under sync-miss, crash plans and Poisson-style traffic, and still
+    /// equals the forced scan, and the forced scan a run stepped one slot
+    /// per call — with battery caps low enough to kill nodes on those
+    /// stepped paths.
     #[test]
     fn non_calendar_randomness_falls_back(
         scn in arb_scenario(),
@@ -284,12 +285,13 @@ proptest! {
             2 => plan = plan.with_crash(CrashModel::new(knob * 0.1, 0.2)),
             _ => pattern = TrafficPattern::PoissonUnicast { rate: knob },
         }
+        let fallback = if which == 0 { SimPath::Skew } else { SimPath::Plan };
         let mut skip = fresh(&scn, &pattern, seed, &plan, battery, miss);
-        skip.run_skipping(&scn.mac, slots);
+        prop_assert_eq!(skip.run_on(SimPath::Skip, &scn.mac, slots), fallback);
         let mut via_run = fresh(&scn, &pattern, seed, &plan, battery, miss);
-        via_run.run(&scn.mac, slots);
+        prop_assert_eq!(via_run.run(&scn.mac, slots), fallback);
         let mut dense = fresh(&scn, &pattern, seed, &plan, battery, miss);
-        dense.run_dense(&scn.mac, slots);
+        dense.run_on(SimPath::Scan, &scn.mac, slots);
         let per_slot = stepped(fresh(&scn, &pattern, seed, &plan, battery, miss), &scn.mac, slots);
         prop_assert_eq!(&dense.report(), &per_slot);
         prop_assert_eq!(&skip.report(), &per_slot);

@@ -1,11 +1,13 @@
 //! Every roster source must drive the slot pipeline bit-identically.
 //!
 //! Every phase walks the slot's rosters. For a frame-periodic MAC,
-//! [`Simulator::run`] takes them from a precomputed
-//! [`SlotPlan`](ttdc_sim::SlotPlan) at zero clock drift and from
-//! per-skew-group reads of the MAC's slot masks under drift;
-//! [`Simulator::run_dense`] forces the per-slot scan that asks the MAC
-//! about every node at its perceived slot. The properties here pin the
+//! [`Simulator::run_on`] takes them from a precomputed
+//! [`SlotPlan`](ttdc_sim::SlotPlan) at zero clock drift
+//! ([`SimPath::Plan`]) and from per-skew-group reads of the MAC's slot
+//! masks under drift ([`SimPath::Skew`]); [`SimPath::Scan`] forces the
+//! per-slot scan that asks the MAC about every node at its perceived
+//! slot. Each run's returned path is checked, so a source that silently
+//! fell back would fail here. The properties here pin the
 //! sources to the same *full* [`SimReport`] — every counter, the per-node
 //! energy ledger, the latency histogram bit patterns, and the retained
 //! event trace — across random topologies, schedules, the paper's
@@ -20,7 +22,7 @@ use std::sync::OnceLock;
 use ttdc_core::Schedule;
 use ttdc_sim::{
     CaptureModel, CrashModel, FaultPlan, GilbertElliott, MacProtocol, ScheduleMac, SimConfig,
-    SimReport, Simulator, SimulatorBuilder, Topology, TrafficPattern,
+    SimPath, SimReport, Simulator, SimulatorBuilder, Topology, TrafficPattern,
 };
 use ttdc_util::BitSet;
 
@@ -195,8 +197,8 @@ fn fresh(
     build(scn.topo.clone(), *pattern, config, &scn.capture)
 }
 
-/// `run()` (plan-sourced when eligible) and `run_dense()` (the forced
-/// scan) on identical inputs.
+/// A forced plan run (skew groups under drift) and a forced scan on
+/// identical inputs, with the path the first one took.
 fn both_reports(
     scn: &Scenario,
     pattern: &TrafficPattern,
@@ -204,13 +206,13 @@ fn both_reports(
     faults: &FaultPlan,
     battery: Option<f64>,
     slots: u64,
-) -> (SimReport, SimReport) {
+) -> (SimPath, SimReport, SimReport) {
     let mac: &dyn MacProtocol = &scn.mac;
     let mut sparse = fresh(scn, pattern, seed, faults, battery);
-    sparse.run(mac, slots);
+    let path = sparse.run_on(SimPath::Plan, mac, slots);
     let mut dense = fresh(scn, pattern, seed, faults, battery);
-    dense.run_dense(mac, slots);
-    (sparse.report(), dense.report())
+    dense.run_on(SimPath::Scan, mac, slots);
+    (path, sparse.report(), dense.report())
 }
 
 proptest! {
@@ -231,10 +233,11 @@ proptest! {
         slots in 50u64..400,
     ) {
         prop_assert!(scn.mac.frame_periodic(), "ScheduleMac wraps by definition");
-        let (sparse_seq, dense_seq) = sequential_pool()
+        let (path, sparse_seq, dense_seq) = sequential_pool()
             .install(|| both_reports(&scn, &pattern, seed, &plan, battery, slots));
+        prop_assert_eq!(path, SimPath::Plan);
         prop_assert_eq!(&sparse_seq, &dense_seq);
-        let (sparse_par, dense_par) = parallel_pool()
+        let (_, sparse_par, dense_par) = parallel_pool()
             .install(|| both_reports(&scn, &pattern, seed, &plan, battery, slots));
         prop_assert_eq!(&sparse_par, &dense_par);
         // Pool size must not matter either.
@@ -243,8 +246,8 @@ proptest! {
         prop_assert!(sparse_seq.trace.enabled());
     }
 
-    /// With clock drift active the dispatcher takes the skew-group
-    /// rosters, which must stay interchangeable with `run_dense()`.
+    /// With clock drift active the plan tier runs on the skew-group
+    /// rosters, which must stay interchangeable with the forced scan.
     #[test]
     fn drifted_run_matches_dense_scan(
         scn in arb_scenario(),
@@ -254,7 +257,8 @@ proptest! {
     ) {
         let plan = FaultPlan::none().with_drift(drift);
         let pattern = TrafficPattern::PoissonUnicast { rate: 0.1 };
-        let (via_run, via_dense) = both_reports(&scn, &pattern, seed, &plan, None, slots);
+        let (path, via_run, via_dense) = both_reports(&scn, &pattern, seed, &plan, None, slots);
+        prop_assert_eq!(path, SimPath::Skew);
         prop_assert_eq!(via_run, via_dense);
     }
 
@@ -302,9 +306,9 @@ proptest! {
         let capture = capture_ratio
             .map(|ratio| (random_positions(n, shape_seed), CaptureModel { ratio }));
         let mut via_run = build(topo.clone(), pattern, config, &capture);
-        via_run.run(&mac, slots);
+        prop_assert_eq!(via_run.run(&mac, slots), SimPath::Skew);
         let mut via_dense = build(topo, pattern, config, &capture);
-        via_dense.run_dense(&mac, slots);
+        via_dense.run_on(SimPath::Scan, &mac, slots);
         prop_assert_eq!(via_run.report(), via_dense.report());
     }
 
@@ -322,17 +326,17 @@ proptest! {
     ) {
         let pattern = TrafficPattern::PoissonUnicast { rate: 0.1 };
         let mut whole = fresh(&scn, &pattern, seed, &plan, None);
-        whole.run_dense(&scn.mac, first + second);
+        whole.run_on(SimPath::Scan, &scn.mac, first + second);
         let whole = whole.report();
 
         let mut dense_then_sparse = fresh(&scn, &pattern, seed, &plan, None);
-        dense_then_sparse.run_dense(&scn.mac, first);
-        dense_then_sparse.run(&scn.mac, second);
+        dense_then_sparse.run_on(SimPath::Scan, &scn.mac, first);
+        prop_assert_eq!(dense_then_sparse.run(&scn.mac, second), SimPath::Plan);
         prop_assert_eq!(&dense_then_sparse.report(), &whole);
 
         let mut sparse_then_dense = fresh(&scn, &pattern, seed, &plan, None);
-        sparse_then_dense.run(&scn.mac, first);
-        sparse_then_dense.run_dense(&scn.mac, second);
+        prop_assert_eq!(sparse_then_dense.run(&scn.mac, first), SimPath::Plan);
+        sparse_then_dense.run_on(SimPath::Scan, &scn.mac, second);
         prop_assert_eq!(&sparse_then_dense.report(), &whole);
     }
 }

@@ -6,7 +6,8 @@
 //! the experiment harness, exact/overflow-safe [`binomial`] arithmetic used
 //! by the throughput formulas, the plain-text/CSV [`table`] renderer the
 //! experiment runners print their results with, and the checksummed JSONL
-//! [`manifest`] every checkpointed run saves through.
+//! [`manifest`] every checkpointed run saves through, and the one
+//! [`splitmix64`] generator behind every seeded stream.
 
 pub mod atomic;
 pub mod binomial;
@@ -16,6 +17,7 @@ pub mod fpfold;
 pub mod histogram;
 pub mod lp;
 pub mod manifest;
+pub mod splitmix;
 pub mod stats;
 pub mod subsets;
 pub mod table;
@@ -30,6 +32,7 @@ pub use lp::{DualAscent, LpItem};
 pub use manifest::{
     f64_from_bits_json, f64_to_bits_json, Checkpoint, Manifest, ManifestError, ManifestRecord,
 };
+pub use splitmix::splitmix64;
 pub use stats::{ConfidenceInterval, OnlineStats};
 pub use subsets::{for_each_subset_delta, for_each_subset_delta_lex, SubsetEvent};
 pub use table::Table;
