@@ -13,9 +13,7 @@ use ttdc_core::requirements::is_topology_transparent;
 use ttdc_core::throughput::average_throughput_bruteforce;
 use ttdc_core::tsma::build_polynomial;
 use ttdc_protocols::TsmaMac;
-use ttdc_sim::{
-    run_replications, GeometricNetwork, SimConfig, Simulator, Topology, TrafficPattern,
-};
+use ttdc_sim::{run_replications, GeometricNetwork, SimulatorBuilder, Topology, TrafficPattern};
 
 fn topo() -> Topology {
     let mut rng = SmallRng::seed_from_u64(3);
@@ -47,14 +45,11 @@ pub fn run(smoke: bool) -> Value {
         run_workload("sim/run_replications_x16_n50_2k_slots", iters, &|| {
             let reports = run_replications(16, 7, |seed| {
                 let mac = TsmaMac::new(50, 4);
-                let mut sim = Simulator::new(
-                    topo(),
-                    TrafficPattern::PoissonUnicast { rate: 0.002 },
-                    SimConfig {
-                        seed,
-                        ..Default::default()
-                    },
-                );
+                let mut sim =
+                    SimulatorBuilder::new(topo(), TrafficPattern::PoissonUnicast { rate: 0.002 })
+                        .seed(seed)
+                        .build()
+                        .expect("valid configuration");
                 sim.run(&mac, 2_000);
                 sim.report()
             });

@@ -55,7 +55,7 @@ use serde_json::{json, Value};
 use std::time::Instant;
 use ttdc_core::Schedule;
 use ttdc_sim::{
-    FaultPlan, MacProtocol, ScheduleMac, SimConfig, SimPath, SimReport, Simulator, Topology,
+    FaultPlan, MacProtocol, ScheduleMac, SimPath, SimReport, SimulatorBuilder, Topology,
     TrafficPattern,
 };
 use ttdc_util::BitSet;
@@ -83,15 +83,11 @@ fn report(
     path: SimPath,
 ) -> SimReport {
     let (topo, mac) = point;
-    let mut sim = Simulator::new(
-        topo.clone(),
-        TrafficPattern::SaturatedBroadcast,
-        SimConfig {
-            seed: 11,
-            faults,
-            ..Default::default()
-        },
-    );
+    let mut sim = SimulatorBuilder::new(topo.clone(), TrafficPattern::SaturatedBroadcast)
+        .seed(11)
+        .faults(faults)
+        .build()
+        .expect("valid configuration");
     assert_eq!(sim.run_on(path, mac, slots), path);
     sim.report()
 }
@@ -225,16 +221,15 @@ fn low_traffic_period(n: usize) -> u64 {
 fn low_traffic_report(n: usize, slots: u64, path: SimPath) -> SimReport {
     let topo = matching_topo(n);
     let mac = matching_mac(n);
-    let mut sim = Simulator::new(
+    let mut sim = SimulatorBuilder::new(
         topo,
         TrafficPattern::CbrUnicast {
             period: low_traffic_period(n),
         },
-        SimConfig {
-            seed: 11,
-            ..Default::default()
-        },
-    );
+    )
+    .seed(11)
+    .build()
+    .expect("valid configuration");
     assert_eq!(sim.run_on(path, &mac, slots), path);
     sim.report()
 }

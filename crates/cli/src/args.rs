@@ -134,7 +134,7 @@ pub enum Command {
         topology: TopologySpec,
         /// Slots to simulate.
         slots: u64,
-        /// Per-node per-slot packet rate.
+        /// Per-node per-slot packet probability.
         rate: f64,
         /// RNG seed.
         seed: u64,
@@ -385,11 +385,7 @@ fn validate(cmd: &Command) -> Result<(), CliError> {
             ..
         } => {
             probability(*per, "per", "per-link error rate")?;
-            if !rate.is_finite() || *rate < 0.0 {
-                return Err(CliError::InvalidValue(format!(
-                    "--rate: packet rate must be finite and >= 0, got {rate}"
-                )));
-            }
+            probability(*rate, "rate", "per-node per-slot packet rate")?;
             if !drift.is_finite() || !(0.0..1.0).contains(drift) {
                 return Err(CliError::InvalidValue(format!(
                     "--drift: per-slot clock skew must be in [0, 1), got {drift}"
@@ -1245,6 +1241,7 @@ mod tests {
             ("--rate", "NaN"),
             ("--rate", "-1"),
             ("--rate", "inf"),
+            ("--rate", "1.5"),
             ("--drift", "1.5"),
             ("--drift", "NaN"),
             ("--burst", "1.2,0.5"),

@@ -4,10 +4,10 @@
 //! crash-resilient runner in `ttdc_sim::campaign`.
 //!
 //! Each grid's point order is the row order of its experiment's table, and
-//! the runner's merge is bit-identical to the `run_replications_summarized`
-//! fold the experiments used before — so routing E10/E12/E17 through a
-//! campaign (checkpointed or not) leaves every byte of `results/`
-//! unchanged.
+//! the runner's merge is bit-identical to
+//! `summarize(&run_replications(..))` over the same seeds, the fold the
+//! experiments used before — so routing E10/E12/E17 through a campaign
+//! (checkpointed or not) leaves every byte of `results/` unchanged.
 //!
 //! Set [`CAMPAIGN_DIR_ENV`] to make `exp_all` checkpoint the experiments'
 //! sweeps: a killed `exp_all e12` rerun then resumes from the completed

@@ -14,7 +14,7 @@
 
 use ttdc_core::throughput::{average_throughput, topology_link_throughput};
 use ttdc_core::Schedule;
-use ttdc_sim::{ScheduleMac, SimConfig, Simulator, Topology, TrafficPattern};
+use ttdc_sim::{ScheduleMac, SimulatorBuilder, Topology, TrafficPattern};
 use ttdc_util::{table::fmt_f, BitSet, Table};
 
 /// The Figure-1 instance: `(topology, non_sleeping ⟨T⟩, duty_cycled ⟨T,R⟩)`.
@@ -53,11 +53,9 @@ pub fn run() -> Vec<Table> {
 
     let simulate = |s: &Schedule| {
         let mac = ScheduleMac::new("fig1", s.clone());
-        let mut sim = Simulator::new(
-            topo.clone(),
-            TrafficPattern::SaturatedBroadcast,
-            SimConfig::default(),
-        );
+        let mut sim = SimulatorBuilder::new(topo.clone(), TrafficPattern::SaturatedBroadcast)
+            .build()
+            .expect("valid configuration");
         sim.run(&mac, frames * l);
         sim.report()
     };

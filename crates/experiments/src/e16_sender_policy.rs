@@ -11,7 +11,7 @@
 
 use ttdc_core::construct::PartitionStrategy;
 use ttdc_protocols::TtdcMac;
-use ttdc_sim::{run_replications, summarize, SimConfig, Simulator, Topology, TrafficPattern};
+use ttdc_sim::{run_replications, summarize, SimulatorBuilder, Topology, TrafficPattern};
 use ttdc_util::Table;
 
 const N: usize = 20;
@@ -21,15 +21,11 @@ const REPS: u64 = 6;
 
 fn scenario(aware: bool, rate: f64, seed: u64) -> ttdc_sim::SimReport {
     let mac = TtdcMac::new(N, D, 2, 4, PartitionStrategy::RoundRobin);
-    let mut sim = Simulator::new(
-        Topology::ring(N),
-        TrafficPattern::PoissonUnicast { rate },
-        SimConfig {
-            seed,
-            schedule_aware_senders: aware,
-            ..Default::default()
-        },
-    );
+    let mut sim = SimulatorBuilder::new(Topology::ring(N), TrafficPattern::PoissonUnicast { rate })
+        .seed(seed)
+        .schedule_aware_senders(aware)
+        .build()
+        .expect("valid configuration");
     sim.run(&mac, SLOTS);
     sim.report()
 }

@@ -1,10 +1,9 @@
 //! The one construction path for [`Simulator`]s.
 //!
-//! [`SimulatorBuilder`] validates every knob once — physical capture
-//! included, which is set only here — and hands back a ready simulator.
-//! [`Simulator::new`] and [`Simulator::try_new`] are thin wrappers around
-//! it, so legacy call sites and builder call sites construct byte-identical
-//! engines.
+//! [`SimulatorBuilder`] is the only way to make a simulator: it holds the
+//! engine's knobs, one setter each, validates them all once in
+//! [`build`](SimulatorBuilder::build) — physical capture included — and
+//! hands back a ready simulator.
 //!
 //! ```
 //! use ttdc_sim::{SimulatorBuilder, Topology, TrafficPattern};
@@ -31,8 +30,8 @@ use crate::traffic::TrafficPattern;
 /// Step-by-step construction of a [`Simulator`].
 ///
 /// Start from a topology and workload, override knobs as needed, then
-/// [`build`](SimulatorBuilder::build). Every validation the old
-/// constructors performed happens in `build`, as typed [`SimError`]s.
+/// [`build`](SimulatorBuilder::build), which reports every invalid knob as
+/// a typed [`SimError`].
 pub struct SimulatorBuilder {
     topo: Topology,
     pattern: TrafficPattern,
@@ -41,8 +40,10 @@ pub struct SimulatorBuilder {
 }
 
 impl SimulatorBuilder {
-    /// A builder over `topo` running `pattern`, with default config and
-    /// the ideal channel.
+    /// A builder over `topo` running `pattern` with the default knobs:
+    /// seed 0, the default [`EnergyModel`], no faults, perfect sync,
+    /// schedule-aware senders, mains power, tracing off and the ideal
+    /// channel.
     pub fn new(topo: Topology, pattern: TrafficPattern) -> SimulatorBuilder {
         SimulatorBuilder {
             topo,
@@ -50,13 +51,6 @@ impl SimulatorBuilder {
             config: SimConfig::default(),
             channel: Channel::Ideal,
         }
-    }
-
-    /// Replaces the whole [`SimConfig`] at once (knob setters below still
-    /// apply on top).
-    pub fn config(mut self, config: SimConfig) -> SimulatorBuilder {
-        self.config = config;
-        self
     }
 
     /// Sets the RNG seed (everything is deterministic given the seed).
@@ -89,7 +83,9 @@ impl SimulatorBuilder {
         self
     }
 
-    /// Gives every node a finite battery of `capacity_mj` millijoules.
+    /// Gives every node a battery of `capacity_mj` millijoules (finite and
+    /// non-negative, validated in `build`); a node whose consumption
+    /// reaches it dies. Without this call nodes are mains-powered.
     pub fn battery_capacity_mj(mut self, capacity_mj: f64) -> SimulatorBuilder {
         self.config.battery_capacity_mj = Some(capacity_mj);
         self
@@ -119,8 +115,15 @@ impl SimulatorBuilder {
                 return Err(SimError::SinkOutOfRange { sink, nodes: n });
             }
         }
-        if let TrafficPattern::CbrUnicast { period: 0 } = self.pattern {
-            return Err(SimError::ZeroCbrPeriod);
+        match self.pattern {
+            TrafficPattern::CbrUnicast { period: 0 } => return Err(SimError::ZeroCbrPeriod),
+            // A NaN rate is outside the range too.
+            TrafficPattern::PoissonUnicast { rate } | TrafficPattern::Convergecast { rate, .. }
+                if !(0.0..=1.0).contains(&rate) =>
+            {
+                return Err(SimError::InvalidTrafficRate { value: rate })
+            }
+            _ => {}
         }
         if !(0.0..=1.0).contains(&self.config.miss_probability) {
             return Err(SimError::InvalidMissProbability {
@@ -128,6 +131,11 @@ impl SimulatorBuilder {
             });
         }
         self.config.faults.validate()?;
+        if let Some(value) = self.config.battery_capacity_mj {
+            if !(value.is_finite() && value >= 0.0) {
+                return Err(SimError::InvalidBatteryCapacity { value });
+            }
+        }
         // Sleep debt is settled by fast-forwarding repeated `f64` addition,
         // which needs finite, non-negative slot costs.
         for state in [RadioState::Transmit, RadioState::Listen, RadioState::Sleep] {
@@ -162,7 +170,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_validates_like_try_new() {
+    fn builder_rejects_out_of_range_knobs() {
         let err = SimulatorBuilder::new(
             Topology::line(2),
             TrafficPattern::Convergecast { sink: 5, rate: 0.1 },
@@ -219,6 +227,50 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("Sleep slot energy"), "{err}");
+
+        // Accepting these would panic in the first run's Bernoulli draw.
+        for rate in [1.5, -0.1, f64::NAN] {
+            for pattern in [
+                TrafficPattern::PoissonUnicast { rate },
+                TrafficPattern::Convergecast { sink: 0, rate },
+            ] {
+                let err = SimulatorBuilder::new(Topology::line(2), pattern)
+                    .build()
+                    .unwrap_err();
+                assert!(
+                    matches!(err, SimError::InvalidTrafficRate { value }
+                        if value.to_bits() == rate.to_bits()),
+                    "{pattern:?}: {err:?}"
+                );
+            }
+        }
+
+        // A NaN capacity would silently run mains-powered, a negative one
+        // would kill every node at slot 0.
+        for capacity in [f64::NAN, -1.0, f64::INFINITY] {
+            let err = SimulatorBuilder::new(Topology::line(2), TrafficPattern::SaturatedBroadcast)
+                .battery_capacity_mj(capacity)
+                .build()
+                .unwrap_err();
+            assert!(
+                matches!(err, SimError::InvalidBatteryCapacity { value }
+                    if value.to_bits() == capacity.to_bits()),
+                "{capacity}: {err:?}"
+            );
+        }
+
+        // The ends of both ranges are valid.
+        for rate in [0.0, 1.0] {
+            for pattern in [
+                TrafficPattern::PoissonUnicast { rate },
+                TrafficPattern::Convergecast { sink: 0, rate },
+            ] {
+                assert!(SimulatorBuilder::new(Topology::line(2), pattern)
+                    .battery_capacity_mj(0.0)
+                    .build()
+                    .is_ok());
+            }
+        }
     }
 
     #[test]
@@ -234,46 +286,5 @@ mod tests {
                 .build()
                 .is_ok()
         );
-    }
-
-    #[test]
-    fn builder_and_legacy_constructor_agree_bit_for_bit() {
-        let mk_topo = || Topology::ring(6);
-        let config = SimConfig {
-            seed: 11,
-            miss_probability: 0.1,
-            trace_capacity: 128,
-            ..Default::default()
-        };
-        let mac = crate::mac::ScheduleMac::new(
-            "rr",
-            ttdc_core::Schedule::non_sleeping(
-                6,
-                (0..6)
-                    .map(|i| ttdc_util::BitSet::from_iter(6, [i]))
-                    .collect(),
-            ),
-        );
-        let mut legacy = Simulator::new(
-            mk_topo(),
-            TrafficPattern::PoissonUnicast { rate: 0.2 },
-            config,
-        );
-        let mut built =
-            SimulatorBuilder::new(mk_topo(), TrafficPattern::PoissonUnicast { rate: 0.2 })
-                .config(config)
-                .build()
-                .unwrap();
-        legacy.run(&mac, 400);
-        built.run(&mac, 400);
-        let (a, b) = (legacy.report(), built.report());
-        assert_eq!(
-            (a.generated, a.delivered, a.collisions),
-            (b.generated, b.delivered, b.collisions)
-        );
-        assert_eq!(a.energy.consumed_mj, b.energy.consumed_mj);
-        let ta: Vec<_> = a.trace.events().collect();
-        let tb: Vec<_> = b.trace.events().collect();
-        assert_eq!(ta, tb);
     }
 }

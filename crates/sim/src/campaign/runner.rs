@@ -20,11 +20,12 @@
 //!    encoding* (fresh or reloaded — one code path) and folded into one
 //!    [`McSummary`] per point in shard order, which is replication order;
 //!    the Welford pushes therefore happen in exactly the order
-//!    [`run_replications_summarized`] uses, making the merged output
-//!    bit-identical to an uninterrupted single-process run for *any*
-//!    shard size, thread count, or kill/resume history.
+//!    [`summarize`] uses over [`run_replications`]' seed-ordered reports,
+//!    making the merged output bit-identical to that two-step reference
+//!    for *any* shard size, thread count, or kill/resume history.
 //!
-//! [`run_replications_summarized`]: crate::montecarlo::run_replications_summarized
+//! [`summarize`]: crate::montecarlo::summarize
+//! [`run_replications`]: crate::montecarlo::run_replications
 
 use rayon::prelude::*;
 use serde_json::{json, Value};
@@ -155,8 +156,10 @@ impl From<ManifestError> for CampaignError {
     }
 }
 
-/// The seven standard metrics of one replication, in
-/// `run_replications_summarized` push order.
+/// The seven standard metrics of one replication, in [`summarize`] push
+/// order — the crate's one streaming replication fold.
+///
+/// [`summarize`]: crate::montecarlo::summarize
 struct RepMetrics {
     delivery_ratio: f64,
     latency_and_epd: Option<(f64, f64)>,
@@ -228,8 +231,10 @@ impl RepMetrics {
         })
     }
 
-    /// Pushes this replication into `s` — the exact order
-    /// `run_replications_summarized` uses, preserving Welford bit-identity.
+    /// Pushes this replication into `s` — the exact order [`summarize`]
+    /// uses, preserving Welford bit-identity.
+    ///
+    /// [`summarize`]: crate::montecarlo::summarize
     fn push_into(&self, s: &mut McSummary) {
         s.delivery_ratio.push(self.delivery_ratio);
         if let Some((latency, epd)) = self.latency_and_epd {

@@ -10,7 +10,8 @@
 //! 3. transmit election (schedule, sync-miss, p-persistence);
 //! 4. reception resolution — the paper's rule, a reception at `y`
 //!    succeeds iff **exactly one** of its neighbours transmits, unless
-//!    physical capture was set with [`SimulatorBuilder::capture`];
+//!    physical capture was set with
+//!    [`SimulatorBuilder::capture`](crate::SimulatorBuilder::capture);
 //! 5. handoff delivery; 6. bounded ARQ; 7. energy and battery depletion.
 //!
 //! Election, channel and energy visit only the slot's rosters — who may
@@ -30,10 +31,8 @@
 //! ([`Simulator::set_topology`]) to exercise topology transparency under
 //! churn and mobility.
 
-use crate::builder::SimulatorBuilder;
 use crate::channel::Channel;
 use crate::energy::{EnergyLedger, EnergyModel, RadioState};
-use crate::error::SimError;
 use crate::events::SkipState;
 use crate::faults::{FaultPlan, FaultState};
 use crate::mac::MacProtocol;
@@ -49,9 +48,10 @@ use rand::SeedableRng;
 use std::collections::VecDeque;
 use ttdc_util::BitSet;
 
-/// Engine knobs independent of workload and protocol.
+/// Engine knobs independent of workload and protocol, set through the
+/// [`SimulatorBuilder`](crate::SimulatorBuilder) setters.
 #[derive(Clone, Copy, Debug)]
-pub struct SimConfig {
+pub(crate) struct SimConfig {
     /// RNG seed (everything is deterministic given the seed).
     pub seed: u64,
     /// Radio energy model.
@@ -113,8 +113,8 @@ pub enum SimPath {
 
 /// The simulator state: topology, per-node queues, recorders, and the RNG.
 ///
-/// Construct through [`SimulatorBuilder`] (or the [`Simulator::new`] /
-/// [`Simulator::try_new`] shorthands, which route through it).
+/// Construct through [`SimulatorBuilder`](crate::SimulatorBuilder), the
+/// only way to make one.
 #[derive(Debug)]
 pub struct Simulator {
     pub(crate) topo: Topology,
@@ -173,31 +173,8 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Creates a simulator over `topo` with the given workload and config.
-    ///
-    /// Panics on invalid configuration; [`Simulator::try_new`] is the
-    /// fallible equivalent.
-    pub fn new(topo: Topology, pattern: TrafficPattern, config: SimConfig) -> Simulator {
-        match Simulator::try_new(topo, pattern, config) {
-            Ok(sim) => sim,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Creates a simulator over `topo`, rejecting invalid configuration
-    /// (out-of-range sink, bad miss probability, bad fault plan, a
-    /// negative or non-finite slot energy) as a
-    /// typed [`SimError`] instead of panicking. Routed through
-    /// [`SimulatorBuilder`].
-    pub fn try_new(
-        topo: Topology,
-        pattern: TrafficPattern,
-        config: SimConfig,
-    ) -> Result<Simulator, SimError> {
-        SimulatorBuilder::new(topo, pattern).config(config).build()
-    }
-
-    /// Assembles a validated simulator; only [`SimulatorBuilder::build`]
+    /// Assembles a validated simulator; only
+    /// [`SimulatorBuilder::build`](crate::SimulatorBuilder::build)
     /// calls this.
     pub(crate) fn assemble(
         topo: Topology,
@@ -517,10 +494,9 @@ impl Simulator {
 
     /// How many slots are *guaranteed* death-free from a settled ledger:
     /// half the minimum live headroom at the most expensive radio state.
-    /// `0` means a depletion is imminent (or the capacity is unreachable
-    /// nonsense like NaN) and the caller must step slot by slot;
-    /// `u64::MAX` means nobody can ever die (all dead, or a free energy
-    /// model).
+    /// `0` means a depletion is imminent and the caller must step slot by
+    /// slot; `u64::MAX` means nobody can ever die (all dead, or a free
+    /// energy model).
     fn battery_epoch_slots(&self, cap: f64) -> u64 {
         let e = &self.config.energy;
         let max_slot_mj = e
@@ -534,10 +510,12 @@ impl Simulator {
             }
         }
         if min_head == f64::INFINITY {
+            // `build` admits only a finite capacity and every ledger entry
+            // is finite, so a live node's headroom is finite: none is left.
             return u64::MAX; // everyone is already dead
         }
-        if min_head <= 0.0 || min_head.is_nan() {
-            return 0; // imminent (or NaN capacity): step it out
+        if min_head <= 0.0 {
+            return 0; // imminent: step it out
         }
         if max_slot_mj == 0.0 {
             return u64::MAX; // free radios: nobody can ever deplete

@@ -1,11 +1,9 @@
 //! Typed configuration errors for simulator construction.
 //!
-//! [`SimulatorBuilder::build`](crate::SimulatorBuilder::build) and
-//! [`Simulator::try_new`](crate::Simulator::try_new), which routes through
-//! it, return these instead of panicking, so embedders (the CLI,
-//! experiment harnesses) can surface bad configuration as a normal error
-//! path. The panicking [`Simulator::new`](crate::Simulator::new) formats
-//! the same messages.
+//! [`SimulatorBuilder::build`](crate::SimulatorBuilder::build), the one
+//! construction path, returns these instead of panicking, so embedders
+//! (the CLI, experiment harnesses) can surface bad configuration as a
+//! normal error path.
 
 use crate::energy::RadioState;
 use std::fmt;
@@ -51,6 +49,17 @@ pub enum SimError {
     },
     /// A CBR traffic pattern with generation period 0.
     ZeroCbrPeriod,
+    /// A Poisson-unicast or convergecast generation rate is outside
+    /// `[0, 1]` (NaN included).
+    InvalidTrafficRate {
+        /// The offending rate.
+        value: f64,
+    },
+    /// The battery capacity is negative or not finite.
+    InvalidBatteryCapacity {
+        /// The offending capacity (mJ).
+        value: f64,
+    },
     /// The energy model's cost of one slot in some radio state is
     /// negative or not finite.
     InvalidSlotEnergy {
@@ -91,6 +100,15 @@ impl fmt::Display for SimError {
             SimError::ZeroCbrPeriod => {
                 write!(f, "CBR generation period must be at least 1 slot, got 0")
             }
+            SimError::InvalidTrafficRate { value } => {
+                write!(f, "traffic rate must be in [0, 1], got {value}")
+            }
+            SimError::InvalidBatteryCapacity { value } => {
+                write!(
+                    f,
+                    "battery capacity must be finite and non-negative, got {value} mJ"
+                )
+            }
             SimError::InvalidSlotEnergy { state, value } => {
                 write!(
                     f,
@@ -107,9 +125,8 @@ impl std::error::Error for SimError {}
 mod tests {
     use super::*;
 
-    /// The panicking constructors format these errors; their messages must
-    /// keep the substrings historic `#[should_panic(expected = …)]` tests
-    /// assert on.
+    /// Callers that panic on a rejected configuration format these
+    /// errors; their messages keep the substrings tests assert on.
     #[test]
     fn display_keeps_legacy_panic_substrings() {
         let cases: Vec<(SimError, &str)> = vec![

@@ -19,23 +19,25 @@
 //!   and a sync-miss knob; each slot phase lives in its own module under
 //!   `phases/` (faults → traffic → election → channel → delivery → arq →
 //!   energy);
-//! * [`builder`] — [`SimulatorBuilder`], the one construction path every
-//!   constructor routes through, and the only place physical capture
-//!   ([`CaptureModel`]) is set; receptions otherwise follow the paper's
-//!   exactly-one rule;
+//! * [`builder`] — [`SimulatorBuilder`], the only way to construct a
+//!   [`Simulator`]: one setter per engine knob, physical capture
+//!   ([`CaptureModel`]) included, all validated in one `build`; receptions
+//!   otherwise follow the paper's exactly-one rule;
 //! * [`energy`] — transmit/listen/sleep accounting;
 //! * [`faults`] — fault injection (lossy/bursty links, transient node
 //!   crashes, clock drift) and the bounded link-layer ARQ;
 //! * [`metrics`], [`trace`], [`montecarlo`] — reports (folded from the
 //!   engine's event stream by two built-in recorders), event traces and
-//!   parallel replication.
+//!   parallel replication;
+//! * [`campaign`] — sharded, checkpointed replication sweeps whose merge
+//!   is the one streaming replication fold.
 //!
 //! # Fault model
 //!
 //! The paper proves its delivery guarantee over an idealized channel
 //! (collisions are the only loss, slots are perfectly aligned). To measure
 //! how gracefully a topology-transparent schedule degrades when that
-//! idealization breaks, [`SimConfig::faults`] accepts a composable
+//! idealization breaks, [`SimulatorBuilder::faults`] accepts a composable
 //! [`FaultPlan`]:
 //!
 //! * **Link loss** — a uniform packet error rate ([`FaultPlan::per`]) and/or
@@ -49,7 +51,7 @@
 //! * **Clock drift** — each node accrues a fixed per-slot skew drawn from
 //!   `[-clock_drift, +clock_drift]`, shifting the slot index at which it
 //!   consults the schedule; this generalizes the uniform
-//!   [`SimConfig::miss_probability`] to *systematic* desynchronization.
+//!   [`SimulatorBuilder::miss_probability`] to *systematic* desynchronization.
 //! * **Bounded ARQ** — [`FaultPlan::max_retries`] caps how often a hop is
 //!   retried before the packet is abandoned
 //!   ([`SimReport::retry_exhausted`]); `None` retries forever, which is the
@@ -89,12 +91,12 @@ pub use campaign::{
 };
 pub use channel::CaptureModel;
 pub use energy::{EnergyLedger, EnergyModel, RadioState};
-pub use engine::{SimConfig, SimPath, Simulator};
+pub use engine::{SimPath, Simulator};
 pub use error::SimError;
 pub use faults::{CrashModel, FaultPlan, GilbertElliott};
 pub use mac::{MacProtocol, ScheduleMac};
 pub use metrics::SimReport;
-pub use montecarlo::{run_replications, run_replications_summarized, summarize, McSummary};
+pub use montecarlo::{run_replications, summarize, McSummary};
 pub use plan::SlotPlan;
 pub use topology::{churn, GeometricNetwork, Topology};
 pub use trace::{Trace, TraceEvent};

@@ -2,8 +2,11 @@
 //!
 //! Experiment sweeps run many independent replications (seeds) of the same
 //! scenario; the replications are embarrassingly parallel and fan out over
-//! the rayon pool. Results aggregate into [`McSummary`] via the mergeable
-//! [`OnlineStats`] accumulators.
+//! the rayon pool. [`summarize`] folds their reports into an [`McSummary`]
+//! of [`OnlineStats`] accumulators. This two-step path is the reference;
+//! the campaign runner ([`crate::run_campaign`]) is the streaming fold that
+//! keeps only a few metrics per replication and pushes them in the same
+//! order, so it matches `summarize` bit for bit.
 
 use crate::metrics::SimReport;
 use rayon::prelude::*;
@@ -74,7 +77,9 @@ impl McSummary {
     }
 }
 
-/// Aggregates replication reports.
+/// Aggregates replication reports, pushing each report's metrics in slice
+/// order (seed order for [`run_replications`]). The Welford accumulators
+/// are not associative, so the order is part of the result.
 pub fn summarize(reports: &[SimReport]) -> McSummary {
     let mut s = McSummary::default();
     for r in reports {
@@ -91,71 +96,10 @@ pub fn summarize(reports: &[SimReport]) -> McSummary {
     s
 }
 
-/// The headline metrics one replication contributes to an [`McSummary`] —
-/// a few dozen bytes, versus a [`SimReport`] that owns per-node vectors
-/// and a latency histogram.
-struct RepMetrics {
-    delivery_ratio: f64,
-    /// `Some` only when the replication delivered at least one packet
-    /// (matching [`summarize`]'s conditional pushes).
-    latency_and_epd: Option<(f64, f64)>,
-    energy_mean_mj: f64,
-    collisions: f64,
-    duty_cycle: f64,
-    energy_fairness: f64,
-}
-
-/// Runs `replications` of `scenario(seed)` in parallel and folds each
-/// report straight into an [`McSummary`] without materialising a
-/// `Vec<SimReport>`.
-///
-/// For sweeps at large `n` × many replications this is the difference
-/// between holding one report per *in-flight* worker and holding all of
-/// them until the sweep point ends: each report is reduced to its handful
-/// of summary metrics as soon as its replication finishes.
-///
-/// Bit-identical to `summarize(&run_replications(..))`: the Welford
-/// accumulators in [`OnlineStats`] are *not* associative under `merge`, so
-/// the fold collects the per-replication metrics in seed order and pushes
-/// them sequentially — the same addition order as the two-step path.
-pub fn run_replications_summarized<F>(replications: u64, base_seed: u64, scenario: F) -> McSummary
-where
-    F: Fn(u64) -> SimReport + Sync,
-{
-    let metrics: Vec<RepMetrics> = (0..replications)
-        .into_par_iter()
-        .map(|i| {
-            let r = scenario(base_seed + i);
-            RepMetrics {
-                delivery_ratio: r.delivery_ratio(),
-                latency_and_epd: (r.delivered > 0)
-                    .then(|| (r.latency.mean(), r.energy_per_delivery_mj())),
-                energy_mean_mj: r.energy.mean_mj(),
-                collisions: r.collisions as f64,
-                duty_cycle: r.mean_duty_cycle(),
-                energy_fairness: r.energy.fairness_index(),
-            }
-        })
-        .collect();
-    let mut s = McSummary::default();
-    for m in &metrics {
-        s.delivery_ratio.push(m.delivery_ratio);
-        if let Some((latency, epd)) = m.latency_and_epd {
-            s.latency_mean.push(latency);
-            s.energy_per_delivery_mj.push(epd);
-        }
-        s.energy_mean_mj.push(m.energy_mean_mj);
-        s.collisions.push(m.collisions);
-        s.duty_cycle.push(m.duty_cycle);
-        s.energy_fairness.push(m.energy_fairness);
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{SimConfig, Simulator};
+    use crate::builder::SimulatorBuilder;
     use crate::mac::ScheduleMac;
     use crate::topology::Topology;
     use crate::traffic::TrafficPattern;
@@ -166,14 +110,13 @@ mod tests {
         let n = 4;
         let t = (0..n).map(|i| BitSet::from_iter(n, [i])).collect();
         let mac = ScheduleMac::new("rr", Schedule::non_sleeping(n, t));
-        let mut sim = Simulator::new(
+        let mut sim = SimulatorBuilder::new(
             Topology::ring(n),
             TrafficPattern::PoissonUnicast { rate: 0.1 },
-            SimConfig {
-                seed,
-                ..Default::default()
-            },
-        );
+        )
+        .seed(seed)
+        .build()
+        .unwrap();
         sim.run(&mac, 400);
         sim.report()
     }
@@ -205,51 +148,6 @@ mod tests {
         assert!(s.duty_cycle.mean() > 0.74, "{}", s.duty_cycle.mean());
         assert!(s.energy_fairness.mean() > 0.9);
         assert!(s.latency_mean.mean() >= 0.0);
-    }
-
-    #[test]
-    fn summarized_path_is_bit_identical_to_the_two_step_path() {
-        let two_step = summarize(&run_replications(6, 42, scenario));
-        let streamed = run_replications_summarized(6, 42, scenario);
-        assert_eq!(streamed, two_step);
-        // PartialEq on f64 is value equality; the claim is stronger —
-        // same push order means the Welford state matches bit for bit.
-        assert_eq!(
-            streamed.delivery_ratio.mean().to_bits(),
-            two_step.delivery_ratio.mean().to_bits()
-        );
-        assert_eq!(
-            streamed.latency_mean.variance().to_bits(),
-            two_step.latency_mean.variance().to_bits()
-        );
-    }
-
-    #[test]
-    fn summarized_path_skips_latency_without_deliveries() {
-        // An unreachable pair: two nodes, no edges, so nothing delivers
-        // and the latency accumulator must stay empty — matching
-        // `summarize`'s conditional push.
-        let s = run_replications_summarized(3, 7, |seed| {
-            let mac = ScheduleMac::new(
-                "lonely",
-                Schedule::non_sleeping(
-                    2,
-                    vec![BitSet::from_iter(2, [0]), BitSet::from_iter(2, [1])],
-                ),
-            );
-            let mut sim = Simulator::new(
-                Topology::empty(2),
-                TrafficPattern::PoissonUnicast { rate: 0.2 },
-                SimConfig {
-                    seed,
-                    ..Default::default()
-                },
-            );
-            sim.run(&mac, 200);
-            sim.report()
-        });
-        assert_eq!(s.latency_mean.count(), 0);
-        assert_eq!(s.delivery_ratio.count(), 3);
     }
 
     #[test]

@@ -91,6 +91,10 @@ pub(crate) fn run(sim: &mut Simulator, awake: &[u32], bury: bool) {
 /// listener settles its sleep debt before the listen charge, preserving
 /// the per-node chronological addition order the bit-identity contract
 /// requires.
+// Out of line on purpose: when the optimizer inlined it into
+// `Simulator::run_on`'s skip loop, the sim-lowrate benchmark's best op
+// ran ~6% slower (median of 9 pairs, 2-vCPU host).
+#[inline(never)]
 pub(crate) fn advance_span(sim: &mut Simulator, plan: &SlotPlan, rx_busy: &[u32], to: u64) {
     let from = sim.slot;
     debug_assert!(to >= from);

@@ -35,7 +35,8 @@ pub enum TrafficPattern {
     /// per slot, addressed to a uniformly random current neighbour
     /// (single hop).
     PoissonUnicast {
-        /// Per-node per-slot generation probability.
+        /// Per-node per-slot generation probability, in `[0, 1]` (the
+        /// builder rejects anything else, NaN included).
         rate: f64,
     },
     /// Each node generates one packet every `period` slots (staggered by
@@ -49,7 +50,8 @@ pub enum TrafficPattern {
     Convergecast {
         /// Collection point.
         sink: usize,
-        /// Per-node per-slot generation probability.
+        /// Per-node per-slot generation probability, in `[0, 1]` (the
+        /// builder rejects anything else, NaN included).
         rate: f64,
     },
 }

@@ -9,7 +9,7 @@ use ttdc_sim::campaign::{
     ResumeMode, CAMPAIGN_KIND, MANIFEST_FILE,
 };
 use ttdc_sim::{
-    run_replications_summarized, McSummary, ScheduleMac, SimConfig, SimReport, Simulator, Topology,
+    run_replications, summarize, McSummary, ScheduleMac, SimReport, SimulatorBuilder, Topology,
     TrafficPattern,
 };
 use ttdc_util::{BitSet, Manifest, ManifestError};
@@ -22,16 +22,15 @@ fn scenario(point_rates: &[f64], point: usize, seed: u64) -> SimReport {
     let n = 4;
     let t = (0..n).map(|i| BitSet::from_iter(n, [i])).collect();
     let mac = ScheduleMac::new("rr", Schedule::non_sleeping(n, t));
-    let mut sim = Simulator::new(
+    let mut sim = SimulatorBuilder::new(
         Topology::ring(n),
         TrafficPattern::PoissonUnicast {
             rate: point_rates[point],
         },
-        SimConfig {
-            seed,
-            ..Default::default()
-        },
-    );
+    )
+    .seed(seed)
+    .build()
+    .unwrap();
     sim.run(&mac, SLOTS);
     sim.report()
 }
@@ -83,6 +82,8 @@ fn summaries_bits(s: &McSummary) -> Vec<u64> {
     .collect()
 }
 
+/// The merged campaign output equals the two-step reference
+/// `summarize(&run_replications(..))` bit for bit.
 #[test]
 fn campaign_merge_is_bit_identical_to_streaming_fold() {
     let rates = [0.05, 0.2];
@@ -93,11 +94,13 @@ fn campaign_merge_is_bit_identical_to_streaming_fold() {
     .unwrap();
     assert!(!outcome.degraded);
     for (point, merged) in outcome.summaries.iter().enumerate() {
-        let direct = run_replications_summarized(6, 100, |seed| scenario(&rates, point, seed));
+        let direct = summarize(&run_replications(6, 100, |seed| {
+            scenario(&rates, point, seed)
+        }));
         assert_eq!(
             summaries_bits(merged),
             summaries_bits(&direct),
-            "point {point} diverged from run_replications_summarized"
+            "point {point} diverged from summarize(run_replications(..))"
         );
     }
 }

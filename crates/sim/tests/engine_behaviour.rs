@@ -4,8 +4,8 @@
 
 use ttdc_core::Schedule;
 use ttdc_sim::{
-    CaptureModel, CrashModel, FaultPlan, GilbertElliott, RadioState, ScheduleMac, SimConfig,
-    SimError, Simulator, SimulatorBuilder, Topology, TraceEvent, TrafficPattern,
+    CaptureModel, CrashModel, FaultPlan, GilbertElliott, RadioState, ScheduleMac, SimError,
+    SimulatorBuilder, Topology, TraceEvent, TrafficPattern,
 };
 use ttdc_util::BitSet;
 
@@ -18,11 +18,9 @@ fn rr_mac(n: usize) -> ScheduleMac {
 fn saturated_two_nodes_alternate_perfectly() {
     // 2 nodes, round-robin: every slot is a guaranteed success on the
     // single link, alternating direction.
-    let mut sim = Simulator::new(
-        Topology::line(2),
-        TrafficPattern::SaturatedBroadcast,
-        SimConfig::default(),
-    );
+    let mut sim = SimulatorBuilder::new(Topology::line(2), TrafficPattern::SaturatedBroadcast)
+        .build()
+        .unwrap();
     let mac = rr_mac(2);
     sim.run(&mac, 10);
     let r = sim.report();
@@ -40,11 +38,9 @@ fn saturated_star_collides_under_all_transmit() {
     let t = vec![BitSet::from_iter(n, 1..n)]; // leaves transmit
     let r = vec![BitSet::from_iter(n, [0])]; // hub listens
     let mac = ScheduleMac::new("all-leaves", Schedule::new(n, t, r));
-    let mut sim = Simulator::new(
-        Topology::star(n),
-        TrafficPattern::SaturatedBroadcast,
-        SimConfig::default(),
-    );
+    let mut sim = SimulatorBuilder::new(Topology::star(n), TrafficPattern::SaturatedBroadcast)
+        .build()
+        .unwrap();
     sim.run(&mac, 8);
     let rep = sim.report();
     assert_eq!(rep.collisions, 8, "hub collides every slot");
@@ -53,14 +49,11 @@ fn saturated_star_collides_under_all_transmit() {
 
 #[test]
 fn unicast_delivery_on_pair() {
-    let mut sim = Simulator::new(
-        Topology::line(2),
-        TrafficPattern::CbrUnicast { period: 4 },
-        SimConfig {
-            seed: 1,
-            ..Default::default()
-        },
-    );
+    let mut sim =
+        SimulatorBuilder::new(Topology::line(2), TrafficPattern::CbrUnicast { period: 4 })
+            .seed(1)
+            .build()
+            .unwrap();
     let mac = rr_mac(2);
     sim.run(&mac, 40);
     let r = sim.report();
@@ -76,8 +69,9 @@ fn unicast_delivery_on_pair() {
 fn energy_accounting_splits_states() {
     // Round-robin on 2 nodes: each node transmits half the slots
     // (saturated), listens the other half → no sleep.
-    let cfg = SimConfig::default();
-    let mut sim = Simulator::new(Topology::line(2), TrafficPattern::SaturatedBroadcast, cfg);
+    let mut sim = SimulatorBuilder::new(Topology::line(2), TrafficPattern::SaturatedBroadcast)
+        .build()
+        .unwrap();
     sim.run(&rr_mac(2), 10);
     let r = sim.report();
     for v in 0..2 {
@@ -86,8 +80,9 @@ fn energy_accounting_splits_states() {
         assert_eq!(r.energy.sleep_slots[v], 0);
         assert_eq!(r.energy.duty_cycle(v), 1.0);
     }
-    let expect = 5.0 * cfg.energy.slot_energy_mj(RadioState::Transmit)
-        + 5.0 * cfg.energy.slot_energy_mj(RadioState::Listen);
+    let energy = sim.energy_model();
+    let expect = 5.0 * energy.slot_energy_mj(RadioState::Transmit)
+        + 5.0 * energy.slot_energy_mj(RadioState::Listen);
     assert!((r.energy.consumed_mj[0] - expect).abs() < 1e-9);
 }
 
@@ -97,15 +92,11 @@ fn missed_listen_slots_are_charged_as_sleep() {
     // slot never turns the radio on — the energy phase must charge Sleep
     // for those slots, not Listen. Invariant: listen slots plus missed
     // (slept) listen slots account for every scheduled listen.
-    let mut sim = Simulator::new(
-        Topology::line(2),
-        TrafficPattern::SaturatedBroadcast,
-        SimConfig {
-            seed: 3,
-            miss_probability: 0.4,
-            ..Default::default()
-        },
-    );
+    let mut sim = SimulatorBuilder::new(Topology::line(2), TrafficPattern::SaturatedBroadcast)
+        .seed(3)
+        .miss_probability(0.4)
+        .build()
+        .unwrap();
     sim.run(&rr_mac(2), 2000);
     let r = sim.report();
     for v in 0..2 {
@@ -131,11 +122,9 @@ fn sleeping_nodes_save_energy() {
     let t = vec![BitSet::from_iter(n, [0]), BitSet::from_iter(n, [1])];
     let r = vec![BitSet::from_iter(n, [1]), BitSet::from_iter(n, [0])];
     let mac = ScheduleMac::new("pair", Schedule::new(n, t, r));
-    let mut sim = Simulator::new(
-        Topology::line(n),
-        TrafficPattern::SaturatedBroadcast,
-        SimConfig::default(),
-    );
+    let mut sim = SimulatorBuilder::new(Topology::line(n), TrafficPattern::SaturatedBroadcast)
+        .build()
+        .unwrap();
     sim.run(&mac, 20);
     let rep = sim.report();
     assert_eq!(rep.energy.sleep_slots[2], 20);
@@ -148,17 +137,16 @@ fn sleeping_nodes_save_energy() {
 fn convergecast_reaches_sink_over_multiple_hops() {
     // Line 0-1-2, sink 0; node 2's packets need two hops.
     let n = 3;
-    let mut sim = Simulator::new(
+    let mut sim = SimulatorBuilder::new(
         Topology::line(n),
         TrafficPattern::Convergecast {
             sink: 0,
             rate: 0.05,
         },
-        SimConfig {
-            seed: 42,
-            ..Default::default()
-        },
-    );
+    )
+    .seed(42)
+    .build()
+    .unwrap();
     let mac = rr_mac(n);
     sim.run(&mac, 3000);
     let r = sim.report();
@@ -178,11 +166,9 @@ fn disconnected_generator_counts_undeliverable() {
     // Node 2 is isolated; unicast generation there is undeliverable.
     let mut topo = Topology::empty(3);
     topo.add_edge(0, 1);
-    let mut sim = Simulator::new(
-        topo,
-        TrafficPattern::CbrUnicast { period: 2 },
-        SimConfig::default(),
-    );
+    let mut sim = SimulatorBuilder::new(topo, TrafficPattern::CbrUnicast { period: 2 })
+        .build()
+        .unwrap();
     sim.run(&rr_mac(3), 20);
     let r = sim.report();
     assert!(r.undeliverable > 0);
@@ -194,15 +180,11 @@ fn disconnected_generator_counts_undeliverable() {
 #[test]
 fn miss_probability_degrades_throughput() {
     let run = |miss: f64| {
-        let mut sim = Simulator::new(
-            Topology::line(2),
-            TrafficPattern::SaturatedBroadcast,
-            SimConfig {
-                seed: 3,
-                miss_probability: miss,
-                ..Default::default()
-            },
-        );
+        let mut sim = SimulatorBuilder::new(Topology::line(2), TrafficPattern::SaturatedBroadcast)
+            .seed(3)
+            .miss_probability(miss)
+            .build()
+            .unwrap();
         sim.run(&rr_mac(2), 2000);
         let r = sim.report();
         r.link_success.values().sum::<u64>()
@@ -222,14 +204,13 @@ fn topology_swap_reroutes_convergecast() {
     // Start with line 0-1-2 (sink 0). Swap to a topology where 2
     // connects directly to 0: packets should still flow.
     let n = 3;
-    let mut sim = Simulator::new(
+    let mut sim = SimulatorBuilder::new(
         Topology::line(n),
         TrafficPattern::Convergecast { sink: 0, rate: 0.1 },
-        SimConfig {
-            seed: 9,
-            ..Default::default()
-        },
-    );
+    )
+    .seed(9)
+    .build()
+    .unwrap();
     let mac = rr_mac(n);
     sim.run(&mac, 500);
     let mut t2 = Topology::empty(n);
@@ -244,14 +225,13 @@ fn topology_swap_reroutes_convergecast() {
 #[test]
 fn determinism_in_seed() {
     let run = |seed| {
-        let mut sim = Simulator::new(
+        let mut sim = SimulatorBuilder::new(
             Topology::ring(5),
             TrafficPattern::PoissonUnicast { rate: 0.2 },
-            SimConfig {
-                seed,
-                ..Default::default()
-            },
-        );
+        )
+        .seed(seed)
+        .build()
+        .unwrap();
         sim.run(&rr_mac(5), 300);
         let r = sim.report();
         (r.generated, r.delivered, r.collisions, r.hop_deliveries)
@@ -272,11 +252,9 @@ fn capture_decodes_the_much_closer_sender() {
     let mac = ScheduleMac::new("both", Schedule::new(n, t, r));
     let positions = vec![(0.0, 0.0), (0.05, 0.0), (0.9, 0.0)];
 
-    let mut plain = Simulator::new(
-        topo.clone(),
-        TrafficPattern::SaturatedBroadcast,
-        SimConfig::default(),
-    );
+    let mut plain = SimulatorBuilder::new(topo.clone(), TrafficPattern::SaturatedBroadcast)
+        .build()
+        .unwrap();
     plain.run(&mac, 10);
     let rp = plain.report();
     assert_eq!(rp.collisions, 10);
@@ -314,11 +292,10 @@ fn capture_below_threshold_still_collides() {
 fn battery_exhaustion_kills_nodes_and_sets_lifetime() {
     // Tiny battery: listening costs 0.45 mJ/slot, so a 9 mJ battery
     // lasts exactly 20 always-listening slots.
-    let cfg = SimConfig {
-        battery_capacity_mj: Some(9.0),
-        ..Default::default()
-    };
-    let mut sim = Simulator::new(Topology::line(2), TrafficPattern::SaturatedBroadcast, cfg);
+    let mut sim = SimulatorBuilder::new(Topology::line(2), TrafficPattern::SaturatedBroadcast)
+        .battery_capacity_mj(9.0)
+        .build()
+        .unwrap();
     let mac = rr_mac(2);
     sim.run(&mac, 100);
     let r = sim.report();
@@ -336,16 +313,12 @@ fn battery_exhaustion_kills_nodes_and_sets_lifetime() {
 
 #[test]
 fn dead_nodes_generate_nothing() {
-    let cfg = SimConfig {
-        battery_capacity_mj: Some(1.0),
-        seed: 4,
-        ..Default::default()
-    };
-    let mut sim = Simulator::new(
-        Topology::line(2),
-        TrafficPattern::CbrUnicast { period: 1 },
-        cfg,
-    );
+    let mut sim =
+        SimulatorBuilder::new(Topology::line(2), TrafficPattern::CbrUnicast { period: 1 })
+            .battery_capacity_mj(1.0)
+            .seed(4)
+            .build()
+            .unwrap();
     sim.run(&rr_mac(2), 500);
     let r = sim.report();
     assert_eq!(r.deaths, 2);
@@ -355,16 +328,12 @@ fn dead_nodes_generate_nothing() {
 
 #[test]
 fn trace_records_lifecycle_events() {
-    let cfg = SimConfig {
-        trace_capacity: 1000,
-        seed: 1,
-        ..Default::default()
-    };
-    let mut sim = Simulator::new(
-        Topology::line(2),
-        TrafficPattern::CbrUnicast { period: 5 },
-        cfg,
-    );
+    let mut sim =
+        SimulatorBuilder::new(Topology::line(2), TrafficPattern::CbrUnicast { period: 5 })
+            .trace_capacity(1000)
+            .seed(1)
+            .build()
+            .unwrap();
     sim.run(&rr_mac(2), 50);
     let r = sim.report();
     let has = |f: &dyn Fn(&TraceEvent) -> bool| r.trace.events().any(|(_, e)| f(e));
@@ -379,11 +348,9 @@ fn trace_records_lifecycle_events() {
 
 #[test]
 fn trace_disabled_by_default() {
-    let mut sim = Simulator::new(
-        Topology::line(2),
-        TrafficPattern::SaturatedBroadcast,
-        SimConfig::default(),
-    );
+    let mut sim = SimulatorBuilder::new(Topology::line(2), TrafficPattern::SaturatedBroadcast)
+        .build()
+        .unwrap();
     sim.run(&rr_mac(2), 10);
     assert!(sim.report().trace.is_empty());
 }
@@ -391,25 +358,25 @@ fn trace_disabled_by_default() {
 #[test]
 #[should_panic(expected = "sink out of range")]
 fn bad_sink_rejected() {
-    Simulator::new(
+    SimulatorBuilder::new(
         Topology::line(2),
         TrafficPattern::Convergecast { sink: 5, rate: 0.1 },
-        SimConfig::default(),
-    );
+    )
+    .build()
+    .unwrap_or_else(|e| panic!("{e}"));
 }
 
 // ---- fault injection ----
 
 #[test]
 fn fault_counters_stay_zero_without_faults() {
-    let mut sim = Simulator::new(
+    let mut sim = SimulatorBuilder::new(
         Topology::ring(5),
         TrafficPattern::PoissonUnicast { rate: 0.2 },
-        SimConfig {
-            seed: 7,
-            ..Default::default()
-        },
-    );
+    )
+    .seed(7)
+    .build()
+    .unwrap();
     sim.run(&rr_mac(5), 300);
     let r = sim.report();
     assert_eq!(
@@ -432,15 +399,14 @@ fn unbounded_arq_budget_matches_legacy_behaviour() {
     // observable report matches the no-fault run with the same seed —
     // the pre-ARQ engine was exactly "retry forever".
     let run = |faults: FaultPlan| {
-        let mut sim = Simulator::new(
+        let mut sim = SimulatorBuilder::new(
             Topology::line(4),
             TrafficPattern::Convergecast { sink: 0, rate: 0.1 },
-            SimConfig {
-                seed: 21,
-                faults,
-                ..Default::default()
-            },
-        );
+        )
+        .seed(21)
+        .faults(faults)
+        .build()
+        .unwrap();
         sim.run(&rr_mac(4), 1500);
         let r = sim.report();
         (
@@ -461,15 +427,11 @@ fn unbounded_arq_budget_matches_legacy_behaviour() {
 
 #[test]
 fn uniform_link_loss_erases_saturated_receptions() {
-    let mut sim = Simulator::new(
-        Topology::line(2),
-        TrafficPattern::SaturatedBroadcast,
-        SimConfig {
-            seed: 2,
-            faults: FaultPlan::lossy(0.3),
-            ..Default::default()
-        },
-    );
+    let mut sim = SimulatorBuilder::new(Topology::line(2), TrafficPattern::SaturatedBroadcast)
+        .seed(2)
+        .faults(FaultPlan::lossy(0.3))
+        .build()
+        .unwrap();
     sim.run(&rr_mac(2), 2000);
     let r = sim.report();
     let successes: u64 = r.link_success.values().sum();
@@ -493,15 +455,11 @@ fn bursty_channel_hits_its_stationary_loss() {
         per_good: 0.0,
         per_bad: 1.0,
     };
-    let mut sim = Simulator::new(
-        Topology::line(2),
-        TrafficPattern::SaturatedBroadcast,
-        SimConfig {
-            seed: 8,
-            faults: FaultPlan::default().with_burst(ge),
-            ..Default::default()
-        },
-    );
+    let mut sim = SimulatorBuilder::new(Topology::line(2), TrafficPattern::SaturatedBroadcast)
+        .seed(8)
+        .faults(FaultPlan::default().with_burst(ge))
+        .build()
+        .unwrap();
     sim.run(&rr_mac(2), 4000);
     let r = sim.report();
     let drop_rate = r.link_drop_rate();
@@ -515,16 +473,13 @@ fn bursty_channel_hits_its_stationary_loss() {
 fn arq_exhaustion_is_observable_in_report_and_trace() {
     // Total link loss + a 3-retry budget: every packet is abandoned
     // after 4 failed transmissions; nothing is ever delivered.
-    let mut sim = Simulator::new(
-        Topology::line(2),
-        TrafficPattern::CbrUnicast { period: 10 },
-        SimConfig {
-            seed: 5,
-            trace_capacity: 4096,
-            faults: FaultPlan::lossy(1.0).with_max_retries(3),
-            ..Default::default()
-        },
-    );
+    let mut sim =
+        SimulatorBuilder::new(Topology::line(2), TrafficPattern::CbrUnicast { period: 10 })
+            .seed(5)
+            .trace_capacity(4096)
+            .faults(FaultPlan::lossy(1.0).with_max_retries(3))
+            .build()
+            .unwrap();
     sim.run(&rr_mac(2), 400);
     let r = sim.report();
     assert_eq!(r.delivered, 0);
@@ -542,16 +497,15 @@ fn arq_exhaustion_is_observable_in_report_and_trace() {
 
 #[test]
 fn crashes_recover_and_lose_queues() {
-    let mut sim = Simulator::new(
+    let mut sim = SimulatorBuilder::new(
         Topology::line(4),
         TrafficPattern::Convergecast { sink: 0, rate: 0.2 },
-        SimConfig {
-            seed: 13,
-            trace_capacity: 1 << 16,
-            faults: FaultPlan::default().with_crash(CrashModel::new(0.02, 0.25)),
-            ..Default::default()
-        },
-    );
+    )
+    .seed(13)
+    .trace_capacity(1 << 16)
+    .faults(FaultPlan::default().with_crash(CrashModel::new(0.02, 0.25)))
+    .build()
+    .unwrap();
     sim.run(&rr_mac(4), 3000);
     let r = sim.report();
     assert!(r.crashes > 10, "{}", r.crashes);
@@ -575,15 +529,14 @@ fn persistent_queues_survive_crashes() {
         recovery_probability: 0.25,
         persist_queue: true,
     };
-    let mut sim = Simulator::new(
+    let mut sim = SimulatorBuilder::new(
         Topology::line(4),
         TrafficPattern::Convergecast { sink: 0, rate: 0.2 },
-        SimConfig {
-            seed: 13,
-            faults: FaultPlan::default().with_crash(crash),
-            ..Default::default()
-        },
-    );
+    )
+    .seed(13)
+    .faults(FaultPlan::default().with_crash(crash))
+    .build()
+    .unwrap();
     sim.run(&rr_mac(4), 3000);
     let r = sim.report();
     assert!(r.crashes > 10);
@@ -593,15 +546,11 @@ fn persistent_queues_survive_crashes() {
 
 #[test]
 fn permanently_crashed_network_goes_silent() {
-    let mut sim = Simulator::new(
-        Topology::line(2),
-        TrafficPattern::SaturatedBroadcast,
-        SimConfig {
-            seed: 1,
-            faults: FaultPlan::default().with_crash(CrashModel::new(1.0, 0.0)),
-            ..Default::default()
-        },
-    );
+    let mut sim = SimulatorBuilder::new(Topology::line(2), TrafficPattern::SaturatedBroadcast)
+        .seed(1)
+        .faults(FaultPlan::default().with_crash(CrashModel::new(1.0, 0.0)))
+        .build()
+        .unwrap();
     sim.run(&rr_mac(2), 50);
     let r = sim.report();
     assert!(r.link_success.is_empty(), "crashed nodes never transmit");
@@ -616,15 +565,11 @@ fn permanently_crashed_network_goes_silent() {
 #[test]
 fn clock_drift_breaks_schedule_agreement() {
     let run = |drift: f64| {
-        let mut sim = Simulator::new(
-            Topology::line(2),
-            TrafficPattern::SaturatedBroadcast,
-            SimConfig {
-                seed: 5,
-                faults: FaultPlan::default().with_drift(drift),
-                ..Default::default()
-            },
-        );
+        let mut sim = SimulatorBuilder::new(Topology::line(2), TrafficPattern::SaturatedBroadcast)
+            .seed(5)
+            .faults(FaultPlan::default().with_drift(drift))
+            .build()
+            .unwrap();
         sim.run(&rr_mac(2), 2000);
         sim.report().link_success.values().sum::<u64>()
     };
@@ -646,18 +591,17 @@ fn faulted_runs_are_deterministic_in_seed() {
         .with_drift(0.01)
         .with_max_retries(5);
     let run = |seed| {
-        let mut sim = Simulator::new(
+        let mut sim = SimulatorBuilder::new(
             Topology::ring(6),
             TrafficPattern::Convergecast {
                 sink: 0,
                 rate: 0.15,
             },
-            SimConfig {
-                seed,
-                faults: plan,
-                ..Default::default()
-            },
-        );
+        )
+        .seed(seed)
+        .faults(plan)
+        .build()
+        .unwrap();
         sim.run(&rr_mac(6), 800);
         let r = sim.report();
         (
@@ -677,34 +621,24 @@ fn faulted_runs_are_deterministic_in_seed() {
 
 #[test]
 fn try_new_reports_typed_errors() {
-    let err = Simulator::try_new(
+    let err = SimulatorBuilder::new(
         Topology::line(2),
         TrafficPattern::Convergecast { sink: 5, rate: 0.1 },
-        SimConfig::default(),
     )
+    .build()
     .unwrap_err();
     assert_eq!(err, SimError::SinkOutOfRange { sink: 5, nodes: 2 });
 
-    let err = Simulator::try_new(
-        Topology::line(2),
-        TrafficPattern::SaturatedBroadcast,
-        SimConfig {
-            miss_probability: 1.5,
-            ..Default::default()
-        },
-    )
-    .unwrap_err();
+    let err = SimulatorBuilder::new(Topology::line(2), TrafficPattern::SaturatedBroadcast)
+        .miss_probability(1.5)
+        .build()
+        .unwrap_err();
     assert_eq!(err, SimError::InvalidMissProbability { value: 1.5 });
 
-    let err = Simulator::try_new(
-        Topology::line(2),
-        TrafficPattern::SaturatedBroadcast,
-        SimConfig {
-            faults: FaultPlan::lossy(2.0),
-            ..Default::default()
-        },
-    )
-    .unwrap_err();
+    let err = SimulatorBuilder::new(Topology::line(2), TrafficPattern::SaturatedBroadcast)
+        .faults(FaultPlan::lossy(2.0))
+        .build()
+        .unwrap_err();
     assert!(matches!(err, SimError::InvalidProbability { .. }));
 }
 
@@ -714,15 +648,10 @@ fn try_new_rejects_nan_miss_probability() {
     // must reject it — silently accepting NaN would poison every
     // `gen_bool(miss)` draw downstream.
     for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.01] {
-        let err = Simulator::try_new(
-            Topology::line(2),
-            TrafficPattern::SaturatedBroadcast,
-            SimConfig {
-                miss_probability: bad,
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
+        let err = SimulatorBuilder::new(Topology::line(2), TrafficPattern::SaturatedBroadcast)
+            .miss_probability(bad)
+            .build()
+            .unwrap_err();
         assert!(
             matches!(err, SimError::InvalidMissProbability { .. }),
             "{bad} must be rejected, got {err:?}"
@@ -733,14 +662,10 @@ fn try_new_rejects_nan_miss_probability() {
 #[test]
 #[should_panic(expected = "per-link error rate must be in [0, 1]")]
 fn invalid_fault_plan_panics_in_new() {
-    Simulator::new(
-        Topology::line(2),
-        TrafficPattern::SaturatedBroadcast,
-        SimConfig {
-            faults: FaultPlan::lossy(-0.5),
-            ..Default::default()
-        },
-    );
+    SimulatorBuilder::new(Topology::line(2), TrafficPattern::SaturatedBroadcast)
+        .faults(FaultPlan::lossy(-0.5))
+        .build()
+        .unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// A MAC whose p-persistence is deliberately out of range, to pin the
@@ -772,13 +697,10 @@ impl ttdc_sim::MacProtocol for BadProbabilityMac {
 #[test]
 #[should_panic(expected = "transmit_probability must be in [0, 1]")]
 fn out_of_range_transmit_probability_is_flagged_in_debug() {
-    let mut sim = Simulator::new(
-        Topology::line(2),
-        TrafficPattern::CbrUnicast { period: 1 },
-        SimConfig {
-            schedule_aware_senders: false,
-            ..Default::default()
-        },
-    );
+    let mut sim =
+        SimulatorBuilder::new(Topology::line(2), TrafficPattern::CbrUnicast { period: 1 })
+            .schedule_aware_senders(false)
+            .build()
+            .unwrap();
     sim.run(&BadProbabilityMac(f64::NAN), 5);
 }

@@ -25,8 +25,8 @@ use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use ttdc_core::Schedule;
 use ttdc_sim::{
-    CaptureModel, CrashModel, FaultPlan, GilbertElliott, MacProtocol, ScheduleMac, SimConfig,
-    SimPath, SimReport, Simulator, SimulatorBuilder, Topology, TrafficPattern,
+    CaptureModel, CrashModel, FaultPlan, GilbertElliott, MacProtocol, ScheduleMac, SimPath,
+    SimReport, SimulatorBuilder, Topology, TrafficPattern,
 };
 use ttdc_util::BitSet;
 
@@ -37,7 +37,7 @@ const GOLDEN_SEEDS: u64 = 32;
 const FIXTURE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden.txt");
 
 /// Pinned drift + crash scenarios — every one keeps clock drift active, so
-/// [`Simulator::run`] must take the skew-group rosters rather than the
+/// [`ttdc_sim::Simulator::run`] must take the skew-group rosters rather than the
 /// slot plan (verified in-test through the returned [`SimPath`] and by
 /// comparing against a forced [`SimPath::Scan`] run).
 const DRIFT_SEEDS: u64 = 16;
@@ -142,26 +142,29 @@ fn scenario_fingerprint(seed: u64) -> String {
         faults = faults.with_max_retries(rng.gen_range(0u32..6));
     }
 
-    let config = SimConfig {
-        seed: rng.gen_range(0u64..1 << 20),
-        miss_probability: if rng.gen_bool(0.4) {
-            rng.gen_range(0.0..0.35)
-        } else {
-            0.0
-        },
-        schedule_aware_senders: rng.gen_bool(0.7),
-        battery_capacity_mj: if rng.gen_bool(0.25) {
-            Some(rng.gen_range(5.0..60.0))
-        } else {
-            None
-        },
-        trace_capacity: 64,
-        faults,
-        ..Default::default()
+    let sim_seed = rng.gen_range(0u64..1 << 20);
+    let miss = if rng.gen_bool(0.4) {
+        rng.gen_range(0.0..0.35)
+    } else {
+        0.0
+    };
+    let aware = rng.gen_bool(0.7);
+    let battery = if rng.gen_bool(0.25) {
+        Some(rng.gen_range(5.0..60.0))
+    } else {
+        None
     };
     let slots = rng.gen_range(120u64..320);
 
-    let mut builder = SimulatorBuilder::new(topo, pattern).config(config);
+    let mut builder = SimulatorBuilder::new(topo, pattern)
+        .seed(sim_seed)
+        .miss_probability(miss)
+        .schedule_aware_senders(aware)
+        .trace_capacity(64)
+        .faults(faults);
+    if let Some(capacity) = battery {
+        builder = builder.battery_capacity_mj(capacity);
+    }
     if let Some(positions) = positions {
         if rng.gen_bool(0.6) {
             builder = builder.capture(
@@ -172,10 +175,10 @@ fn scenario_fingerprint(seed: u64) -> String {
             );
         }
     }
-    let expected = if config.faults.clock_drift != 0.0 {
+    let expected = if faults.clock_drift != 0.0 {
         SimPath::Skew
-    } else if config.miss_probability == 0.0
-        && config.faults.crash.is_none()
+    } else if miss == 0.0
+        && faults.crash.is_none()
         && matches!(
             pattern,
             TrafficPattern::SaturatedBroadcast | TrafficPattern::CbrUnicast { .. }
@@ -240,25 +243,30 @@ fn drift_scenario_fingerprint(seed: u64) -> String {
     }
     assert!(faults.clock_drift > 0.0, "the family's defining trait");
 
-    let config = SimConfig {
-        seed: rng.gen_range(0u64..1 << 20),
-        miss_probability: if rng.gen_bool(0.4) {
-            rng.gen_range(0.0..0.35)
-        } else {
-            0.0
-        },
-        schedule_aware_senders: rng.gen_bool(0.7),
-        trace_capacity: 64,
-        faults,
-        ..Default::default()
+    let sim_seed = rng.gen_range(0u64..1 << 20);
+    let miss = if rng.gen_bool(0.4) {
+        rng.gen_range(0.0..0.35)
+    } else {
+        0.0
     };
+    let aware = rng.gen_bool(0.7);
     let slots = rng.gen_range(120u64..320);
 
-    let mut dispatched = Simulator::new(topo.clone(), pattern, config);
+    let build = || {
+        SimulatorBuilder::new(topo.clone(), pattern)
+            .seed(sim_seed)
+            .miss_probability(miss)
+            .schedule_aware_senders(aware)
+            .trace_capacity(64)
+            .faults(faults)
+            .build()
+            .expect("valid golden scenario")
+    };
+    let mut dispatched = build();
     assert_eq!(dispatched.run(&mac, slots), SimPath::Skew, "seed {seed}");
     let fp = fingerprint(&dispatched.report());
 
-    let mut forced = Simulator::new(topo, pattern, config);
+    let mut forced = build();
     forced.run_on(SimPath::Scan, &mac, slots);
     assert_eq!(
         fp,
@@ -393,22 +401,17 @@ fn nonperiodic_scenario_fingerprint(seed: u64) -> String {
         faults = faults.with_max_retries(rng.gen_range(0u32..6));
     }
 
-    let config = SimConfig {
-        seed: rng.gen_range(0u64..1 << 20),
-        miss_probability: if rng.gen_bool(0.4) {
-            rng.gen_range(0.0..0.35)
-        } else {
-            0.0
-        },
-        schedule_aware_senders: rng.gen_bool(0.7),
-        battery_capacity_mj: if (seed / 8) % 2 == 1 {
-            Some(rng.gen_range(5.0..60.0))
-        } else {
-            None
-        },
-        trace_capacity: 64,
-        faults,
-        ..Default::default()
+    let sim_seed = rng.gen_range(0u64..1 << 20);
+    let miss = if rng.gen_bool(0.4) {
+        rng.gen_range(0.0..0.35)
+    } else {
+        0.0
+    };
+    let aware = rng.gen_bool(0.7);
+    let battery = if (seed / 8) % 2 == 1 {
+        Some(rng.gen_range(5.0..60.0))
+    } else {
+        None
     };
     let slots = rng.gen_range(120u64..320);
     let capture = match positions {
@@ -422,7 +425,15 @@ fn nonperiodic_scenario_fingerprint(seed: u64) -> String {
     };
 
     let build = || {
-        let builder = SimulatorBuilder::new(topo.clone(), pattern).config(config);
+        let mut builder = SimulatorBuilder::new(topo.clone(), pattern)
+            .seed(sim_seed)
+            .miss_probability(miss)
+            .schedule_aware_senders(aware)
+            .trace_capacity(64)
+            .faults(faults);
+        if let Some(capacity) = battery {
+            builder = builder.battery_capacity_mj(capacity);
+        }
         match &capture {
             Some((positions, model)) => builder.capture(positions.clone(), *model),
             None => builder,

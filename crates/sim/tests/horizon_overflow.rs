@@ -11,7 +11,7 @@
 //! any truncation or double-count breaks the identity).
 
 use ttdc_core::Schedule;
-use ttdc_sim::{ScheduleMac, SimConfig, Simulator, Topology, TrafficPattern};
+use ttdc_sim::{ScheduleMac, SimulatorBuilder, Topology, TrafficPattern};
 use ttdc_util::BitSet;
 
 /// Frame with no transmit or receive opportunities at all: every slot is
@@ -42,14 +42,10 @@ fn slot_accounting_survives_a_horizon_past_u32() {
 
     let mut topo = Topology::empty(2);
     topo.add_edge(0, 1);
-    let mut sim = Simulator::new(
-        topo,
-        TrafficPattern::CbrUnicast { period: PERIOD },
-        SimConfig {
-            seed: 7,
-            ..Default::default()
-        },
-    );
+    let mut sim = SimulatorBuilder::new(topo, TrafficPattern::CbrUnicast { period: PERIOD })
+        .seed(7)
+        .build()
+        .unwrap();
 
     sim.run(&silent_mac(PERIOD as usize), PHASE1);
     assert_eq!(sim.report().slots, PHASE1);

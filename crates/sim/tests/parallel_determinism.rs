@@ -10,8 +10,7 @@ use rayon::ThreadPool;
 use std::sync::OnceLock;
 use ttdc_core::Schedule;
 use ttdc_sim::{
-    run_replications, summarize, ScheduleMac, SimConfig, SimReport, Simulator, Topology,
-    TrafficPattern,
+    run_replications, summarize, ScheduleMac, SimReport, SimulatorBuilder, Topology, TrafficPattern,
 };
 use ttdc_util::BitSet;
 
@@ -39,14 +38,11 @@ fn scenario(n: usize, rate: f64, slots: u64) -> impl Fn(u64) -> SimReport + Sync
     move |seed| {
         let t = (0..n).map(|i| BitSet::from_iter(n, [i])).collect();
         let mac = ScheduleMac::new("rr", Schedule::non_sleeping(n, t));
-        let mut sim = Simulator::new(
-            Topology::ring(n),
-            TrafficPattern::PoissonUnicast { rate },
-            SimConfig {
-                seed,
-                ..Default::default()
-            },
-        );
+        let mut sim =
+            SimulatorBuilder::new(Topology::ring(n), TrafficPattern::PoissonUnicast { rate })
+                .seed(seed)
+                .build()
+                .unwrap();
         sim.run(&mac, slots);
         sim.report()
     }

@@ -6,8 +6,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use ttdc_core::Schedule;
 use ttdc_sim::{
-    CrashModel, FaultPlan, GilbertElliott, ScheduleMac, SimConfig, Simulator, Topology,
-    TrafficPattern,
+    CrashModel, FaultPlan, GilbertElliott, ScheduleMac, SimulatorBuilder, Topology, TrafficPattern,
 };
 use ttdc_util::BitSet;
 
@@ -78,11 +77,10 @@ proptest! {
         rate in 0.01f64..0.3,
         slots in 50u64..400,
     ) {
-        let mut sim = Simulator::new(
-            topo,
-            TrafficPattern::PoissonUnicast { rate },
-            SimConfig { seed, ..Default::default() },
-        );
+        let mut sim = SimulatorBuilder::new(topo, TrafficPattern::PoissonUnicast { rate })
+            .seed(seed)
+            .build()
+            .unwrap();
         sim.run(&mac, slots);
         let r = sim.report();
         prop_assert_eq!(r.generated, r.delivered + r.undeliverable + r.backlog);
@@ -98,11 +96,13 @@ proptest! {
         seed in 0u64..500,
         slots in 50u64..400,
     ) {
-        let mut sim = Simulator::new(
+        let mut sim = SimulatorBuilder::new(
             topo,
             TrafficPattern::Convergecast { sink: 0, rate: 0.05 },
-            SimConfig { seed, ..Default::default() },
-        );
+        )
+        .seed(seed)
+        .build()
+        .unwrap();
         sim.run(&mac, slots);
         let r = sim.report();
         prop_assert!(r.hop_deliveries >= r.delivered);
@@ -118,11 +118,10 @@ proptest! {
         slots in 20u64..200,
     ) {
         let n = topo.num_nodes();
-        let mut sim = Simulator::new(
-            topo,
-            TrafficPattern::SaturatedBroadcast,
-            SimConfig { seed, ..Default::default() },
-        );
+        let mut sim = SimulatorBuilder::new(topo, TrafficPattern::SaturatedBroadcast)
+            .seed(seed)
+            .build()
+            .unwrap();
         sim.run(&mac, slots);
         let r = sim.report();
         for v in 0..n {
@@ -145,16 +144,11 @@ proptest! {
         capacity in 1.0f64..50.0,
     ) {
         let n = topo.num_nodes();
-        let cfg = SimConfig {
-            seed,
-            battery_capacity_mj: Some(capacity),
-            ..Default::default()
-        };
-        let mut sim = Simulator::new(
-            topo,
-            TrafficPattern::SaturatedBroadcast,
-            cfg,
-        );
+        let mut sim = SimulatorBuilder::new(topo, TrafficPattern::SaturatedBroadcast)
+            .seed(seed)
+            .battery_capacity_mj(capacity)
+            .build()
+            .unwrap();
         sim.run(&mac, 300);
         let r = sim.report();
         prop_assert_eq!(r.deaths as usize, sim.dead_count());
@@ -166,7 +160,7 @@ proptest! {
             // A dead node's consumption is capped at capacity + one slot's
             // worth of the most expensive state.
             prop_assert!(
-                r.energy.consumed_mj[v] <= capacity + cfg.energy.slot_energy_mj(ttdc_sim::RadioState::Transmit) + 1e-9
+                r.energy.consumed_mj[v] <= capacity + sim.energy_model().slot_energy_mj(ttdc_sim::RadioState::Transmit) + 1e-9
             );
         }
     }
@@ -179,11 +173,10 @@ proptest! {
         let t: Vec<BitSet> = (0..6).map(|i| BitSet::from_iter(6, [i])).collect();
         let mac = ScheduleMac::new("rr", Schedule::non_sleeping(6, t));
         let run = |topo: Topology| {
-            let mut sim = Simulator::new(
-                topo,
-                TrafficPattern::PoissonUnicast { rate: 0.1 },
-                SimConfig { seed, ..Default::default() },
-            );
+            let mut sim = SimulatorBuilder::new(topo, TrafficPattern::PoissonUnicast { rate: 0.1 })
+                .seed(seed)
+                .build()
+                .unwrap();
             sim.run(&mac, 200);
             let r = sim.report();
             (r.generated, r.delivered, r.collisions, r.undeliverable, r.backlog)
@@ -201,11 +194,14 @@ proptest! {
         seed in 0u64..500,
         slots in 50u64..400,
     ) {
-        let mut sim = Simulator::new(
+        let mut sim = SimulatorBuilder::new(
             topo,
             TrafficPattern::Convergecast { sink: 0, rate: 0.05 },
-            SimConfig { seed, faults: plan, ..Default::default() },
-        );
+        )
+        .seed(seed)
+        .faults(plan)
+        .build()
+        .unwrap();
         sim.run(&mac, slots);
         let r = sim.report();
         prop_assert_eq!(
@@ -234,11 +230,14 @@ proptest! {
         slots in 50u64..300,
     ) {
         let run = |faults: FaultPlan| {
-            let mut sim = Simulator::new(
+            let mut sim = SimulatorBuilder::new(
                 topo.clone(),
                 TrafficPattern::PoissonUnicast { rate: 0.1 },
-                SimConfig { seed, faults, ..Default::default() },
-            );
+            )
+            .seed(seed)
+            .faults(faults)
+            .build()
+            .unwrap();
             sim.run(&mac, slots);
             let r = sim.report();
             (r.generated, r.delivered, r.collisions, r.undeliverable, r.backlog,
@@ -261,11 +260,14 @@ proptest! {
         let t: Vec<BitSet> = (0..6).map(|i| BitSet::from_iter(6, [i])).collect();
         let mac = ScheduleMac::new("rr", Schedule::non_sleeping(6, t));
         let run = |topo: Topology| {
-            let mut sim = Simulator::new(
+            let mut sim = SimulatorBuilder::new(
                 topo,
                 TrafficPattern::Convergecast { sink: 0, rate: 0.08 },
-                SimConfig { seed, faults: plan, ..Default::default() },
-            );
+            )
+            .seed(seed)
+            .faults(plan)
+            .build()
+            .unwrap();
             sim.run(&mac, 200);
             let r = sim.report();
             (r.generated, r.delivered, r.link_drops, r.crashes, r.recoveries,

@@ -23,8 +23,8 @@ use rayon::ThreadPool;
 use std::sync::OnceLock;
 use ttdc_core::Schedule;
 use ttdc_sim::{
-    CaptureModel, CrashModel, FaultPlan, GilbertElliott, MacProtocol, ScheduleMac, SimConfig,
-    SimPath, SimReport, Simulator, SimulatorBuilder, Topology, TrafficPattern,
+    CaptureModel, CrashModel, FaultPlan, GilbertElliott, MacProtocol, ScheduleMac, SimPath,
+    SimReport, Simulator, SimulatorBuilder, Topology, TrafficPattern,
 };
 use ttdc_util::BitSet;
 
@@ -145,14 +145,14 @@ fn fresh(
     battery: Option<f64>,
     miss: f64,
 ) -> Simulator {
-    let builder = SimulatorBuilder::new(scn.topo.clone(), *pattern).config(SimConfig {
-        seed,
-        faults: *faults,
-        trace_capacity: 64,
-        battery_capacity_mj: battery,
-        miss_probability: miss,
-        ..Default::default()
-    });
+    let mut builder = SimulatorBuilder::new(scn.topo.clone(), *pattern)
+        .seed(seed)
+        .faults(*faults)
+        .trace_capacity(64)
+        .miss_probability(miss);
+    if let Some(capacity) = battery {
+        builder = builder.battery_capacity_mj(capacity);
+    }
     match &scn.capture {
         Some((positions, model)) => builder.capture(positions.clone(), *model),
         None => builder,

@@ -21,8 +21,8 @@ use rayon::ThreadPool;
 use std::sync::OnceLock;
 use ttdc_core::Schedule;
 use ttdc_sim::{
-    CaptureModel, CrashModel, FaultPlan, GilbertElliott, MacProtocol, ScheduleMac, SimConfig,
-    SimPath, SimReport, Simulator, SimulatorBuilder, Topology, TrafficPattern,
+    CaptureModel, CrashModel, FaultPlan, GilbertElliott, MacProtocol, ScheduleMac, SimPath,
+    SimReport, Simulator, SimulatorBuilder, Topology, TrafficPattern,
 };
 use ttdc_util::BitSet;
 
@@ -105,13 +105,7 @@ fn arb_capture(n: usize) -> impl Strategy<Value = Capture> {
 }
 
 /// Builds a simulator, with capture when `capture` is set.
-fn build(
-    topo: Topology,
-    pattern: TrafficPattern,
-    config: SimConfig,
-    capture: &Capture,
-) -> Simulator {
-    let builder = SimulatorBuilder::new(topo, pattern).config(config);
+fn build(builder: SimulatorBuilder, capture: &Capture) -> Simulator {
     match capture {
         Some((positions, model)) => builder.capture(positions.clone(), *model),
         None => builder,
@@ -187,14 +181,14 @@ fn fresh(
     faults: &FaultPlan,
     battery: Option<f64>,
 ) -> Simulator {
-    let config = SimConfig {
-        seed,
-        faults: *faults,
-        trace_capacity: 64,
-        battery_capacity_mj: battery,
-        ..Default::default()
-    };
-    build(scn.topo.clone(), *pattern, config, &scn.capture)
+    let mut builder = SimulatorBuilder::new(scn.topo.clone(), *pattern)
+        .seed(seed)
+        .faults(*faults)
+        .trace_capacity(64);
+    if let Some(capacity) = battery {
+        builder = builder.battery_capacity_mj(capacity);
+    }
+    build(builder, &scn.capture)
 }
 
 /// A forced plan run (skew groups under drift) and a forced scan on
@@ -296,18 +290,18 @@ proptest! {
         if let Some((c, r)) = crash {
             faults = faults.with_crash(CrashModel::new(c, r));
         }
-        let config = SimConfig {
-            seed,
-            faults,
-            miss_probability: miss,
-            trace_capacity: 64,
-            ..Default::default()
+        let builder = || {
+            SimulatorBuilder::new(topo.clone(), pattern)
+                .seed(seed)
+                .faults(faults)
+                .miss_probability(miss)
+                .trace_capacity(64)
         };
         let capture = capture_ratio
             .map(|ratio| (random_positions(n, shape_seed), CaptureModel { ratio }));
-        let mut via_run = build(topo.clone(), pattern, config, &capture);
+        let mut via_run = build(builder(), &capture);
         prop_assert_eq!(via_run.run(&mac, slots), SimPath::Skew);
-        let mut via_dense = build(topo, pattern, config, &capture);
+        let mut via_dense = build(builder(), &capture);
         via_dense.run_on(SimPath::Scan, &mac, slots);
         prop_assert_eq!(via_run.report(), via_dense.report());
     }

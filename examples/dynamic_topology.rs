@@ -11,7 +11,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use ttdc::core::construct::PartitionStrategy;
 use ttdc::protocols::{ColoringTdmaMac, TtdcMac};
-use ttdc::sim::{GeometricNetwork, MacProtocol, SimConfig, Simulator, TrafficPattern};
+use ttdc::sim::{GeometricNetwork, MacProtocol, SimulatorBuilder, TrafficPattern};
 
 const N: usize = 25;
 const D: usize = 4;
@@ -34,14 +34,13 @@ fn main() {
     let run = |mac: &dyn MacProtocol, name: &str| {
         let mut rng = SmallRng::seed_from_u64(99);
         let mut field = field.clone();
-        let mut sim = Simulator::new(
+        let mut sim = SimulatorBuilder::new(
             field.topology(),
             TrafficPattern::PoissonUnicast { rate: 0.002 },
-            SimConfig {
-                seed: 5,
-                ..Default::default()
-            },
-        );
+        )
+        .seed(5)
+        .build()
+        .expect("valid configuration");
         println!("— {name} —");
         let mut last_delivered = 0u64;
         let mut last_generated = 0u64;

@@ -13,7 +13,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use ttdc::core::construct::PartitionStrategy;
 use ttdc::protocols::{TsmaMac, TtdcMac};
-use ttdc::sim::{GeometricNetwork, MacProtocol, SimConfig, SimReport, Simulator, TrafficPattern};
+use ttdc::sim::{GeometricNetwork, MacProtocol, SimReport, SimulatorBuilder, TrafficPattern};
 
 const N: usize = 30;
 const D: usize = 4;
@@ -30,20 +30,19 @@ fn field_deployment(seed: u64) -> ttdc::sim::Topology {
 }
 
 fn monitor(mac: &dyn MacProtocol, topo: ttdc::sim::Topology) -> SimReport {
-    let mut sim = Simulator::new(
+    // Light traffic: each sensor reports every ~3000 slots — the regime
+    // the paper targets ("networks where the traffic load is light most of
+    // the time", §1).
+    let mut sim = SimulatorBuilder::new(
         topo,
-        // Light traffic: each sensor reports every ~3000 slots — the
-        // regime the paper targets ("networks where the traffic load is
-        // light most of the time", §1).
         TrafficPattern::Convergecast {
             sink: 0,
             rate: 0.0003,
         },
-        SimConfig {
-            seed: 7,
-            ..Default::default()
-        },
-    );
+    )
+    .seed(7)
+    .build()
+    .expect("valid configuration");
     sim.run(mac, SLOTS);
     sim.report()
 }

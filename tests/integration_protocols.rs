@@ -8,20 +8,16 @@ use ttdc::core::construct::PartitionStrategy;
 use ttdc::protocols::{
     ColoringTdmaMac, NaiveDutyCycleMac, SlottedAlohaMac, SmacLikeMac, TsmaMac, TtdcMac,
 };
-use ttdc::sim::{churn, MacProtocol, SimConfig, SimReport, Simulator, Topology, TrafficPattern};
+use ttdc::sim::{churn, MacProtocol, SimReport, SimulatorBuilder, Topology, TrafficPattern};
 
 const N: usize = 16;
 const D: usize = 3;
 
 fn run(mac: &dyn MacProtocol, topo: Topology, slots: u64, seed: u64) -> SimReport {
-    let mut sim = Simulator::new(
-        topo,
-        TrafficPattern::PoissonUnicast { rate: 0.003 },
-        SimConfig {
-            seed,
-            ..Default::default()
-        },
-    );
+    let mut sim = SimulatorBuilder::new(topo, TrafficPattern::PoissonUnicast { rate: 0.003 })
+        .seed(seed)
+        .build()
+        .unwrap();
     sim.run(mac, slots);
     sim.report()
 }
@@ -69,14 +65,13 @@ fn schedule_based_protocols_are_collision_free_on_light_ring_traffic() {
 #[test]
 fn contention_protocols_collide_under_load() {
     let aloha = SlottedAlohaMac::new(0.5);
-    let mut sim = Simulator::new(
+    let mut sim = SimulatorBuilder::new(
         Topology::star(8),
         TrafficPattern::PoissonUnicast { rate: 0.2 },
-        SimConfig {
-            seed: 3,
-            ..Default::default()
-        },
-    );
+    )
+    .seed(3)
+    .build()
+    .unwrap();
     sim.run(&aloha, 5_000);
     assert!(sim.report().collisions > 100, "{}", sim.report().collisions);
 }
@@ -106,14 +101,13 @@ fn tdma_degrades_under_churn_while_ttdc_does_not() {
     let ttdc = TtdcMac::new(N, D, 2, 3, PartitionStrategy::RoundRobin);
 
     let churn_run = |mac: &dyn MacProtocol, seed: u64| {
-        let mut sim = Simulator::new(
+        let mut sim = SimulatorBuilder::new(
             initial.clone(),
             TrafficPattern::PoissonUnicast { rate: 0.003 },
-            SimConfig {
-                seed,
-                ..Default::default()
-            },
-        );
+        )
+        .seed(seed)
+        .build()
+        .unwrap();
         let mut rng = SmallRng::seed_from_u64(seed + 1000);
         for _ in 0..20 {
             sim.run(mac, 1500);

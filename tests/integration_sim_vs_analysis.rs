@@ -9,7 +9,7 @@ use ttdc::core::construct::{construct, PartitionStrategy};
 use ttdc::core::throughput::topology_link_throughput;
 use ttdc::core::tsma::build_polynomial;
 use ttdc::core::Schedule;
-use ttdc::sim::{ScheduleMac, SimConfig, Simulator, Topology, TrafficPattern};
+use ttdc::sim::{ScheduleMac, SimulatorBuilder, Topology, TrafficPattern};
 
 /// Runs the saturated-broadcast sim for `frames` frames and checks that
 /// every directed link's success count equals `frames ×` the analytic
@@ -17,11 +17,9 @@ use ttdc::sim::{ScheduleMac, SimConfig, Simulator, Topology, TrafficPattern};
 fn assert_sim_matches_analysis(s: &Schedule, topo: &Topology, frames: u64) {
     let analytic = topology_link_throughput(s, topo.adjacency());
     let mac = ScheduleMac::new("sched", s.clone());
-    let mut sim = Simulator::new(
-        topo.clone(),
-        TrafficPattern::SaturatedBroadcast,
-        SimConfig::default(),
-    );
+    let mut sim = SimulatorBuilder::new(topo.clone(), TrafficPattern::SaturatedBroadcast)
+        .build()
+        .unwrap();
     sim.run(&mac, frames * s.frame_length() as u64);
     let report = sim.report();
     for (x, y, per_frame) in analytic {
@@ -66,11 +64,9 @@ fn every_link_gets_through_when_degree_within_bound() {
     for seed in 0..5u64 {
         let mut rng = SmallRng::seed_from_u64(100 + seed);
         let topo = Topology::random_gnp_capped(14, 0.25, d, &mut rng);
-        let mut sim = Simulator::new(
-            topo.clone(),
-            TrafficPattern::SaturatedBroadcast,
-            SimConfig::default(),
-        );
+        let mut sim = SimulatorBuilder::new(topo.clone(), TrafficPattern::SaturatedBroadcast)
+            .build()
+            .unwrap();
         sim.run(&mac, c.schedule.frame_length() as u64);
         let report = sim.report();
         for (a, b) in topo.edges() {
