@@ -10,18 +10,16 @@ use ttdc_core::analysis::optimality_ratio;
 use ttdc_core::bounds::alpha_bound;
 use ttdc_core::latency::{average_access_delay, worst_case_access_delay};
 use ttdc_core::requirements::{requirement3_violation, spot_check_topology_transparent};
-use ttdc_core::synth::demands::{CandidateSpace, DemandSpace};
-use ttdc_core::synth::search::{
-    plan_root, reduce_branches, run_branches, BranchResult, CoverSolution, SearchOptions,
-};
+use ttdc_core::synth::search::SearchOptions;
 use ttdc_core::synth::{
-    catalog, finish, synthesize, SynthOptions, SynthOutcome, SynthProblem, VerifyCache,
+    catalog, synthesize_checkpointed, SynthError, SynthEvent, SynthOptions, SynthProblem,
+    VerifyCache,
 };
 use ttdc_core::throughput::{average_throughput, min_throughput};
 use ttdc_core::tsma::{build, SourceKind};
 use ttdc_core::{construct, io as sched_io, Schedule};
 use ttdc_experiments::GridScenario;
-use ttdc_sim::campaign::{manifest_overview, ResumeMode, MANIFEST_FILE, MERGED_FILE, SUMMARY_FILE};
+use ttdc_sim::campaign::{manifest_overview, ResumeMode, MERGED_FILE, SUMMARY_FILE};
 use ttdc_sim::{
     CrashModel, FaultPlan, GeometricNetwork, GilbertElliott, ScheduleMac, SimulatorBuilder,
     Topology, TrafficPattern,
@@ -415,14 +413,10 @@ fn synth(action: &SynthAction, out: &mut dyn Write) -> CmdResult {
             let existing = catalog::load_entry(dir, &p).map_err(CliError::Schedule)?;
             let opts = SynthOptions {
                 search: SearchOptions {
-                    // A checkpointed branch record must not depend on which
-                    // branches ran before it, and only budgeted branches
-                    // ignore the shared incumbent: campaigns always carry a
-                    // budget.
-                    max_nodes: match checkpoint {
-                        Some(_) => Some(max_nodes.unwrap_or(DEFAULT_CAMPAIGN_BUDGET)),
-                        None => *max_nodes,
-                    },
+                    // The driver refuses a checkpoint without a budget, so
+                    // a campaign without `--budget` gets the default one.
+                    max_nodes: max_nodes
+                        .or(checkpoint.is_some().then_some(DEFAULT_CAMPAIGN_BUDGET)),
                     incumbent_len: existing.as_ref().map(|e| e.schedule.frame_length()),
                 },
                 polish_iters: polish.unwrap_or(200),
@@ -432,33 +426,53 @@ fn synth(action: &SynthAction, out: &mut dyn Write) -> CmdResult {
                 Some(_) => ("campaign", "branch budgets hit"),
                 None => ("synth", "search budget hit"),
             };
-            let run = |out: &mut dyn Write| match checkpoint {
-                Some(cp) => synth_campaign(&p, &opts, Path::new(cp), out),
-                None => {
-                    if let Some(e) = &existing {
-                        writeln!(
-                            out,
-                            "resuming : catalog holds L = {} ({}) — seeding the incumbent",
-                            e.schedule.frame_length(),
-                            if e.exact {
-                                "proven optimal"
-                            } else {
-                                "best known"
-                            }
-                        )
-                        .ok();
+            if let (None, Some(e)) = (checkpoint, &existing) {
+                writeln!(
+                    out,
+                    "resuming : catalog holds L = {} ({}) — seeding the incumbent",
+                    e.schedule.frame_length(),
+                    if e.exact {
+                        "proven optimal"
+                    } else {
+                        "best known"
                     }
-                    Ok(synthesize(&p, &opts))
-                }
+                )
+                .ok();
+            }
+            let report = |event: SynthEvent| {
+                let line = match event {
+                    SynthEvent::Planned(plan) if checkpoint.is_some() => format!(
+                        "campaign : n={nodes} D={degree} alpha=({alpha_t},{alpha_r}) — {} root \
+                         branch(es) ({} before symmetry), budget {} nodes each, seed L = {}",
+                        plan.branch_cands.len(),
+                        plan.root_branches_total,
+                        opts.search.max_nodes.unwrap_or_default(),
+                        plan.seed_len,
+                    ),
+                    SynthEvent::Planned(_) => return,
+                    SynthEvent::Resumed {
+                        checkpointed,
+                        branches,
+                    } => format!(
+                        "resuming : {checkpointed}/{branches} branch(es) already checkpointed"
+                    ),
+                };
+                writeln!(out, "{line}").ok();
             };
+            let run =
+                || synthesize_checkpointed(&p, &opts, checkpoint.as_deref().map(Path::new), report);
             let outcome = match threads {
                 Some(t) => rayon::ThreadPoolBuilder::new()
                     .num_threads(*t)
                     .build()
                     .map_err(|e| CliError::Other(e.to_string()))?
-                    .install(|| run(out)),
-                None => run(out),
-            }?;
+                    .install(run),
+                None => run(),
+            }
+            .map_err(|e| match e {
+                SynthError::Io(m) => CliError::Io(m),
+                e => CliError::Campaign(e.to_string()),
+            })?;
             let l = outcome.schedule.frame_length();
             writeln!(
                 out,
@@ -514,100 +528,71 @@ fn synth(action: &SynthAction, out: &mut dyn Write) -> CmdResult {
         }
         SynthAction::Status { catalog: dir, json } => {
             let dir = Path::new(dir);
-            let entries = catalog::load_all(dir);
-            if entries.is_empty() {
+            let audits = catalog::audit(dir);
+            if audits.is_empty() {
                 writeln!(out, "catalog {}: empty", dir.display()).ok();
-                if let Some(path) = json {
-                    let empty = serde_json::json!({"catalog": dir.display().to_string(),
-                        "entries": Vec::<serde_json::Value>::new(), "failures": 0});
-                    ttdc_util::write_atomic(
-                        Path::new(path),
-                        serde_json::to_string_pretty(&empty)
-                            .expect("infallible")
-                            .as_bytes(),
-                    )
-                    .map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-                }
-                return Ok(());
             }
-            let mut cache = VerifyCache::new();
-            let mut failures = 0usize;
+            let failures = audits
+                .iter()
+                .filter(|(_, checked)| !matches!(checked, Ok((.., catalog::Verdict::Ok))))
+                .count();
             let mut report = Vec::new();
-            for (path, parsed) in &entries {
+            for (path, checked) in &audits {
                 let name = path
                     .file_name()
                     .map(|f| f.to_string_lossy().into_owned())
                     .unwrap_or_else(|| path.display().to_string());
-                match parsed {
+                let (entry, fig2, verdict) = match checked {
                     Err(e) => {
-                        failures += 1;
                         writeln!(out, "{name}: UNREADABLE — {e}").ok();
                         report.push(serde_json::json!({
                             "file": name, "status": "unreadable", "error": e,
                         }));
+                        continue;
                     }
-                    Ok(entry) => {
-                        let p = &entry.problem;
-                        let l = entry.schedule.frame_length();
-                        let fig2 = catalog::figure2_len(p);
-                        // `ttdc build` looks entries up by file name, so an
-                        // entry filed under another point's name would be
-                        // served for that point.
-                        let expected = catalog::entry_file_name(p);
-                        let checked = if name == expected {
-                            catalog::validate_entry(entry, &mut cache)
-                        } else {
-                            Err(format!("header describes {p}, which belongs in {expected}"))
-                        };
-                        let (status, verdict) = match checked {
-                            // A catalog entry that is *worse* than the
-                            // Figure 2 construction is a frame-length
-                            // regression: `ttdc build` would prefer it and
-                            // get a longer frame.
-                            Ok(()) if l > fig2 => {
-                                failures += 1;
-                                (
-                                    "regression",
-                                    format!("REGRESSION — longer than figure2 (L = {fig2})"),
-                                )
-                            }
-                            Ok(()) => ("ok", "verify OK".to_string()),
-                            Err(e) => {
-                                failures += 1;
-                                ("invalid", format!("INVALID — {e}"))
-                            }
-                        };
-                        writeln!(
-                            out,
-                            "{name}: n={} D={} alpha=({},{}) L={l} vs figure2 L={fig2} \
-                             ({}, source={}, {} nodes) — {verdict}",
-                            p.n,
-                            p.d,
-                            p.alpha_t,
-                            p.alpha_r,
-                            if entry.exact { "exact" } else { "best-known" },
-                            entry.source,
-                            entry.nodes
-                        )
-                        .ok();
-                        report.push(serde_json::json!({
-                            "file": name,
-                            "status": status,
-                            "n": p.n, "degree": p.d,
-                            "alpha_t": p.alpha_t, "alpha_r": p.alpha_r,
-                            "frame_length": l,
-                            "figure2_frame_length": fig2,
-                            "exact": entry.exact,
-                            "source": entry.source.clone(),
-                            "search_nodes": entry.nodes,
-                            "search_config": entry
-                                .config
-                                .clone()
-                                .map_or(serde_json::Value::Null, serde_json::Value::String),
-                            "fingerprint": format!("0x{:016x}", entry.fingerprint),
-                        }));
+                    Ok(checked) => checked,
+                };
+                let (status, verdict) = match verdict {
+                    catalog::Verdict::Ok => ("ok", "verify OK".to_string()),
+                    catalog::Verdict::LongerThanFigure2 => (
+                        "regression",
+                        format!("REGRESSION — longer than figure2 (L = {fig2})"),
+                    ),
+                    catalog::Verdict::Invalid(e) | catalog::Verdict::Misfiled(e) => {
+                        ("invalid", format!("INVALID — {e}"))
                     }
-                }
+                };
+                let p = &entry.problem;
+                let l = entry.schedule.frame_length();
+                writeln!(
+                    out,
+                    "{name}: n={} D={} alpha=({},{}) L={l} vs figure2 L={fig2} \
+                     ({}, source={}, {} nodes) — {verdict}",
+                    p.n,
+                    p.d,
+                    p.alpha_t,
+                    p.alpha_r,
+                    if entry.exact { "exact" } else { "best-known" },
+                    entry.source,
+                    entry.nodes
+                )
+                .ok();
+                report.push(serde_json::json!({
+                    "file": name,
+                    "status": status,
+                    "n": p.n, "degree": p.d,
+                    "alpha_t": p.alpha_t, "alpha_r": p.alpha_r,
+                    "frame_length": l,
+                    "figure2_frame_length": *fig2,
+                    "exact": entry.exact,
+                    "source": entry.source.clone(),
+                    "search_nodes": entry.nodes,
+                    "search_config": entry
+                        .config
+                        .clone()
+                        .map_or(serde_json::Value::Null, serde_json::Value::String),
+                    "fingerprint": format!("0x{:016x}", entry.fingerprint),
+                }));
             }
             if let Some(path) = json {
                 let doc = serde_json::json!({
@@ -622,13 +607,17 @@ fn synth(action: &SynthAction, out: &mut dyn Write) -> CmdResult {
                         .as_bytes(),
                 )
                 .map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-                writeln!(out, "json     : wrote {path}").ok();
+                if !audits.is_empty() {
+                    writeln!(out, "json     : wrote {path}").ok();
+                }
             }
             if failures > 0 {
                 writeln!(out, "{failures} catalog entr(y/ies) failed validation").ok();
                 return Err(CliError::VerificationFailed);
             }
-            writeln!(out, "{} entr(y/ies), all verified", entries.len()).ok();
+            if !audits.is_empty() {
+                writeln!(out, "{} entr(y/ies), all verified", audits.len()).ok();
+            }
             Ok(())
         }
     }
@@ -636,146 +625,6 @@ fn synth(action: &SynthAction, out: &mut dyn Write) -> CmdResult {
 
 /// Default per-root-branch node budget for `ttdc synth campaign`.
 const DEFAULT_CAMPAIGN_BUDGET: u64 = 2_000_000;
-
-/// Manifest `kind` for synthesis campaigns.
-const SYNTH_CAMPAIGN_KIND: &str = "synth-campaign";
-
-/// Env var: abort the process after this many branch checkpoints (test/CI
-/// hook that simulates a SIGKILL at a fixed point in the campaign).
-pub const SYNTH_KILL_AFTER_ENV: &str = "TTDC_SYNTH_KILL_AFTER";
-
-/// One checkpointed root branch as a synth-campaign manifest record.
-fn encode_branch_record(r: &BranchResult) -> serde_json::Value {
-    serde_json::json!({
-        "best": r.best.as_ref().map_or(serde_json::Value::Null, |b| {
-            serde_json::Value::Array(b.slots.iter().map(|&c| serde_json::Value::from(c)).collect())
-        }),
-        "nodes": r.nodes,
-        "pruned": r.pruned,
-        "exhausted": r.exhausted,
-    })
-}
-
-/// Reads back a record written by [`encode_branch_record`]. Every field
-/// is required and typed: a record without `exhausted` must not read as
-/// "not budget-limited", or a budget-hit campaign would be reported as
-/// proven optimal.
-fn decode_branch_record(id: &str, payload: &serde_json::Value) -> Result<BranchResult, CliError> {
-    let bad = |what: String| CliError::Campaign(format!("branch {id}: {what}"));
-    let field = |k: &str| {
-        payload
-            .get(k)
-            .ok_or_else(|| bad(format!("record has no `{k}` field")))
-    };
-    let count = |k: &str| {
-        field(k)?
-            .as_u64()
-            .ok_or_else(|| bad(format!("`{k}` is not a non-negative integer")))
-    };
-    let best = match field("best")? {
-        serde_json::Value::Null => None,
-        serde_json::Value::Array(ids) => Some(CoverSolution {
-            slots: ids
-                .iter()
-                .map(|v| v.as_u64().and_then(|c| u32::try_from(c).ok()))
-                .collect::<Option<Vec<u32>>>()
-                .ok_or_else(|| bad("`best` holds an invalid slot id".into()))?,
-        }),
-        _ => return Err(bad("`best` is neither null nor a list of slot ids".into())),
-    };
-    Ok(BranchResult {
-        best,
-        nodes: count("nodes")?,
-        pruned: count("pruned")?,
-        exhausted: field("exhausted")?
-            .as_bool()
-            .ok_or_else(|| bad("`exhausted` is not a boolean".into()))?,
-    })
-}
-
-/// Runs one parameter point as a checkpointed, kill-resumable search
-/// campaign: the root branches missing from `dir/manifest.jsonl` run over
-/// the pool, each checkpointed as it finishes, and the recorded branches
-/// reduce and finish exactly as [`synthesize`] would. `o.search` carries a
-/// node budget, so a branch record is independent of execution order and
-/// kill history.
-fn synth_campaign(
-    p: &SynthProblem,
-    o: &SynthOptions,
-    dir: &Path,
-    out: &mut dyn Write,
-) -> Result<SynthOutcome, CliError> {
-    let space = DemandSpace::new(p.n, p.d);
-    let cands = CandidateSpace::new(&space, p.alpha_t, p.alpha_r);
-    let budget = o
-        .search
-        .max_nodes
-        .expect("checkpointed options always carry a node budget");
-    let plan = plan_root(&space, &cands, &o.search);
-    let branches = plan.branch_cands.len();
-    writeln!(
-        out,
-        "campaign : n={} D={} alpha=({},{}) — {branches} root branch(es) ({} before symmetry), \
-         budget {budget} nodes each, seed L = {}",
-        p.n, p.d, p.alpha_t, p.alpha_r, plan.root_branches_total, plan.seed_len,
-    )
-    .ok();
-
-    // The fingerprint binds everything that shapes a branch result; a
-    // manifest from different parameters, budget, seed or search config
-    // must not be resumed into.
-    let config = o.search.config_string();
-    let fp = ttdc_util::fnv1a64(
-        format!(
-            "synth-campaign n={} d={} at={} ar={} budget={budget} seed_len={} branches={branches} \
-             {config}",
-            p.n, p.d, p.alpha_t, p.alpha_r, plan.seed_len,
-        )
-        .as_bytes(),
-    );
-    std::fs::create_dir_all(dir).map_err(|e| CliError::Io(format!("{}: {e}", dir.display())))?;
-    let checkpoint = ttdc_util::Checkpoint::open(
-        Some(&dir.join(MANIFEST_FILE)),
-        SYNTH_CAMPAIGN_KIND,
-        fp,
-        serde_json::json!({
-            "n": p.n, "degree": p.d, "alpha_t": p.alpha_t, "alpha_r": p.alpha_r,
-            "budget": budget, "seed_len": plan.seed_len, "config": config,
-        }),
-        std::env::var(SYNTH_KILL_AFTER_ENV)
-            .ok()
-            .and_then(|v| v.parse().ok()),
-    )
-    .map_err(campaign_err)?;
-
-    let branch_id = |index: usize| format!("b{index}");
-    let missing: Vec<usize> = (0..branches)
-        .filter(|&i| checkpoint.get(&branch_id(i)).is_none())
-        .collect();
-    if missing.len() < branches {
-        writeln!(
-            out,
-            "resuming : {}/{branches} branch(es) already checkpointed",
-            branches - missing.len()
-        )
-        .ok();
-    }
-    run_branches(&space, &cands, &o.search, &plan, &missing, |index, r| {
-        checkpoint.record(branch_id(index), encode_branch_record(r))
-    });
-    let manifest = checkpoint.finish().map_err(campaign_err)?;
-    let results = (0..branches)
-        .map(|index| {
-            let id = branch_id(index);
-            let payload = manifest
-                .get(&id)
-                .ok_or_else(|| CliError::Campaign(format!("manifest lost branch {id}")))?;
-            decode_branch_record(&id, payload)
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let (sol, stats) = reduce_branches(&plan, results);
-    Ok(finish(p, &space, &cands, sol, stats, o))
-}
 
 fn campaign_err(e: impl std::fmt::Display) -> CliError {
     CliError::Campaign(e.to_string())
@@ -1467,80 +1316,52 @@ mod tests {
         std::fs::remove_dir_all(&empty).ok();
     }
 
-    fn branch_record() -> ttdc_core::synth::search::BranchResult {
-        ttdc_core::synth::search::BranchResult {
-            best: Some(ttdc_core::synth::search::CoverSolution {
-                slots: vec![0, 5, 11],
-            }),
-            nodes: 3_001,
-            pruned: 2_007,
-            exhausted: true,
-        }
-    }
-
-    fn with_field(key: &str, value: Option<serde_json::Value>) -> serde_json::Value {
-        let mut record = super::encode_branch_record(&branch_record());
-        let serde_json::Value::Object(fields) = &mut record else {
-            unreachable!("a branch record is an object");
-        };
-        match value {
-            Some(v) => fields.insert(key.to_string(), v),
-            None => fields.remove(key),
-        };
-        record
-    }
-
     #[test]
-    fn branch_records_round_trip() {
-        let r = branch_record();
-        let back = super::decode_branch_record("b0", &super::encode_branch_record(&r));
-        assert_eq!(back, Ok(r));
-        let empty = ttdc_core::synth::search::BranchResult {
-            best: None,
-            exhausted: false,
-            ..branch_record()
-        };
-        let back = super::decode_branch_record("b0", &super::encode_branch_record(&empty));
-        assert_eq!(back, Ok(empty));
-    }
-
-    #[test]
-    fn branch_record_missing_a_field_is_a_campaign_error() {
-        // A record without `exhausted` must not read as "not
-        // budget-limited": that would commit a budget-hit run as proven
-        // optimal.
-        for key in ["exhausted", "nodes", "pruned", "best"] {
-            match super::decode_branch_record("b3", &with_field(key, None)) {
-                Err(crate::error::CliError::Campaign(m)) => {
-                    assert!(m.contains("branch b3") && m.contains(key), "{key}: {m}")
-                }
-                other => panic!("{key}: expected a campaign error, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn branch_record_with_a_mistyped_field_is_a_campaign_error() {
-        use serde_json::Value;
-        let cases = [
-            ("nodes", Value::from("3001")),
-            ("nodes", Value::from(1.5)),
-            ("pruned", Value::from(-1.0)),
-            ("exhausted", Value::from(1u64)),
-            ("best", Value::from("0 5 11")),
-            (
-                "best",
-                Value::Array(vec![Value::from(0u64), Value::from(-2.0)]),
-            ),
-            ("best", Value::Array(vec![Value::from(4_294_967_296u64)])),
+    fn a_resealed_branch_record_that_is_no_cover_exits_7_before_any_result() {
+        use ttdc_util::{Manifest, MANIFEST_FILE};
+        let point = [
+            "--nodes",
+            "5",
+            "--degree",
+            "1",
+            "--alpha-t",
+            "2",
+            "--alpha-r",
+            "2",
         ];
-        for (key, value) in cases {
-            match super::decode_branch_record("b1", &with_field(key, Some(value.clone()))) {
-                Err(crate::error::CliError::Campaign(m)) => {
-                    assert!(m.contains("branch b1") && m.contains(key), "{key}: {m}")
-                }
-                other => panic!("{key} = {value:?}: expected a campaign error, got {other:?}"),
-            }
+        for (i, best) in [vec![30u32, 34, 9999], vec![30, 34]]
+            .into_iter()
+            .enumerate()
+        {
+            let (catalog, dir) = (tmp(&format!("reseal-cat-{i}")), tmp(&format!("reseal-{i}")));
+            let campaign = [
+                &["synth", "campaign"],
+                &point[..],
+                &["--catalog", &catalog, &dir],
+            ];
+            let (code, out) = run_str(&campaign.concat());
+            assert_eq!(code, 0, "{out}");
+            // Edit branch b0's cover and reseal the line: the manifest's
+            // checksum then passes.
+            let path = std::path::Path::new(&dir).join(MANIFEST_FILE);
+            let mut m = Manifest::load(&path, "synth-campaign", None).unwrap();
+            let mut b0 = m.get("b0").unwrap().clone();
+            let serde_json::Value::Object(fields) = &mut b0 else {
+                unreachable!("a branch record is an object");
+            };
+            fields.insert("best".into(), serde_json::Value::from(best.clone()));
+            m.put("b0", b0);
+            std::fs::write(&path, m.to_jsonl()).unwrap();
+            std::fs::remove_dir_all(&catalog).unwrap();
+            let (code, out) = run_str(&campaign.concat());
+            assert_eq!(code, 7, "{best:?}: {out}");
+            assert!(out.contains("error: branch b0: `best`"), "{best:?}: {out}");
+            assert!(
+                !out.contains("campaign : L ="),
+                "{best:?}: a result printed: {out}"
+            );
+            assert!(!std::path::Path::new(&catalog).exists(), "{best:?}: {out}");
+            std::fs::remove_dir_all(&dir).ok();
         }
     }
 }

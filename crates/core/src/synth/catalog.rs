@@ -28,8 +28,9 @@
 //! [`entry_to_text`]/[`entry_from_text`]. Nothing is trusted on read:
 //! [`validate_entry`] re-verifies an entry against the naive oracle
 //! verifiers (Requirements 1–3 plus the cover-free-family condition on the
-//! transmit sets) and re-derives the fingerprint — CI runs it over every
-//! committed entry.
+//! transmit sets) and re-derives the fingerprint. [`audit`] runs it over
+//! every file of a catalog, with the file-name and Figure 2 checks, for
+//! `ttdc synth status` (CI) and E18.
 
 use super::{SynthOutcome, SynthProblem, VerifyCache};
 use crate::io;
@@ -336,6 +337,53 @@ pub fn load_all(dir: &Path) -> Vec<(PathBuf, Result<CatalogEntry, String>)> {
         .collect()
 }
 
+/// What [`audit`] found wrong, or not, with a readable catalog entry.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Verdict {
+    /// The entry passes every check.
+    Ok,
+    /// A valid entry with a longer frame than Figure 2's: `ttdc build`
+    /// would prefer it and get a longer frame.
+    LongerThanFigure2,
+    /// The entry fails [`validate_entry`], for this reason.
+    Invalid(String),
+    /// The header describes a point other than the one the file is named
+    /// for: `ttdc build` looks entries up by file name, so the entry would
+    /// be served for the wrong point.
+    Misfiled(String),
+}
+
+/// One audited catalog file: the entry, Figure 2's frame length at its
+/// point and its [`Verdict`], or why the file is unreadable.
+pub type Audited = Result<(CatalogEntry, usize, Verdict), String>;
+
+/// The catalog audit `ttdc synth status` and E18 both report: every file
+/// of [`load_all`], in its order, with what [`Audited`] holds.
+pub fn audit(dir: &Path) -> Vec<(PathBuf, Audited)> {
+    let mut cache = VerifyCache::new();
+    load_all(dir)
+        .into_iter()
+        .map(|(path, loaded)| {
+            let checked = loaded.map(|entry| {
+                let p = &entry.problem;
+                let fig2 = figure2_len(p);
+                let expected = entry_file_name(p);
+                let verdict = if path.file_name() != Some(expected.as_ref()) {
+                    Verdict::Misfiled(format!("header describes {p}, which belongs in {expected}"))
+                } else if let Err(e) = validate_entry(&entry, &mut cache) {
+                    Verdict::Invalid(e)
+                } else if entry.schedule.frame_length() > fig2 {
+                    Verdict::LongerThanFigure2
+                } else {
+                    Verdict::Ok
+                };
+                (entry, fig2, verdict)
+            });
+            (path, checked)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,5 +493,83 @@ mod tests {
         // Header/body disagreement is caught.
         let broken = good.replace("# n=5 ", "# n=6 ");
         assert!(entry_from_text(&broken).unwrap_err().contains("n=6"));
+    }
+
+    #[test]
+    fn the_audit_gives_each_kind_of_entry_its_verdict() {
+        let dir = std::env::temp_dir().join(format!("ttdc-catalog-audit-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let ok = sample_entry();
+        write_entry(&dir, &ok).unwrap();
+        // The same entry filed under another point's name.
+        let misfiled = entry_file_name(&SynthProblem::new(6, 1, 1, 2));
+        std::fs::write(dir.join(&misfiled), entry_to_text(&ok)).unwrap();
+        // A tampered fingerprint.
+        let p = SynthProblem::new(5, 1, 2, 2);
+        let out = synthesize(&p, &SynthOptions::default());
+        let invalid = CatalogEntry {
+            problem: p,
+            fingerprint: out.fingerprint ^ 1,
+            schedule: out.schedule,
+            ..ok.clone()
+        };
+        write_entry(&dir, &invalid).unwrap();
+        // Figure 2's frame played twice: valid, but longer than Figure 2.
+        let p = SynthProblem::new(5, 2, 2, 2);
+        let fig2 = build_duty_cycled(5, 2, 2, 2, PartitionStrategy::RoundRobin).schedule;
+        let twice = |slot: &dyn Fn(usize) -> ttdc_util::BitSet| {
+            (0..2 * fig2.frame_length())
+                .map(|i| slot(i % fig2.frame_length()))
+                .collect()
+        };
+        let schedule = Schedule::new(
+            5,
+            twice(&|i| fig2.transmitters(i).clone()),
+            twice(&|i| fig2.receivers(i).clone()),
+        );
+        let longer = CatalogEntry {
+            problem: p,
+            fingerprint: schedule.canonical_fingerprint(),
+            schedule,
+            ..ok.clone()
+        };
+        write_entry(&dir, &longer).unwrap();
+        std::fs::write(dir.join("n007_d1_at1_ar2.sched"), "garbage").unwrap();
+
+        let verdicts: Vec<(String, Result<Verdict, String>)> = audit(&dir)
+            .into_iter()
+            .map(|(path, checked)| {
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, checked.map(|(_, _, verdict)| verdict))
+            })
+            .collect();
+        let fingerprint_error = validate_entry(&invalid, &mut VerifyCache::new()).unwrap_err();
+        assert_eq!(
+            verdicts,
+            vec![
+                ("n005_d1_at1_ar2.sched".to_string(), Ok(Verdict::Ok)),
+                (
+                    "n005_d1_at2_ar2.sched".to_string(),
+                    Ok(Verdict::Invalid(fingerprint_error))
+                ),
+                (
+                    "n005_d2_at2_ar2.sched".to_string(),
+                    Ok(Verdict::LongerThanFigure2)
+                ),
+                (
+                    misfiled,
+                    Ok(Verdict::Misfiled(
+                        "header describes n=5 D=1 alpha_t=1 alpha_r=2, which belongs in \
+                         n005_d1_at1_ar2.sched"
+                            .to_string()
+                    ))
+                ),
+                (
+                    "n007_d1_at1_ar2.sched".to_string(),
+                    Err("missing catalog header".to_string())
+                ),
+            ]
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -10,10 +10,16 @@
 //!    incremental `CoverCounter` deficits, admissible pruning, root
 //!    symmetry reduction, and a deterministic incumbent rule (bit-identical
 //!    winner at any thread count).
-//! 3. [`polish`](fn@polish) ruin-and-recreate local search improves
-//!    inexact (budgeted) incumbents, deterministically in its seed.
-//! 4. [`catalog`] persists winners with provenance; `ttdc build` consults
-//!    it before falling back to the Figure 2 construction.
+//! 3. [`synthesize_checkpointed`] drives it: root plan, branch fan-out,
+//!    every branch record through one codec (into a kill-resumable
+//!    manifest when given a checkpoint directory) and the ordered reduce;
+//!    [`synthesize`] is the driver without a checkpoint. Budget-limited
+//!    incumbents get a [`polish`](fn@polish) (ruin-and-recreate local
+//!    search, deterministic in its seed).
+//! 4. [`catalog`] persists winners with provenance, and
+//!    [`catalog::audit`] gives each file its verdict for `ttdc synth
+//!    status` and E18; `ttdc build` consults the catalog before falling
+//!    back to the Figure 2 construction.
 //!
 //! Every schedule leaving this module is re-checked against the *naive*
 //! Requirement-3 oracle (via [`VerifyCache`]) before anyone trusts it.
@@ -25,9 +31,16 @@ pub mod search;
 use crate::requirements::requirement3_violation_naive;
 use crate::schedule::Schedule;
 use demands::{CandidateSpace, DemandSpace};
-use search::{greedy_cover, minimum_cover, CoverSolution, SearchOptions, SearchStats};
+use search::{
+    plan_root, reduce_branches, run_branches, BranchResult, CoverSolution, RootPlan, SearchOptions,
+    SearchStats,
+};
+use serde_json::{json, Value};
 use std::collections::{HashMap, VecDeque};
-use ttdc_util::{splitmix64, BitSet, CoverCounter};
+use std::path::Path;
+use ttdc_util::{
+    fnv1a64, splitmix64, BitSet, Checkpoint, CoverCounter, ManifestError, MANIFEST_FILE,
+};
 
 /// A synthesis target: the four paper parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -126,29 +139,135 @@ pub struct SynthOutcome {
     pub fingerprint: u64,
 }
 
-/// Runs the synthesizer for one parameter point. Deterministic at any
-/// rayon thread count; call inside `pool.install` to control parallelism.
+/// Runs the synthesizer for one parameter point: [`synthesize_checkpointed`]
+/// without a checkpoint. Deterministic at any rayon thread count; call
+/// inside `pool.install` to control parallelism.
 pub fn synthesize(p: &SynthProblem, o: &SynthOptions) -> SynthOutcome {
-    let space = DemandSpace::new(p.n, p.d);
-    let cands = CandidateSpace::new(&space, p.alpha_t, p.alpha_r);
-    let (sol, stats) = minimum_cover(&space, &cands, &o.search);
-    finish(p, &space, &cands, sol, stats, o)
+    synthesize_checkpointed(p, o, None, |_| {})
+        .expect("a run without a checkpoint reads back only the records it wrote")
 }
 
-/// The last step of every synthesis run: polishes a budget-limited cover
-/// (`o.polish_iters` moves seeded by `o.seed`; exact covers are already
-/// optimal), builds its schedule and pins the fingerprint.
-pub fn finish(
+/// Env var: abort the process after this many branch checkpoints (test/CI
+/// hook that simulates a SIGKILL at a fixed point in a checkpointed run).
+pub const SYNTH_KILL_AFTER_ENV: &str = "TTDC_SYNTH_KILL_AFTER";
+
+/// What [`synthesize_checkpointed`] reports before any branch is searched.
+#[derive(Clone, Copy, Debug)]
+pub enum SynthEvent<'a> {
+    /// The root fan-out is planned.
+    Planned(&'a RootPlan),
+    /// `checkpointed` of the `branches` root branches are read back from
+    /// the checkpoint instead of searched (not sent when none are).
+    Resumed {
+        checkpointed: usize,
+        branches: usize,
+    },
+}
+
+/// Why a checkpointed synthesis run could not run or resume.
+#[derive(Debug, PartialEq)]
+pub enum SynthError {
+    /// A checkpoint without a per-branch node budget: only a budgeted
+    /// branch's record is independent of the branches that ran before it.
+    NoBudget,
+    /// The checkpoint directory could not be created.
+    Io(String),
+    /// The manifest could not be loaded or saved.
+    Manifest(ManifestError),
+    /// A branch record that is no branch result of this point's search.
+    Record(String),
+}
+
+impl std::fmt::Display for SynthError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SynthError::NoBudget => write!(f, "a checkpointed synthesis needs a node budget"),
+            SynthError::Io(m) | SynthError::Record(m) => write!(f, "{m}"),
+            SynthError::Manifest(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for SynthError {}
+
+/// The one synthesis driver: root plan, branch fan-out over the rayon
+/// pool, ordered reduce, then polish (if budget-limited), schedule and
+/// fingerprint. Every branch record goes through one codec, saved to
+/// `dir/manifest.jsonl` when `dir` is given: a rerun then searches only
+/// the branches the manifest lacks. A checkpoint needs a node budget
+/// (`o.search.max_nodes`), which makes a branch's record depend on nothing
+/// but its index. `on_event` hears the plan and the resume first.
+pub fn synthesize_checkpointed(
     p: &SynthProblem,
-    space: &DemandSpace,
-    cands: &CandidateSpace,
-    mut sol: CoverSolution,
-    stats: SearchStats,
     o: &SynthOptions,
-) -> SynthOutcome {
+    dir: Option<&Path>,
+    mut on_event: impl FnMut(SynthEvent),
+) -> Result<SynthOutcome, SynthError> {
+    // Only a checkpointed run's manifest is ever read back, so the budget
+    // an unbudgeted in-memory run hashes is immaterial.
+    let budget = match (dir, o.search.max_nodes) {
+        (Some(_), None) => return Err(SynthError::NoBudget),
+        (_, budget) => budget.unwrap_or(0),
+    };
+    let space = DemandSpace::new(p.n, p.d);
+    let cands = CandidateSpace::new(&space, p.alpha_t, p.alpha_r);
+    let plan = plan_root(&space, &cands, &o.search);
+    let (branches, seed_len) = (plan.branch_cands.len(), plan.seed_len);
+    on_event(SynthEvent::Planned(&plan));
+
+    // The fingerprint binds everything that shapes a branch record; a
+    // manifest from different parameters, budget, seed or search config
+    // must not be resumed into.
+    let config = o.search.config_string();
+    let fingerprint = fnv1a64(
+        format!(
+            "synth-campaign n={} d={} at={} ar={} budget={budget} seed_len={seed_len} \
+             branches={branches} {config}",
+            p.n, p.d, p.alpha_t, p.alpha_r,
+        )
+        .as_bytes(),
+    );
+    if let Some(d) = dir {
+        std::fs::create_dir_all(d).map_err(|e| SynthError::Io(format!("{}: {e}", d.display())))?;
+    }
+    let checkpoint = Checkpoint::open(
+        dir.map(|d| d.join(MANIFEST_FILE)).as_deref(),
+        "synth-campaign",
+        fingerprint,
+        json!({
+            "n": p.n, "degree": p.d, "alpha_t": p.alpha_t, "alpha_r": p.alpha_r,
+            "budget": budget, "seed_len": seed_len, "config": config,
+        }),
+        dir.and_then(|_| std::env::var(SYNTH_KILL_AFTER_ENV).ok())
+            .and_then(|v| v.parse().ok()),
+    )
+    .map_err(SynthError::Manifest)?;
+
+    let branch_id = |index: usize| format!("b{index}");
+    let missing: Vec<usize> = (0..branches)
+        .filter(|&i| checkpoint.get(&branch_id(i)).is_none())
+        .collect();
+    if missing.len() < branches {
+        on_event(SynthEvent::Resumed {
+            checkpointed: branches - missing.len(),
+            branches,
+        });
+    }
+    run_branches(&space, &cands, &o.search, &plan, &missing, |index, r| {
+        checkpoint.record(branch_id(index), encode_branch_record(r))
+    });
+    let manifest = checkpoint.finish().map_err(SynthError::Manifest)?;
+    let results = (0..branches)
+        .map(|i| {
+            let id = branch_id(i);
+            decode_branch_record(&id, manifest.get(&id).unwrap_or(&Value::Null), &cands)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let (mut sol, stats) = reduce_branches(&plan, results);
+
     let mut polish_improved = false;
     if !stats.exact && o.polish_iters > 0 {
-        let polished = polish(space, cands, &sol, o.seed, o.polish_iters);
+        let polished = polish(&space, &cands, &sol, o.seed, o.polish_iters);
         if polished.slots.len() < sol.slots.len() {
             sol = polished;
             polish_improved = true;
@@ -159,12 +278,80 @@ pub fn finish(
         requirement3_violation_naive(&schedule, p.d).is_none(),
         "synthesized schedule fails the naive Requirement-3 oracle"
     );
-    SynthOutcome {
+    Ok(SynthOutcome {
         fingerprint: schedule.canonical_fingerprint(),
         schedule,
         stats,
         polish_improved,
-    }
+    })
+}
+
+/// One root branch's result as a manifest record.
+fn encode_branch_record(r: &BranchResult) -> Value {
+    json!({
+        "best": r.best.as_ref().map_or(Value::Null, |b| Value::from(b.slots.clone())),
+        "nodes": r.nodes,
+        "pruned": r.pruned,
+        "exhausted": r.exhausted,
+    })
+}
+
+/// Reads back a record written by [`encode_branch_record`] for a branch of
+/// the search over `cands`. Every field is required and typed: a record
+/// without `exhausted` must not read as "not budget-limited", or a
+/// budget-hit run would be reported as proven optimal.
+fn decode_branch_record(
+    id: &str,
+    payload: &Value,
+    cands: &CandidateSpace,
+) -> Result<BranchResult, SynthError> {
+    let bad = |what: String| SynthError::Record(format!("branch {id}: {what}"));
+    let field = |k: &str| {
+        payload
+            .get(k)
+            .ok_or_else(|| bad(format!("record has no `{k}` field")))
+    };
+    let count = |k: &str| {
+        field(k)?
+            .as_u64()
+            .ok_or_else(|| bad(format!("`{k}` is not a non-negative integer")))
+    };
+    let best = match field("best")? {
+        Value::Null => None,
+        Value::Array(ids) => {
+            let slots = ids
+                .iter()
+                .map(|v| v.as_u64().and_then(|c| u32::try_from(c).ok()))
+                .collect::<Option<Vec<u32>>>()
+                .ok_or_else(|| bad("`best` holds an invalid slot id".into()))?;
+            // Safety: a line whose checksum was recomputed after an edit
+            // passes the manifest seal, and the reduce may adopt `best` as
+            // the winner, so it must be a cover of this point.
+            let mut covered = BitSet::new(cands.suppliers.len());
+            for &c in &slots {
+                let Some(cand) = cands.cands.get(c as usize) else {
+                    let len = cands.cands.len();
+                    return Err(bad(format!(
+                        "`best` names slot {c} of {len} candidate slots"
+                    )));
+                };
+                covered.union_with(&cand.coverage);
+            }
+            if covered.len() < cands.suppliers.len() {
+                return Err(bad("`best` leaves a demand uncovered".into()));
+            }
+            Some(CoverSolution { slots })
+        }
+        _ => return Err(bad("`best` is neither null nor a list of slot ids".into())),
+    };
+    Ok(BranchResult {
+        best,
+        nodes: count("nodes")?,
+        pruned: count("pruned")?,
+        exhausted: field("exhausted")?
+            .as_bool()
+            .ok_or_else(|| bad("`exhausted` is not a boolean".into()))?,
+    })
 }
 
 /// Drops every redundant slot (all of its demands have another supplier,
@@ -320,28 +507,10 @@ impl VerifyCache {
     }
 }
 
-/// Greedy cover re-exported for callers that want the seed solution alone
-/// (bench baselines).
-pub fn greedy_solution(p: &SynthProblem) -> (usize, SynthOutcome) {
-    let space = DemandSpace::new(p.n, p.d);
-    let cands = CandidateSpace::new(&space, p.alpha_t, p.alpha_r);
-    let sol = greedy_cover(&space, &cands);
-    let schedule = cands.schedule(p.n, &sol.slots);
-    let len = sol.slots.len();
-    (
-        len,
-        SynthOutcome {
-            fingerprint: schedule.canonical_fingerprint(),
-            schedule,
-            stats: SearchStats::default(),
-            polish_improved: false,
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use search::greedy_cover;
 
     #[test]
     fn synthesize_small_point_is_transparent_and_exact() {
@@ -417,5 +586,121 @@ mod tests {
         // Deterministic in the seed.
         let again = polish(&space, &cands, &start, 7, 100);
         assert_eq!(polished, again);
+    }
+
+    /// A real cover of (5, 1, 2, 2) as a budget-hit branch result, and the
+    /// candidate space it belongs to.
+    fn branch_record() -> (BranchResult, CandidateSpace) {
+        let space = DemandSpace::new(5, 1);
+        let cands = CandidateSpace::new(&space, 2, 2);
+        let record = BranchResult {
+            best: Some(greedy_cover(&space, &cands)),
+            nodes: 3_001,
+            pruned: 2_007,
+            exhausted: true,
+        };
+        (record, cands)
+    }
+
+    fn with_field(key: &str, value: Option<Value>) -> Value {
+        let mut record = encode_branch_record(&branch_record().0);
+        let Value::Object(fields) = &mut record else {
+            unreachable!("a branch record is an object");
+        };
+        match value {
+            Some(v) => fields.insert(key.to_string(), v),
+            None => fields.remove(key),
+        };
+        record
+    }
+
+    fn record_error(id: &str, payload: &Value) -> String {
+        match decode_branch_record(id, payload, &branch_record().1) {
+            Err(SynthError::Record(m)) => m,
+            other => panic!("{payload:?}: expected a record error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn branch_records_round_trip() {
+        let (r, cands) = branch_record();
+        let back = decode_branch_record("b0", &encode_branch_record(&r), &cands);
+        assert_eq!(back, Ok(r.clone()));
+        let empty = BranchResult {
+            best: None,
+            exhausted: false,
+            ..r
+        };
+        let back = decode_branch_record("b0", &encode_branch_record(&empty), &cands);
+        assert_eq!(back, Ok(empty));
+    }
+
+    #[test]
+    fn branch_record_missing_a_field_is_a_campaign_error() {
+        // A record without `exhausted` must not read as "not
+        // budget-limited": that would commit a budget-hit run as proven
+        // optimal.
+        for key in ["exhausted", "nodes", "pruned", "best"] {
+            let m = record_error("b3", &with_field(key, None));
+            assert!(m.contains("branch b3") && m.contains(key), "{key}: {m}");
+        }
+    }
+
+    #[test]
+    fn branch_record_with_a_mistyped_field_is_a_campaign_error() {
+        let cases = [
+            ("nodes", Value::from("3001")),
+            ("nodes", Value::from(1.5)),
+            ("pruned", Value::from(-1.0)),
+            ("exhausted", Value::from(1u64)),
+            ("best", Value::from("0 5 11")),
+            (
+                "best",
+                Value::Array(vec![Value::from(0u64), Value::from(-2.0)]),
+            ),
+            ("best", Value::Array(vec![Value::from(4_294_967_296u64)])),
+        ];
+        for (key, value) in cases {
+            let m = record_error("b1", &with_field(key, Some(value.clone())));
+            assert!(
+                m.contains("branch b1") && m.contains(key),
+                "{key} = {value:?}: {m}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_branch_record_must_be_a_cover_of_this_point() {
+        // (5, 1, 2, 2) has 60 candidate slots: 9999 names none of them,
+        // and slots 30 and 34 alone cover only some demands.
+        let m = record_error(
+            "b0",
+            &with_field("best", Some(Value::from(vec![30u32, 34, 9999]))),
+        );
+        assert!(
+            m.contains("slot 9999") && m.contains("60 candidate slots"),
+            "{m}"
+        );
+        let m = record_error(
+            "b0",
+            &with_field("best", Some(Value::from(vec![30u32, 34]))),
+        );
+        assert!(m.contains("uncovered"), "{m}");
+        // A record the manifest lost reads as an empty one.
+        assert!(record_error("b2", &Value::Null).contains("branch b2: record has no `best`"));
+    }
+
+    #[test]
+    fn a_checkpoint_without_a_budget_is_an_error() {
+        let p = SynthProblem::new(5, 1, 2, 2);
+        let dir = std::env::temp_dir().join(format!("ttdc-synth-no-budget-{}", std::process::id()));
+        let got = synthesize_checkpointed(&p, &SynthOptions::default(), Some(&dir), |_| {
+            panic!("nothing may run without a budget")
+        });
+        assert_eq!(got.unwrap_err(), SynthError::NoBudget);
+        assert!(
+            !dir.exists(),
+            "a refused run must leave no checkpoint behind"
+        );
     }
 }

@@ -1,15 +1,16 @@
 //! E18 — the synthesized best-known-schedule catalog vs the paper's
 //! Figure 2 construction and the greedy set-cover baseline. Every
-//! committed catalog entry is re-validated (fingerprint, α caps, naive
-//! Requirements 1/2/3, cover-free family) and compared against the frame
-//! length `ttdc build` would otherwise produce at the same `(n, D, α_T,
-//! α_R)` point, quantifying what the branch-and-bound search buys.
+//! committed catalog entry goes through the catalog audit `ttdc synth
+//! status` reports (file name, fingerprint, α caps, naive Requirements
+//! 1/2/3, cover-free family, no longer than Figure 2) and is compared
+//! against the frame length `ttdc build` would otherwise produce at the
+//! same `(n, D, α_T, α_R)` point, quantifying what the branch-and-bound
+//! search buys.
 
-use std::path::PathBuf;
-use ttdc_core::construct::PartitionStrategy;
+use std::path::{Path, PathBuf};
 use ttdc_core::synth::catalog;
-use ttdc_core::synth::{greedy_solution, VerifyCache};
-use ttdc_core::tsma::build_duty_cycled;
+use ttdc_core::synth::demands::{CandidateSpace, DemandSpace};
+use ttdc_core::synth::search::greedy_cover;
 use ttdc_util::Table;
 
 /// The committed catalog `ttdc build` consults, relative to the crate.
@@ -22,6 +23,11 @@ pub fn catalog_dir() -> PathBuf {
 
 /// Runs E18.
 pub fn run() -> Vec<Table> {
+    vec![catalog_table(&catalog_dir())]
+}
+
+/// E18's table over the catalog in `dir`.
+fn catalog_table(dir: &Path) -> Table {
     let mut table = Table::new(
         "E18 — best-known catalog vs Figure 2 construction vs greedy cover",
         &[
@@ -39,44 +45,25 @@ pub fn run() -> Vec<Table> {
             "verified",
         ],
     );
-    let mut cache = VerifyCache::new();
-    for (path, loaded) in catalog::load_all(&catalog_dir()) {
-        let entry = match loaded {
-            Ok(e) => e,
+    for (path, checked) in catalog::audit(dir) {
+        let (entry, fig2, verdict) = match checked {
+            Ok(checked) => checked,
             Err(err) => {
-                let err = format!("{}: {err}", path.display());
                 // Surface unreadable entries as a row rather than a panic:
                 // the CI catalog-validation step is the hard gate.
-                table.row(&[
-                    "?".into(),
-                    "?".into(),
-                    "?".into(),
-                    "?".into(),
-                    "?".into(),
-                    "?".into(),
-                    format!("unreadable: {err}"),
-                    "?".into(),
-                    "?".into(),
-                    "?".into(),
-                    "?".into(),
-                    "false".into(),
-                ]);
+                let mut row = vec!["?".to_string(); 12];
+                row[6] = format!("unreadable: {}: {err}", path.display());
+                row[11] = "false".into();
+                table.row(&row);
                 continue;
             }
         };
         let p = entry.problem;
-        let verified = catalog::validate_entry(&entry, &mut cache).is_ok();
         let l = entry.schedule.frame_length();
-        let fig2 = build_duty_cycled(
-            p.n,
-            p.d,
-            p.alpha_t,
-            p.alpha_r,
-            PartitionStrategy::RoundRobin,
-        )
-        .schedule
-        .frame_length();
-        let (greedy_l, _) = greedy_solution(&p);
+        let space = DemandSpace::new(p.n, p.d);
+        let greedy_l = greedy_cover(&space, &CandidateSpace::new(&space, p.alpha_t, p.alpha_r))
+            .slots
+            .len();
         table.row(&[
             p.n.to_string(),
             p.d.to_string(),
@@ -89,10 +76,10 @@ pub fn run() -> Vec<Table> {
             fig2.to_string(),
             greedy_l.to_string(),
             (fig2 as i64 - l as i64).to_string(),
-            verified.to_string(),
+            (verdict == catalog::Verdict::Ok).to_string(),
         ]);
     }
-    vec![table]
+    table
 }
 
 #[cfg(test)]
@@ -122,5 +109,22 @@ mod tests {
                 "{r:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_misfiled_entry_is_not_verified() {
+        // Valid on its own, but filed under another point's name: the
+        // catalog audit fails it, so E18 must not call it verified.
+        let dir = std::env::temp_dir().join(format!("ttdc-e18-misfiled-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let name = "n005_d1_at2_ar2.sched";
+        let text = std::fs::read_to_string(catalog_dir().join(name)).unwrap();
+        std::fs::write(dir.join(name), &text).unwrap();
+        std::fs::write(dir.join("n006_d1_at2_ar2.sched"), &text).unwrap();
+        let t = catalog_table(&dir);
+        let verified = t.columns().iter().position(|c| c == "verified").unwrap();
+        let column: Vec<&str> = t.rows().iter().map(|r| r[verified].as_str()).collect();
+        assert_eq!(column, ["true", "false"]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -37,8 +37,7 @@ use super::spec::{CampaignSpec, Shard, CAMPAIGN_SCHEMA_VERSION};
 use crate::metrics::SimReport;
 use crate::montecarlo::McSummary;
 
-/// File name of the checkpoint manifest inside a campaign directory.
-pub const MANIFEST_FILE: &str = "manifest.jsonl";
+pub use ttdc_util::MANIFEST_FILE;
 /// File name of the merged per-point JSONL output.
 pub const MERGED_FILE: &str = "merged.jsonl";
 /// File name of the human-oriented summary.

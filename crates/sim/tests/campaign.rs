@@ -85,7 +85,7 @@ fn summaries_bits(s: &McSummary) -> Vec<u64> {
 /// The merged campaign output equals the two-step reference
 /// `summarize(&run_replications(..))` bit for bit.
 #[test]
-fn campaign_merge_is_bit_identical_to_streaming_fold() {
+fn campaign_merge_is_bit_identical_to_summarize_of_run_replications() {
     let rates = [0.05, 0.2];
     let sp = spec("ident", &rates, 6, 2);
     let outcome = run_campaign(&sp, None, ResumeMode::Auto, &fast_opts(), None, |p, s| {

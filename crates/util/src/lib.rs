@@ -31,6 +31,7 @@ pub use histogram::Histogram;
 pub use lp::{DualAscent, LpItem};
 pub use manifest::{
     f64_from_bits_json, f64_to_bits_json, Checkpoint, Manifest, ManifestError, ManifestRecord,
+    MANIFEST_FILE,
 };
 pub use splitmix::splitmix64;
 pub use stats::{ConfidenceInterval, OnlineStats};

@@ -29,6 +29,9 @@ use crate::{fnv1a64, write_atomic};
 /// A manifest stating another version is refused rather than misread.
 pub const MANIFEST_SCHEMA_VERSION: u64 = 1;
 
+/// File name of the manifest inside a checkpoint directory.
+pub const MANIFEST_FILE: &str = "manifest.jsonl";
+
 /// Why a manifest could not be loaded or saved.
 #[derive(Debug, PartialEq)]
 pub enum ManifestError {
@@ -622,7 +625,7 @@ mod tests {
         // and a failed save never counts toward the kill limit.
         let p = tmp("unwritable");
         std::fs::write(&p, "a file, not a directory").unwrap();
-        let path = p.join("manifest.jsonl");
+        let path = p.join(MANIFEST_FILE);
         let cp = Checkpoint::open(Some(&path), "campaign", 7, json!(null), Some(1)).unwrap();
         cp.record("s0", json!(0));
         cp.record("s1", json!(1));
