@@ -365,15 +365,16 @@ fn probability(value: f64, flag: &str, what: &str) -> Result<(), CliError> {
     }
 }
 
-/// Domain checks on values that already parsed as the right type.
-/// The parameter point `build` and `synth` need: the domain of
-/// [`SynthProblem::try_new`], which the Figure 2 construction shares.
-fn point(n: usize, d: usize, alpha_t: usize, alpha_r: usize) -> Result<(), CliError> {
+/// The parameter point `build`, `synth` and `analyze --alpha-t/--alpha-r`
+/// need: the domain of [`SynthProblem::try_new`], which the Figure 2
+/// construction and the Theorem 4 bound share.
+pub(crate) fn point(n: usize, d: usize, alpha_t: usize, alpha_r: usize) -> Result<(), CliError> {
     SynthProblem::try_new(n, d, alpha_t, alpha_r)
         .map(drop)
         .map_err(|e| CliError::InvalidValue(format!("parameter point: {e}")))
 }
 
+/// Domain checks on values that already parsed as the right type.
 fn validate(cmd: &Command) -> Result<(), CliError> {
     match cmd {
         Command::Simulate {

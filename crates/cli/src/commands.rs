@@ -1,6 +1,8 @@
 //! Command execution for the `ttdc` binary.
 
-use crate::args::{CampaignAction, Command, SynthAction, TopologySpec, DEFAULT_CATALOG_DIR, USAGE};
+use crate::args::{
+    point, CampaignAction, Command, SynthAction, TopologySpec, DEFAULT_CATALOG_DIR, USAGE,
+};
 use crate::error::CliError;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -30,6 +32,20 @@ type CmdResult = Result<(), CliError>;
 fn load_schedule(path: &str) -> Result<Schedule, CliError> {
     let text = std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
     sched_io::from_text(&text).map_err(|e| CliError::Schedule(format!("{path}: {e}")))
+}
+
+/// Loads the schedule a `--degree D` verb reads and checks `1 ≤ D < n`
+/// against its node count, the domain every Requirement and bound over
+/// `N_n^D` is defined on.
+fn load_schedule_for_degree(path: &str, d: usize) -> Result<Schedule, CliError> {
+    let s = load_schedule(path)?;
+    let n = s.num_nodes();
+    if d < 1 || d >= n {
+        return Err(CliError::InvalidValue(format!(
+            "--degree: need 1 ≤ D < n, got D = {d} for the n = {n} schedule {path}"
+        )));
+    }
+    Ok(s)
 }
 
 /// Above this many Requirement-3 configurations, fall back to sampling.
@@ -202,7 +218,7 @@ pub fn execute(cmd: &Command, out: &mut dyn Write, err: &mut dyn Write) -> CmdRe
         }
         Command::Synth(action) => synth(action, out),
         Command::Verify { degree, file } => {
-            let s = load_schedule(file)?;
+            let s = load_schedule_for_degree(file, *degree)?;
             writeln!(
                 out,
                 "{file}: n = {}, L = {}, duty cycle {:.1}%",
@@ -222,9 +238,12 @@ pub fn execute(cmd: &Command, out: &mut dyn Write, err: &mut dyn Write) -> CmdRe
             alphas,
             file,
         } => {
-            let s = load_schedule(file)?;
+            let s = load_schedule_for_degree(file, *degree)?;
             let d = *degree;
             let n = s.num_nodes();
+            if let Some((at, ar)) = alphas {
+                point(n, d, *at, *ar)?;
+            }
             writeln!(out, "schedule : n = {n}, L = {}", s.frame_length()).ok();
             writeln!(out, "duty     : {:.2}%", 100.0 * s.average_duty_cycle()).ok();
             let transparent = check_transparency(&s, d, out);
@@ -277,7 +296,7 @@ pub fn execute(cmd: &Command, out: &mut dyn Write, err: &mut dyn Write) -> CmdRe
             trace_perfetto,
             file,
         } => {
-            let s = load_schedule(file)?;
+            let s = load_schedule_for_degree(file, *degree)?;
             let n = s.num_nodes();
             let topo = match topology {
                 TopologySpec::Ring => Topology::ring(n),
@@ -915,6 +934,39 @@ mod tests {
         let (code, out) = run_str(&["simulate", "--degree", "2", "--topology", "grid=4x4", &file]);
         assert_eq!(code, 3);
         assert!(out.contains("grid 4x4"));
+        std::fs::remove_file(&file).ok();
+    }
+
+    #[test]
+    fn out_of_domain_degree_and_alphas_exit_3() {
+        let file = tmp("domain.sched");
+        run_str(&[
+            "build",
+            "--nodes",
+            "9",
+            "--degree",
+            "2",
+            "--alpha-t",
+            "1",
+            "--alpha-r",
+            "2",
+            "--output",
+            &file,
+        ]);
+        for case in [
+            "verify --degree 0",
+            "verify --degree 9",
+            "analyze --degree 0",
+            "analyze --degree 9",
+            "analyze --degree 2 --alpha-t 0 --alpha-r 2",
+            "analyze --degree 2 --alpha-t 20 --alpha-r 20",
+            "simulate --degree 0 --topology geometric=1",
+        ] {
+            let argv: Vec<&str> = case.split(' ').chain([file.as_str()]).collect();
+            let (code, out) = run_str(&argv);
+            assert_eq!(code, 3, "{argv:?}: {out}");
+            assert!(out.contains("error: "), "{argv:?}: {out}");
+        }
         std::fs::remove_file(&file).ok();
     }
 
