@@ -42,6 +42,10 @@ impl ttdc_sim::MacProtocol for NaiveDutyCycleMac {
         self.k as usize
     }
 
+    fn frame_periodic(&self) -> bool {
+        true // listens at slot mod k, may transmit in every slot
+    }
+
     fn may_transmit(&self, _node: usize, _slot: u64) -> bool {
         true
     }

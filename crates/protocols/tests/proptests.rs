@@ -2,12 +2,14 @@
 //! accounting, and the structural contrasts the experiments rely on.
 
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use ttdc_core::construct::PartitionStrategy;
 use ttdc_protocols::{
     ColoringTdmaMac, NaiveDutyCycleMac, RandomWakeupMac, SlottedAlohaMac, SmacLikeMac, TsmaMac,
     TtdcMac,
 };
-use ttdc_sim::{MacProtocol, Topology};
+use ttdc_sim::{FaultPlan, MacProtocol, SimPath, SimulatorBuilder, Topology, TrafficPattern};
 use ttdc_util::BitSet;
 
 fn receive_duty(mac: &dyn MacProtocol, node: usize, horizon: u64) -> f64 {
@@ -59,6 +61,7 @@ proptest! {
         let active = (period / 2).max(1);
         masks_match_probes(&SmacLikeMac::new(period, active, p), n)?;
         masks_match_probes(&SlottedAlohaMac::new(p), n)?;
+        masks_match_probes(&NaiveDutyCycleMac::new(period), n)?;
     }
 
     /// Schedule-based protocols are exactly periodic in their frame.
@@ -67,7 +70,8 @@ proptest! {
         prop_assume!(node < n);
         let ttdc = TtdcMac::new(n, d, 2, 3, PartitionStrategy::RoundRobin);
         let tsma = TsmaMac::new(n, d);
-        for mac in [&ttdc as &dyn MacProtocol, &tsma] {
+        let naive = NaiveDutyCycleMac::new(n as u64);
+        for mac in [&ttdc as &dyn MacProtocol, &tsma, &naive] {
             let l = mac.frame_length() as u64;
             prop_assert!(l >= 1);
             for s in 0..l.min(64) {
@@ -104,6 +108,39 @@ proptest! {
         let wakes = (0..k).filter(|&s| mac.may_receive(node, s)).count();
         prop_assert_eq!(wakes, 1);
         prop_assert!(mac.may_transmit(node, 0), "naive senders never sleep to send");
+    }
+
+    /// The naive MAC steps on slot plans: under Poisson traffic `run`
+    /// takes the plan and under clock drift the skew groups, and each
+    /// full report, trace included, equals the per-slot scan's.
+    #[test]
+    fn naive_runs_on_plan_and_skew_like_the_scan(
+        k in 1u64..12,
+        n in 8usize..40,
+        drift in 0.001f64..0.2,
+        seed in 0u64..1000,
+    ) {
+        let mac = NaiveDutyCycleMac::new(k);
+        let topo = Topology::random_gnp_capped(n, 0.2, 4, &mut SmallRng::seed_from_u64(seed));
+        let pattern = TrafficPattern::PoissonUnicast { rate: 0.05 };
+        for (faults, path) in [
+            (FaultPlan::none(), SimPath::Plan),
+            (FaultPlan::none().with_drift(drift), SimPath::Skew),
+        ] {
+            let build = || {
+                SimulatorBuilder::new(topo.clone(), pattern)
+                    .seed(seed)
+                    .faults(faults)
+                    .trace_capacity(256)
+                    .build()
+                    .unwrap()
+            };
+            let mut via_run = build();
+            prop_assert_eq!(via_run.run(&mac, 300), path);
+            let mut via_scan = build();
+            via_scan.run_on(SimPath::Scan, &mac, 300);
+            prop_assert_eq!(via_run.report(), via_scan.report());
+        }
     }
 
     /// Random wakeup's empirical duty tracks its configured duty for any

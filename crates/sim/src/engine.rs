@@ -23,8 +23,8 @@
 //! asks the MAC about every node at its drift-perceived slot. All paths
 //! give bit-identical runs; the choice is only about speed.
 //!
-//! Anything observable is announced as an event to the built-in metrics
-//! and trace recorders, which assemble the [`SimReport`]. Senders can be
+//! Anything observable is announced as an event that one fold records
+//! into the [`SimReport`], counters and trace alike. Senders can be
 //! *schedule-aware* (transmit a packet only in slots where its next hop is
 //! scheduled to listen — possible because the schedule is global
 //! knowledge even though the topology is not) or eager. The topology may be swapped between steps
@@ -37,11 +37,12 @@ use crate::events::SkipState;
 use crate::faults::{FaultPlan, FaultState};
 use crate::mac::MacProtocol;
 use crate::metrics::SimReport;
-use crate::observer::{MetricsObserver, SlotEvent, TraceObserver};
+use crate::observer::SlotEvent;
 use crate::phases;
 use crate::plan::SlotPlan;
 use crate::roster::{PlanRoster, Roster, ScanRoster, SkewRoster};
 use crate::topology::Topology;
+use crate::trace::Trace;
 use crate::traffic::{Packet, TrafficPattern};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -111,7 +112,8 @@ pub enum SimPath {
     Scan,
 }
 
-/// The simulator state: topology, per-node queues, recorders, and the RNG.
+/// The simulator state: topology, per-node queues, the recorded report,
+/// and the RNG.
 ///
 /// Construct through [`SimulatorBuilder`](crate::SimulatorBuilder), the
 /// only way to make one.
@@ -139,25 +141,23 @@ pub struct Simulator {
     pub(crate) faults: FaultState,
     /// How concurrent transmissions resolve at a listener.
     pub(crate) channel: Channel,
-    /// The event recorders (concrete types — no dynamic dispatch on the
-    /// hot path).
-    pub(crate) metrics: MetricsObserver,
-    pub(crate) trace_obs: TraceObserver,
+    /// Every recorded event's counters and trace; the engine-owned
+    /// `slots`, `backlog` and `energy` stay zero here until
+    /// [`Simulator::report`] grafts them on.
+    pub(crate) record: SimReport,
     // Per-slot scratch (reused across steps to avoid allocation).
-    pub(crate) transmitting: Vec<bool>,
-    pub(crate) listening: Vec<bool>,
     pub(crate) tx_queue_idx: Vec<usize>,
     pub(crate) successes: Vec<(usize, usize)>,
-    /// Nodes that actually transmitted this slot, ascending. The election
-    /// clears only these flags instead of all `n`, and the ARQ pass
+    /// Nodes that actually transmitted this slot, ascending; the ARQ pass
     /// iterates them instead of scanning every node.
     pub(crate) active_tx: Vec<usize>,
-    /// Nodes that actually listened this slot, ascending (same role as
-    /// `active_tx` for the `listening` flags).
-    pub(crate) active_rx: Vec<usize>,
     /// `active_tx` as a word mask; the channel phase resolves receptions
-    /// by intersecting neighbourhoods against it.
+    /// by intersecting neighbourhoods against it, and the energy phase
+    /// charges its members Transmit.
     pub(crate) tx_mask: BitSet,
+    /// Nodes that actually listened this slot; the energy phase charges
+    /// them Listen.
+    pub(crate) rx_mask: BitSet,
     /// Per-slot roster scan buffers for non-periodic MACs and forced
     /// scans; reused across slots and runs.
     scan: ScanRoster,
@@ -200,15 +200,15 @@ impl Simulator {
             settled: vec![0; n],
             faults: FaultState::new(config.faults, n, config.seed),
             channel,
-            metrics: MetricsObserver::new(),
-            trace_obs: TraceObserver::new(config.trace_capacity),
-            transmitting: vec![false; n],
-            listening: vec![false; n],
+            record: SimReport {
+                trace: Trace::new(config.trace_capacity),
+                ..SimReport::new(0)
+            },
             tx_queue_idx: vec![usize::MAX; n],
             successes: Vec::with_capacity(n),
             active_tx: Vec::with_capacity(n),
-            active_rx: Vec::with_capacity(n),
             tx_mask: BitSet::new(n),
+            rx_mask: BitSet::new(n),
             scan: ScanRoster::default(),
             skew: SkewRoster::default(),
             plan_cache: None,
@@ -261,11 +261,10 @@ impl Simulator {
         }
     }
 
-    /// Announces `event` to the metrics and trace recorders.
+    /// Records `event` into the report.
     #[inline]
     pub(crate) fn emit(&mut self, event: SlotEvent) {
-        self.metrics.on_event(self.slot, &event);
-        self.trace_obs.on_event(self.slot, &event);
+        self.record.record(self.slot, &event);
     }
 
     /// Advances one slot: the fault phase, then `roster` is loaded (after
@@ -528,15 +527,13 @@ impl Simulator {
         }
     }
 
-    /// Snapshot of the metrics so far: the metrics observer's counters
-    /// plus the engine-owned slot count, backlog, energy ledger, and the
-    /// trace observer's retained events.
+    /// Snapshot of the metrics so far: the recorded counters and trace
+    /// plus the engine-owned slot count, backlog and energy ledger.
     pub fn report(&self) -> SimReport {
-        let mut r = self.metrics.snapshot().clone();
+        let mut r = self.record.clone();
         r.slots = self.slot;
         r.backlog = self.queues.iter().map(|q| q.len() as u64).sum();
         r.energy = self.energy.clone();
-        r.trace = self.trace_obs.trace().clone();
         r
     }
 

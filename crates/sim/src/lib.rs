@@ -26,9 +26,9 @@
 //! * [`energy`] — transmit/listen/sleep accounting;
 //! * [`faults`] — fault injection (lossy/bursty links, transient node
 //!   crashes, clock drift) and the bounded link-layer ARQ;
-//! * [`metrics`], [`trace`], [`montecarlo`] — reports (folded from the
-//!   engine's event stream by two built-in recorders), event traces and
-//!   parallel replication;
+//! * [`metrics`], [`trace`], [`montecarlo`] — reports (each event of the
+//!   engine's stream folded once into counters and trace), event traces
+//!   and parallel replication;
 //! * [`campaign`] — sharded, checkpointed replication sweeps whose merge
 //!   is the one streaming replication fold.
 //!

@@ -71,8 +71,9 @@ pub trait MacProtocol: Send + Sync {
     /// drifted runs that is O(n) per perceived frame slot per simulated
     /// slot. A MAC that can state its slot sets as bit masks should
     /// override it with word fills or copies, which makes both uses
-    /// proportional to the awake nodes; every frame-periodic MAC in this
-    /// workspace does.
+    /// proportional to the awake nodes. Every frame-periodic MAC in this
+    /// workspace does, except the naive 1-in-k strawman: its listeners
+    /// are a hash of the node id, so it keeps the probe.
     fn frame_slot_masks(&self, n: usize, i: usize, tx: &mut BitSet, rx: &mut BitSet) {
         debug_assert!(tx.universe() == n && rx.universe() == n);
         tx.clear();

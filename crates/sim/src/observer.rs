@@ -1,21 +1,19 @@
-//! The built-in recorders of the engine's event stream.
+//! The engine's event stream and its one recorder.
 //!
 //! The phase pipeline announces everything observable as a [`SlotEvent`];
-//! two recorders fold the stream into the classic [`SimReport`] exactly:
+//! [`SimReport::record`] folds each event into the report once: its
+//! counters, latency statistics, per-link success counts, fault and
+//! battery accounting, and the bounded ring buffer of [`TraceEvent`]s (a
+//! strict projection of the richer [`SlotEvent`] stream).
 //!
-//! * [`MetricsObserver`] — counters, latency statistics, per-link success
-//!   counts, fault and battery accounting;
-//! * [`TraceObserver`] — the bounded ring buffer of [`TraceEvent`]s
-//!   (a strict projection of the richer [`SlotEvent`] stream).
-//!
-//! Events are small `Copy` values and both recorders are concrete fields
-//! of the engine, so recording is a direct call that adds no steady-state
+//! Events are small `Copy` values and the report is a concrete field of
+//! the engine, so recording is a direct call that adds no steady-state
 //! allocations to the step loop (the allocation audit in `ttdc-bench`'s
 //! `alloc_audit` test covers this) and no path restriction: every path,
 //! the time-skipping engine included, announces the same events.
 
 use crate::metrics::SimReport;
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::TraceEvent;
 
 /// One observable engine event, announced by the phase that caused it.
 ///
@@ -112,134 +110,98 @@ pub(crate) enum SlotEvent {
     },
 }
 
-/// The built-in metrics accumulator: folds the event stream into a
-/// [`SimReport`] exactly as the pre-pipeline engine did inline.
-///
-/// The engine owns the energy ledger (battery death is physics the energy
-/// phase must see mid-loop), the slot counter, and the queue backlog;
-/// [`Simulator::report`](crate::Simulator::report) grafts those onto this
-/// observer's snapshot.
-#[derive(Clone, Debug)]
-pub(crate) struct MetricsObserver {
-    report: SimReport,
-}
-
-impl MetricsObserver {
-    /// A fresh accumulator with every counter at zero.
-    pub(crate) fn new() -> MetricsObserver {
-        MetricsObserver {
-            report: SimReport::new(0),
-        }
-    }
-
-    /// The counters accumulated so far. The `slots`, `backlog`, `energy`,
-    /// and `trace` fields are *not* maintained here — they belong to the
-    /// engine and the trace observer.
-    pub(crate) fn snapshot(&self) -> &SimReport {
-        &self.report
-    }
-
-    /// Folds one engine event in `slot` into the counters.
-    pub(crate) fn on_event(&mut self, slot: u64, event: &SlotEvent) {
-        let r = &mut self.report;
-        match *event {
-            SlotEvent::PacketGenerated { routed, .. } => {
-                r.generated += 1;
-                if !routed {
-                    r.undeliverable += 1;
-                }
-            }
-            SlotEvent::StaleDropped { .. } => r.undeliverable += 1,
-            SlotEvent::Transmitted { .. } => {}
-            SlotEvent::Collision { .. } => r.collisions += 1,
-            SlotEvent::LinkDropped { .. } => r.link_drops += 1,
-            SlotEvent::LinkSuccess { from, to } => {
-                *r.link_success.entry((from, to)).or_insert(0) += 1;
-            }
-            SlotEvent::HopDelivered { .. } => r.hop_deliveries += 1,
-            SlotEvent::Delivered { latency, .. } => {
-                r.delivered += 1;
-                r.latency.push(latency as f64);
-                r.latency_hist.record(latency);
-            }
-            SlotEvent::RetryExhausted { .. } => r.retry_exhausted += 1,
-            SlotEvent::NodeCrashed { queue_lost, .. } => {
-                r.crashes += 1;
-                r.crash_dropped += queue_lost;
-                r.undeliverable += queue_lost;
-            }
-            SlotEvent::NodeRecovered { .. } => r.recoveries += 1,
-            SlotEvent::NodeDied { .. } => {
-                r.deaths += 1;
-                r.first_death_slot.get_or_insert(slot);
-            }
-        }
-    }
-}
-
-/// The built-in trace recorder: projects the event stream onto the classic
-/// [`TraceEvent`] ring buffer. Events with no trace representation
-/// (deliveries, stale drops, saturated link successes, unrouted
-/// generations) are skipped, matching the pre-pipeline trace contents
-/// exactly.
-#[derive(Clone, Debug)]
-pub(crate) struct TraceObserver {
-    trace: Trace,
-}
-
-impl TraceObserver {
-    /// A recorder keeping at most `capacity` events (0 disables tracing).
-    pub(crate) fn new(capacity: usize) -> TraceObserver {
-        TraceObserver {
-            trace: Trace::new(capacity),
-        }
-    }
-
-    /// The retained trace.
-    pub(crate) fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Records the trace projection of one engine event in `slot`, if any.
-    pub(crate) fn on_event(&mut self, slot: u64, event: &SlotEvent) {
-        if !self.trace.enabled() {
-            return;
-        }
-        let mapped = match *event {
+impl SimReport {
+    /// Folds one engine event in `slot` into the report: bumps its
+    /// counters and, when tracing is on, records its [`TraceEvent`]
+    /// projection. Deliveries, stale drops, saturated link successes and
+    /// unrouted generations have no trace representation and only count.
+    ///
+    /// The engine owns the energy ledger (battery death is physics the
+    /// energy phase must see mid-loop), the slot counter and the queue
+    /// backlog; [`Simulator::report`](crate::Simulator::report) grafts
+    /// those onto the recorded report.
+    pub(crate) fn record(&mut self, slot: u64, event: &SlotEvent) {
+        let traced = match *event {
             SlotEvent::PacketGenerated {
                 node,
                 final_dst,
-                routed: true,
-            } => Some(TraceEvent::Generated { node, final_dst }),
-            SlotEvent::Transmitted { node, next_hop } => {
-                Some(TraceEvent::Transmitted { node, next_hop })
+                routed,
+            } => {
+                self.generated += 1;
+                if !routed {
+                    self.undeliverable += 1;
+                    return;
+                }
+                TraceEvent::Generated { node, final_dst }
             }
-            SlotEvent::Collision { at } => Some(TraceEvent::Collision { at }),
-            SlotEvent::LinkDropped { from, to } => Some(TraceEvent::LinkDropped { from, to }),
-            SlotEvent::HopDelivered { from, to } => Some(TraceEvent::HopDelivered { from, to }),
-            SlotEvent::RetryExhausted { node } => Some(TraceEvent::RetryExhausted { node }),
-            SlotEvent::NodeCrashed { node, .. } => Some(TraceEvent::NodeCrashed { node }),
-            SlotEvent::NodeRecovered { node } => Some(TraceEvent::NodeRecovered { node }),
-            SlotEvent::NodeDied { node } => Some(TraceEvent::NodeDied { node }),
-            SlotEvent::PacketGenerated { routed: false, .. }
-            | SlotEvent::StaleDropped { .. }
-            | SlotEvent::LinkSuccess { .. }
-            | SlotEvent::Delivered { .. } => None,
+            SlotEvent::StaleDropped { .. } => {
+                self.undeliverable += 1;
+                return;
+            }
+            SlotEvent::Transmitted { node, next_hop } => TraceEvent::Transmitted { node, next_hop },
+            SlotEvent::Collision { at } => {
+                self.collisions += 1;
+                TraceEvent::Collision { at }
+            }
+            SlotEvent::LinkDropped { from, to } => {
+                self.link_drops += 1;
+                TraceEvent::LinkDropped { from, to }
+            }
+            SlotEvent::LinkSuccess { from, to } => {
+                *self.link_success.entry((from, to)).or_insert(0) += 1;
+                return;
+            }
+            SlotEvent::HopDelivered { from, to } => {
+                self.hop_deliveries += 1;
+                TraceEvent::HopDelivered { from, to }
+            }
+            SlotEvent::Delivered { latency, .. } => {
+                self.delivered += 1;
+                self.latency.push(latency as f64);
+                self.latency_hist.record(latency);
+                return;
+            }
+            SlotEvent::RetryExhausted { node } => {
+                self.retry_exhausted += 1;
+                TraceEvent::RetryExhausted { node }
+            }
+            SlotEvent::NodeCrashed { node, queue_lost } => {
+                self.crashes += 1;
+                self.crash_dropped += queue_lost;
+                self.undeliverable += queue_lost;
+                TraceEvent::NodeCrashed { node }
+            }
+            SlotEvent::NodeRecovered { node } => {
+                self.recoveries += 1;
+                TraceEvent::NodeRecovered { node }
+            }
+            SlotEvent::NodeDied { node } => {
+                self.deaths += 1;
+                self.first_death_slot.get_or_insert(slot);
+                TraceEvent::NodeDied { node }
+            }
         };
-        if let Some(ev) = mapped {
-            self.trace.record(slot, ev);
-        }
+        self.trace.record(slot, traced);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Trace;
+
+    /// A zeroed report whose trace keeps at most `capacity` events, as
+    /// the engine makes it.
+    fn recorder(capacity: usize) -> SimReport {
+        let mut r = SimReport::new(0);
+        r.trace = Trace::new(capacity);
+        r
+    }
 
     #[test]
     fn metrics_fold_matches_event_semantics() {
-        let mut m = MetricsObserver::new();
-        m.on_event(
+        let mut r = recorder(0);
+        r.record(
             0,
             &SlotEvent::PacketGenerated {
                 node: 1,
@@ -247,7 +209,7 @@ mod tests {
                 routed: true,
             },
         );
-        m.on_event(
+        r.record(
             0,
             &SlotEvent::PacketGenerated {
                 node: 3,
@@ -255,30 +217,29 @@ mod tests {
                 routed: false,
             },
         );
-        m.on_event(1, &SlotEvent::StaleDropped { node: 1 });
-        m.on_event(1, &SlotEvent::Collision { at: 2 });
-        m.on_event(2, &SlotEvent::HopDelivered { from: 1, to: 2 });
-        m.on_event(
+        r.record(1, &SlotEvent::StaleDropped { node: 1 });
+        r.record(1, &SlotEvent::Collision { at: 2 });
+        r.record(2, &SlotEvent::HopDelivered { from: 1, to: 2 });
+        r.record(
             2,
             &SlotEvent::Delivered {
                 node: 2,
                 latency: 2,
             },
         );
-        m.on_event(3, &SlotEvent::LinkSuccess { from: 0, to: 1 });
-        m.on_event(3, &SlotEvent::LinkSuccess { from: 0, to: 1 });
-        m.on_event(
+        r.record(3, &SlotEvent::LinkSuccess { from: 0, to: 1 });
+        r.record(3, &SlotEvent::LinkSuccess { from: 0, to: 1 });
+        r.record(
             4,
             &SlotEvent::NodeCrashed {
                 node: 0,
                 queue_lost: 3,
             },
         );
-        m.on_event(5, &SlotEvent::NodeRecovered { node: 0 });
-        m.on_event(6, &SlotEvent::NodeDied { node: 1 });
-        m.on_event(7, &SlotEvent::NodeDied { node: 0 });
+        r.record(5, &SlotEvent::NodeRecovered { node: 0 });
+        r.record(6, &SlotEvent::NodeDied { node: 1 });
+        r.record(7, &SlotEvent::NodeDied { node: 0 });
 
-        let r = m.snapshot();
         assert_eq!(r.generated, 2);
         assert_eq!(r.undeliverable, 1 + 1 + 3); // unrouted + stale + crash
         assert_eq!(r.collisions, 1);
@@ -293,8 +254,8 @@ mod tests {
 
     #[test]
     fn trace_observer_projects_and_skips() {
-        let mut t = TraceObserver::new(16);
-        t.on_event(
+        let mut t = recorder(16);
+        t.record(
             0,
             &SlotEvent::PacketGenerated {
                 node: 1,
@@ -304,7 +265,7 @@ mod tests {
         );
         // Unrouted generations, deliveries, and link successes never hit
         // the trace — matching the pre-pipeline recorder.
-        t.on_event(
+        t.record(
             0,
             &SlotEvent::PacketGenerated {
                 node: 3,
@@ -312,23 +273,23 @@ mod tests {
                 routed: false,
             },
         );
-        t.on_event(
+        t.record(
             1,
             &SlotEvent::Delivered {
                 node: 2,
                 latency: 1,
             },
         );
-        t.on_event(1, &SlotEvent::LinkSuccess { from: 0, to: 1 });
-        t.on_event(1, &SlotEvent::StaleDropped { node: 2 });
-        t.on_event(
+        t.record(1, &SlotEvent::LinkSuccess { from: 0, to: 1 });
+        t.record(1, &SlotEvent::StaleDropped { node: 2 });
+        t.record(
             2,
             &SlotEvent::NodeCrashed {
                 node: 0,
                 queue_lost: 9,
             },
         );
-        let events: Vec<TraceEvent> = t.trace().events().map(|&(_, e)| e).collect();
+        let events: Vec<TraceEvent> = t.trace.events().map(|&(_, e)| e).collect();
         assert_eq!(
             events,
             vec![
@@ -343,8 +304,12 @@ mod tests {
 
     #[test]
     fn disabled_trace_observer_records_nothing() {
-        let mut t = TraceObserver::new(0);
-        t.on_event(0, &SlotEvent::Collision { at: 1 });
-        assert!(t.trace().is_empty());
+        let mut t = recorder(0);
+        t.record(0, &SlotEvent::Collision { at: 1 });
+        t.record(1, &SlotEvent::NodeDied { node: 2 });
+        assert!(t.trace.is_empty());
+        // The counters still move with tracing off.
+        assert_eq!(t.collisions, 1);
+        assert_eq!((t.deaths, t.first_death_slot), (1, Some(1)));
     }
 }

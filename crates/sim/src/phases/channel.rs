@@ -2,7 +2,7 @@
 //!
 //! Each eligible listener makes its listen decision — including the
 //! sync-miss roll — exactly once per slot; the energy phase reuses the
-//! stored `listening` flag, so a missed listen is charged as sleep, not
+//! stored `rx_mask` bit, so a missed listen is charged as sleep, not
 //! listening. Concurrent transmissions then resolve through the engine's
 //! channel rule (the paper's exactly-one rule, or physical capture), with
 //! injected link fading applied to decoded receptions only.
@@ -21,23 +21,17 @@ pub(crate) fn run(sim: &mut Simulator, listeners: &[u32]) {
     let saturated = sim.pattern.is_saturated();
     let miss = sim.config.miss_probability;
     sim.successes.clear();
-    // Clear the previous slot's listen flags roster-wise.
-    for i in 0..sim.active_rx.len() {
-        let prev = sim.active_rx[i];
-        sim.listening[prev] = false;
-    }
-    sim.active_rx.clear();
+    sim.rx_mask.clear();
     for &y in listeners {
         let y = y as usize;
         if sim.dead[y]
             || sim.faults.is_crashed(y)
-            || sim.transmitting[y]
+            || sim.tx_mask.contains(y)
             || (miss > 0.0 && sim.rng.gen_bool(miss))
         {
             continue;
         }
-        sim.listening[y] = true;
-        sim.active_rx.push(y);
+        sim.rx_mask.insert(y);
         let reception = sim
             .channel
             .resolve(y, sim.slot, &sim.topo, &sim.tx_mask, &mut sim.faults);

@@ -34,12 +34,6 @@ pub(crate) fn clamp_transmit_probability(p: f64) -> f64 {
 pub(crate) fn run<R: Roster>(sim: &mut Simulator, mac: &dyn MacProtocol, roster: &R) {
     let saturated = sim.pattern.is_saturated();
     let miss = sim.config.miss_probability;
-    // Clear the previous slot's transmit state roster-wise:
-    // `transmitting` and `tx_mask` hold exactly `active_tx`.
-    for i in 0..sim.active_tx.len() {
-        let prev = sim.active_tx[i];
-        sim.transmitting[prev] = false;
-    }
     sim.active_tx.clear();
     sim.tx_mask.clear();
     for &v in roster.transmitters() {
@@ -105,13 +99,12 @@ pub(crate) fn run<R: Roster>(sim: &mut Simulator, mac: &dyn MacProtocol, roster:
     }
 }
 
-/// Marks `v` as this slot's transmitter in every representation the later
-/// phases read: the per-node flag, the actual-transmitter roster
-/// (ascending, like the candidate roster), and the word mask the channel
-/// phase intersects against.
+/// Marks `v` as this slot's transmitter in both forms the later phases
+/// read: the actual-transmitter roster (ascending, like the candidate
+/// roster) that ARQ walks, and the word mask the channel and energy phases
+/// test against.
 #[inline]
 fn elect(sim: &mut Simulator, v: usize) {
-    sim.transmitting[v] = true;
     sim.active_tx.push(v);
     sim.tx_mask.insert(v);
 }

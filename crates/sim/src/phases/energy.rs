@@ -1,7 +1,7 @@
 //! Phase 7: energy accounting and battery depletion.
 //!
 //! Charges each live node for the radio state it actually occupied —
-//! transmit beats listen beats sleep, using the flags the election and
+//! transmit beats listen beats sleep, using the masks the election and
 //! channel phases stored — and kills nodes whose cumulative draw reaches
 //! the battery capacity. A crashed node's radio is off: it pays only the
 //! sleep floor while down, as does a node that *missed* its listen slot
@@ -22,13 +22,13 @@ use crate::observer::SlotEvent;
 use crate::plan::SlotPlan;
 
 /// The radio state `v` occupied this slot, from the election and channel
-/// flags. A node on the awake roster can still have slept: crashed,
+/// masks. A node on the awake roster can still have slept: crashed,
 /// missed sync, or lost the p-persistence roll.
 #[inline]
 fn radio_state(sim: &Simulator, v: usize) -> RadioState {
-    if sim.transmitting[v] {
+    if sim.tx_mask.contains(v) {
         RadioState::Transmit
-    } else if sim.listening[v] {
+    } else if sim.rx_mask.contains(v) {
         RadioState::Listen
     } else {
         RadioState::Sleep

@@ -14,12 +14,13 @@
 //! 7. [`energy`] — radio-state accounting and battery death.
 //!
 //! Each phase is a free function over the engine state; anything
-//! observable is announced as a `SlotEvent` to the engine's metrics and
-//! trace recorders rather than recorded inline. Phases communicate only
-//! through per-slot scratch on the `Simulator` (`transmitting`,
-//! `listening`, `tx_queue_idx`, `successes`, the `active_tx`/`active_rx`
-//! rosters with the `tx_mask` word mask), all pre-allocated — the steady-state step loop performs
-//! zero heap allocations (asserted by `ttdc-bench`'s `alloc_audit` test).
+//! observable is announced as a `SlotEvent`, which the engine folds into
+//! its report once, rather than recorded inline. Phases communicate only
+//! through per-slot scratch on the `Simulator` (`tx_queue_idx`,
+//! `successes`, the `active_tx` roster with its `tx_mask` word mask, and
+//! the `rx_mask` of actual listeners), all pre-allocated — the
+//! steady-state step loop performs zero heap allocations (asserted by
+//! `ttdc-bench`'s `alloc_audit` test).
 //!
 //! Every phase has one implementation, shared by every roster source and
 //! by the time-skipping engine, which steps its interesting slots through
