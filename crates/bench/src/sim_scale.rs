@@ -43,7 +43,8 @@
 //! topology) under CBR traffic with per-node arrival ~10⁻⁴/slot at
 //! `n = 64`, scaled so network load stays constant. Almost every slot is
 //! boring — no backlog, no generation — and the calendar jumps straight
-//! over them. Reports are asserted identical in full at every point;
+//! over them without touching any node (scheduled idle listening stays on
+//! each node's energy debt until it is next stepped). Reports are asserted identical in full at every point;
 //! skip-vs-plan speedup is at least 10× at `n = 1024` (asserted), and a
 //! separate 10⁸-slot horizon row pins "a hundred million slots in
 //! seconds".
@@ -323,7 +324,7 @@ pub fn run(smoke: bool) -> Value {
         "rows": rows,
         "drift_note": "the same duty-cycled scenario with per-node clock drift (rates uniform in [-1e-3, 1e-3] slots per slot, at most nine distinct whole-slot skews over the run): the forced per-node scan (SimPath::Scan, two MAC queries per node per slot) vs the forced skew-group rosters (SimPath::Skew, one slot-mask read per distinct perceived frame slot, cut to each group's members word by word). results_identical is the same full-SimReport assertion, run at every point.",
         "drift_rows": drift_rows,
-        "low_traffic_note": "event-driven time-skipping (SimPath::Skip) vs forced plan-roster stepping (SimPath::Plan) on a fully duty-cycled matching schedule (frame L = n, 1 tx + 1 rx per slot) under CBR unicast with per-node arrival ~1e-4/slot at n=64 (period scaled with n so network load is flat). Plan stepping runs the full phase pipeline on every slot (its CBR pass walks only the slot's generator residue class and its energy pass only the awake roster); the skip engine's calendar jumps straight between generation and backlog slots, touching only the slot's lone listener in between. results_identical is the same full-SimReport assertion as above, run at every point.",
+        "low_traffic_note": "event-driven time-skipping (SimPath::Skip) vs forced plan-roster stepping (SimPath::Plan) on a fully duty-cycled matching schedule (frame L = n, 1 tx + 1 rx per slot) under CBR unicast with per-node arrival ~1e-4/slot at n=64 (period scaled with n so network load is flat). Plan stepping runs the full phase pipeline on every slot (its CBR pass walks only the slot's generator residue class and its energy pass only the awake roster); the skip engine's calendar jumps straight between generation and backlog slots and does no work in between: each node's idle listening and sleep stay on its energy debt, settled exactly in one call when the node is next stepped and at the end of the run. results_identical is the same full-SimReport assertion as above, run at every point.",
         "low_traffic_rows": low_rows,
         "horizon_row": horizon,
     })

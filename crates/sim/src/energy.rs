@@ -102,6 +102,37 @@ impl EnergyLedger {
         self.sleep_slots[node] += k;
     }
 
+    /// Charges `node` for the slots `[from, to)`, idle listening in those
+    /// whose frame index (frame length `l`) is in the ascending list
+    /// `listen_slots` and asleep in every other, landing on exactly the
+    /// `f64` that one [`record`] per slot, in slot order, would produce
+    /// ([`ttdc_util::iterate_add_periodic`]). This is how the skip engine
+    /// settles a node's debt, which holds its scheduled idle listening.
+    ///
+    /// [`record`]: EnergyLedger::record
+    pub(crate) fn charge_idle_slots(
+        &mut self,
+        model: &EnergyModel,
+        node: usize,
+        listen_slots: &[u32],
+        l: u64,
+        from: u64,
+        to: u64,
+    ) {
+        let (consumed, listens) = ttdc_util::iterate_add_periodic(
+            self.consumed_mj[node],
+            model.slot_energy_mj(RadioState::Sleep),
+            model.slot_energy_mj(RadioState::Listen),
+            listen_slots,
+            l,
+            from,
+            to,
+        );
+        self.consumed_mj[node] = consumed;
+        self.listen_slots[node] += listens;
+        self.sleep_slots[node] += to - from - listens;
+    }
+
     /// Total energy over all nodes (mJ).
     pub fn total_mj(&self) -> f64 {
         self.consumed_mj.iter().sum()

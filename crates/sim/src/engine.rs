@@ -97,8 +97,9 @@ pub enum SimPath {
     /// *interesting* slots (traffic generation, scheduled transmit
     /// occurrences of backlogged nodes — see the `events` module), which
     /// are stepped on a [`SlotPlan`]'s rosters, and the spans between them
-    /// are settled in bulk (listener occurrences charged from the frame
-    /// summaries, per-node sleep debt fast-forwarded bit-exactly).
+    /// cost nothing: each node's debt holds its idle listening at its
+    /// scheduled listen slots and sleep at the rest, and is settled
+    /// bit-exactly in one call when the node is next touched.
     Skip,
     /// Every slot stepped on a [`SlotPlan`]'s rosters (frame-periodic MAC,
     /// zero clock drift).
@@ -133,9 +134,10 @@ pub struct Simulator {
     /// energy phase must read it mid-loop to decide battery death.
     pub(crate) energy: EnergyLedger,
     /// Per node, the first slot its energy has not been charged for. Every
-    /// uncharged slot of a live node is a sleep, settled as debt when the
-    /// node next wakes or at a window boundary; every mark equals `slot`
-    /// whenever no run is in progress, so the ledger reads settled.
+    /// uncharged slot of a live node is a sleep (or, on the skip path, an
+    /// idle listen at one of its scheduled listen slots), settled as debt
+    /// when the node next wakes or at a window boundary; every mark equals
+    /// `slot` whenever no run is in progress, so the ledger reads settled.
     pub(crate) settled: Vec<u64>,
     /// Fault-injection runtime state (crash flags, link channels, drift).
     pub(crate) faults: FaultState,
@@ -407,10 +409,12 @@ impl Simulator {
         self.run_on(SimPath::Scan, mac, slots);
     }
 
-    /// The [`SimPath::Skip`] loop: between interesting slots the calendar
-    /// settles the span in bulk; each interesting slot is stepped on the
-    /// plan's rosters and re-arms the calendar. A bury window steps every
-    /// slot like the other paths.
+    /// The [`SimPath::Skip`] loop: the clock jumps from one interesting
+    /// slot to the next, and the skipped slots stay on each node's debt.
+    /// Each interesting slot settles its awake roster's debt, is stepped on
+    /// the plan's rosters and re-arms the calendar; each window ends by
+    /// settling every live node. A bury window steps every slot like the
+    /// other paths, from the ledger the previous window left settled.
     fn skip_through(&mut self, mac: &dyn MacProtocol, slots: u64) {
         let n = self.topo.num_nodes();
         let mut plan = self.take_plan(mac);
@@ -426,21 +430,21 @@ impl Simulator {
                 skip.reseed(sim.slot, &sim.queues, &sim.dead);
                 return;
             }
-            while sim.slot < to {
-                let next = skip
+            loop {
+                // The skipped slots stay on each node's debt.
+                sim.slot = skip
                     .next_interesting(sim.slot, &sim.pattern, n, &sim.queues, &sim.dead)
                     .min(to);
-                if next > sim.slot {
-                    phases::energy::advance_span(sim, &plan, &skip.active.rx_busy, next);
-                    sim.slot = next;
-                }
-                if sim.slot >= to {
+                if sim.slot == to {
                     break;
                 }
                 skip.pop_due(sim.slot);
+                let awake = plan.awake(plan.slot_index(sim.slot));
+                phases::energy::settle_roster(sim, &skip.active, awake);
                 sim.step_on(mac, &mut PlanRoster::new(&mut plan), false);
                 skip.rearm_after_step(&plan, sim.slot - 1, &sim.pattern, &sim.queues, &sim.dead);
             }
+            phases::energy::settle_all(sim, &skip.active);
         });
         self.skip_cache = Some(skip);
         self.plan_cache = Some(plan);

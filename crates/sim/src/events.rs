@@ -15,10 +15,13 @@
 //! predicate (no crash plan, zero drift, zero sync-miss, CBR/saturated
 //! traffic) the pipeline provably consumes no
 //! randomness and emits no event there, and the only state change is
-//! energy — listeners idle-listen, everyone else sleeps. The energy phase
-//! charges the span's listener occurrences and leaves the sleepers to the
-//! per-node sleep debt every path keeps, so a skipped slot is settled
-//! exactly like a stepped one. Interesting slots run the ordinary step.
+//! energy — listeners idle-listen, everyone else sleeps. Nothing is done
+//! for a skipped slot at all: on this path each node's energy debt holds
+//! idle listening at its scheduled listen slots
+//! ([`ActiveSlots::rx_slots_of`]) and sleep everywhere else, and is
+//! settled exactly in one call when the node is next touched, so a skipped
+//! slot is charged exactly like a stepped one. Interesting slots run the
+//! ordinary step.
 //! [`SkipState`] tracks the two sources of interesting slots:
 //!
 //! * the deterministic traffic calendar, computed in O(1) from the CBR
@@ -52,14 +55,13 @@ use std::collections::VecDeque;
 /// [`SimPath::Skip`]: crate::SimPath::Skip
 #[derive(Debug, Default)]
 pub(crate) struct SkipState {
-    /// Inverted per-frame occurrence summaries (listener-busy slots,
-    /// transmitter-busy slots, per-node transmit slots).
+    /// Inverted per-frame occurrence summaries (transmitter-busy slots,
+    /// per-node transmit and listen slots).
     pub(crate) active: ActiveSlots,
     /// Pending transmitters: `(absolute next transmit slot, node)`.
     heap: BinaryHeap<Reverse<(u64, u32)>>,
     /// Whether a node currently has a (possibly stale) heap entry.
     in_heap: Vec<bool>,
-    frame_len: u64,
 }
 
 impl SkipState {
@@ -74,7 +76,6 @@ impl SkipState {
         dead: &[bool],
     ) {
         self.active.rebuild(plan);
-        self.frame_len = plan.frame_length() as u64;
         self.reseed(now, queues, dead);
     }
 
@@ -98,7 +99,7 @@ impl SkipState {
         if self.in_heap[v] {
             return;
         }
-        if let Some(s) = next_occurrence(self.active.tx_slots_of(v), from, self.frame_len) {
+        if let Some(s) = next_occurrence(self.active.tx_slots_of(v), from, self.active.frame_len) {
             self.heap.push(Reverse((s, v as u32)));
             self.in_heap[v] = true;
         }
@@ -118,7 +119,8 @@ impl SkipState {
             // Saturated transmitters always send: every scheduled
             // transmit occurrence is interesting.
             TrafficPattern::SaturatedBroadcast => {
-                next_occurrence(&self.active.tx_busy, now, self.frame_len).unwrap_or(u64::MAX)
+                next_occurrence(&self.active.tx_busy, now, self.active.frame_len)
+                    .unwrap_or(u64::MAX)
             }
             TrafficPattern::CbrUnicast { period } => next_cbr_generation(now, period, n),
             // The eligibility predicate admits no other pattern.

@@ -8,18 +8,23 @@
 //! (the sync-miss roll already decided it never turned the radio on).
 //!
 //! A node off the awake roster is guaranteed asleep, so it is not charged
-//! per slot: every uncharged slot of a live node is sleep *debt*, counted
-//! from its mark in `Simulator::settled` and settled bit-exactly in one
-//! call (`EnergyLedger::charge_sleep_slots`) when the node next wakes,
-//! when a skipped span reaches its listen slot, or when the engine's
-//! battery-window loop flushes everyone. Per node the resulting `f64`
-//! addition sequence is exactly one `+= slot_energy` per slot, in slot
-//! order, on every path.
+//! per slot: every uncharged slot of a live node is *debt*, counted from
+//! its mark in `Simulator::settled` and settled bit-exactly in one call
+//! when the node next wakes or when the engine's battery-window loop
+//! flushes everyone. On the plan, skew and scan paths the debt holds only
+//! sleep, because every scheduled listener sits on its slot's awake
+//! roster (`EnergyLedger::charge_sleep_slots`). The skip engine steps only
+//! interesting slots, so its debt also holds the idle listening of the
+//! skipped slots at the node's scheduled listen slots; it settles the
+//! awake roster before each stepped slot and every live node at the end
+//! of each window (`EnergyLedger::charge_idle_slots`), and a skipped slot
+//! costs nothing. Per node the resulting `f64` addition sequence is
+//! exactly one `+= slot_energy` per slot, in slot order, on every path.
 
 use crate::energy::RadioState;
 use crate::engine::Simulator;
 use crate::observer::SlotEvent;
-use crate::plan::SlotPlan;
+use crate::plan::ActiveSlots;
 
 /// The radio state `v` occupied this slot, from the election and channel
 /// masks. A node on the awake roster can still have slept: crashed,
@@ -82,54 +87,50 @@ pub(crate) fn run(sim: &mut Simulator, awake: &[u32], bury: bool) {
     }
 }
 
-/// Charges every listener occurrence in the *skipped* span
-/// `[sim.slot, to)`: slots there have no transmitters and no traffic (the
-/// calendar said so), so scheduled listeners idle-listen and everyone
-/// else sleeps. Walks the frame-periodic `rx_busy` occurrence list
-/// (frame indices with a nonempty listener roster) across the span; a
-/// schedule with no listeners at all makes the whole span O(1). Each
-/// listener settles its sleep debt before the listen charge, preserving
-/// the per-node chronological addition order the bit-identity contract
-/// requires.
-// Out of line on purpose: when the optimizer inlined it into
-// `Simulator::run_on`'s skip loop, the sim-lowrate benchmark's best op
-// ran ~6% slower (median of 9 pairs, 2-vCPU host).
-#[inline(never)]
-pub(crate) fn advance_span(sim: &mut Simulator, plan: &SlotPlan, rx_busy: &[u32], to: u64) {
-    let from = sim.slot;
-    debug_assert!(to >= from);
-    if rx_busy.is_empty() {
-        return;
+/// Skip-path settle: charges `v`'s debt up to (not including) slot `to`
+/// — idle listening at its scheduled listen slots, sleep at every other —
+/// and moves its mark there.
+#[inline]
+fn settle_idle(sim: &mut Simulator, active: &ActiveSlots, v: usize, to: u64) {
+    let from = sim.settled[v];
+    if to > from {
+        let rx = active.rx_slots_of(v);
+        let model = &sim.config.energy;
+        sim.energy
+            .charge_idle_slots(model, v, rx, active.frame_len, from, to);
+        sim.settled[v] = to;
     }
-    let l = plan.frame_length() as u64;
-    let mut base = from - from % l;
-    let mut idx = rx_busy.partition_point(|&fs| base + (fs as u64) < from);
-    loop {
-        if idx == rx_busy.len() {
-            base += l;
-            idx = 0;
+}
+
+/// Settles the debt of the live members of `awake` up to `sim.slot`, which
+/// the skip engine is about to step on that roster; its energy pass then
+/// finds no debt left to charge.
+pub(crate) fn settle_roster(sim: &mut Simulator, active: &ActiveSlots, awake: &[u32]) {
+    let slot = sim.slot;
+    for &a in awake {
+        let a = a as usize;
+        if !sim.dead[a] {
+            settle_idle(sim, active, a, slot);
         }
-        let s = base + rx_busy[idx] as u64;
-        if s >= to {
-            break;
+    }
+}
+
+/// Settles every live node's debt up to `sim.slot` at the end of a skip
+/// window, so [`flush_all`] finds nothing left to charge.
+pub(crate) fn settle_all(sim: &mut Simulator, active: &ActiveSlots) {
+    let now = sim.slot;
+    for v in 0..sim.settled.len() {
+        if !sim.dead[v] {
+            settle_idle(sim, active, v, now);
         }
-        for &y in plan.listeners(rx_busy[idx] as usize) {
-            let y = y as usize;
-            if sim.dead[y] {
-                continue;
-            }
-            settle(sim, y, s);
-            sim.energy.record(&sim.config.energy, y, RadioState::Listen);
-            sim.settled[y] = s + 1;
-        }
-        idx += 1;
     }
 }
 
 /// Settles every live node's sleep debt up to `sim.slot` and re-anchors
 /// every mark there. The battery-window loop calls it at each window
 /// boundary, so depletion headroom is computed on real numbers and the
-/// ledger reads settled between runs.
+/// ledger reads settled between runs. A skip window has already settled
+/// its idle debt ([`settle_all`]), so this finds none there.
 pub(crate) fn flush_all(sim: &mut Simulator) {
     let now = sim.slot;
     for v in 0..sim.settled.len() {

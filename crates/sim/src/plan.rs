@@ -266,76 +266,97 @@ fn offset(len: usize, mac: &dyn MacProtocol) -> u32 {
 /// Inverted per-frame "active slot" summaries over a fully-filled
 /// [`SlotPlan`]: where the plan answers "who is awake in frame slot `i`?",
 /// these answer the time-skipping engine's questions — "which frame slots
-/// have any listener at all?" (every occurrence costs a bulk energy
-/// flush), "which have any scheduled transmitter?" (saturated traffic
-/// transmits in all of them), and "in which frame slots may node `v`
-/// transmit?" (the calendar queue arms a backlogged node at its next
-/// occurrence). All lists are ascending, so the next occurrence of any of
-/// them from an absolute slot is one binary search plus a wrap-around.
+/// have any scheduled transmitter?" (saturated traffic transmits in all of
+/// them), "in which frame slots may node `v` transmit?" (the calendar
+/// queue arms a backlogged node at its next occurrence) and "in which
+/// frame slots does node `v` listen?" (the idle listening its energy debt
+/// holds between the slots it is touched). All lists are ascending, so the
+/// next occurrence of any of them from an absolute slot is one binary
+/// search plus a wrap-around.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ActiveSlots {
-    /// Frame slots with a nonempty listener roster, ascending.
-    pub(crate) rx_busy: Vec<u32>,
+    /// Frame length `L` of the plan the summaries were built from.
+    pub(crate) frame_len: u64,
     /// Frame slots with a nonempty transmitter roster, ascending.
     pub(crate) tx_busy: Vec<u32>,
-    /// Every node's transmit frame slots back to back, each node's
-    /// ascending (see [`ActiveSlots::tx_slots_of`]).
-    tx_slots: Vec<u32>,
-    /// Offsets into `tx_slots`: node `v`'s slots are
-    /// `tx_slots[tx_slots_off[v]..tx_slots_off[v + 1]]` (`n + 1` entries).
-    tx_slots_off: Vec<u32>,
+    /// Every node's transmit frame slots.
+    tx: NodeSlots,
+    /// Every node's listen frame slots.
+    rx: NodeSlots,
 }
 
 impl ActiveSlots {
     /// Recomputes the summaries from `plan` (which must be fully filled),
     /// reusing every buffer — rebuilding for an unchanged MAC allocates
     /// nothing once capacities have grown.
-    ///
-    /// The per-node lists are a counting sort over the plan's
-    /// transmitter rosters: one pass counts each node's slots into the
-    /// offsets, a prefix sum turns counts into starts, and a second pass
-    /// places each slot at its node's cursor.
     pub(crate) fn rebuild(&mut self, plan: &SlotPlan) {
         assert!(plan.fully_filled(), "ActiveSlots needs a fully-filled plan");
-        let n = plan.num_nodes();
-        self.rx_busy.clear();
+        let (n, frame) = (plan.num_nodes(), plan.frame_length());
+        self.frame_len = frame as u64;
         self.tx_busy.clear();
-        self.tx_slots_off.clear();
-        self.tx_slots_off.resize(n + 1, 0);
-        for i in 0..plan.frame_length() {
-            if !plan.listeners(i).is_empty() {
-                self.rx_busy.push(i as u32);
-            }
-            let tx = plan.transmitters(i);
-            if !tx.is_empty() {
-                self.tx_busy.push(i as u32);
-                for &v in tx {
-                    self.tx_slots_off[v as usize + 1] += 1;
-                }
-            }
-        }
-        for v in 0..n {
-            self.tx_slots_off[v + 1] += self.tx_slots_off[v];
-        }
-        // Place each slot at its node's cursor (tx_slots_off[v] walks from
-        // v's start to its end), then shift the ends back into starts.
-        self.tx_slots.clear();
-        self.tx_slots.resize(self.tx_slots_off[n] as usize, 0);
-        for &i in &self.tx_busy {
-            for &v in plan.transmitters(i as usize) {
-                let cursor = &mut self.tx_slots_off[v as usize];
-                self.tx_slots[*cursor as usize] = i;
-                *cursor += 1;
-            }
-        }
-        self.tx_slots_off.copy_within(0..n, 1);
-        self.tx_slots_off[0] = 0;
+        self.tx_busy
+            .extend((0..frame as u32).filter(|&i| !plan.transmitters(i as usize).is_empty()));
+        self.tx.rebuild(n, frame, |i| plan.transmitters(i));
+        self.rx.rebuild(n, frame, |i| plan.listeners(i));
     }
 
     /// The ascending frame slots in which node `v` may transmit.
     #[inline]
     pub(crate) fn tx_slots_of(&self, v: usize) -> &[u32] {
-        &self.tx_slots[self.tx_slots_off[v] as usize..self.tx_slots_off[v + 1] as usize]
+        self.tx.of(v)
+    }
+
+    /// The ascending frame slots in which node `v` is scheduled to listen.
+    #[inline]
+    pub(crate) fn rx_slots_of(&self, v: usize) -> &[u32] {
+        self.rx.of(v)
+    }
+}
+
+/// One roster kind inverted per node: every node's frame slots back to
+/// back, each node's ascending.
+#[derive(Clone, Debug, Default)]
+struct NodeSlots {
+    slots: Vec<u32>,
+    /// Offsets into `slots`: node `v`'s slots are
+    /// `slots[off[v]..off[v + 1]]` (`n + 1` entries).
+    off: Vec<u32>,
+}
+
+impl NodeSlots {
+    /// A counting sort over the rosters of the `frame` slots: one pass
+    /// counts each node's slots into the offsets, a prefix sum turns
+    /// counts into starts, and a second pass places each slot at its
+    /// node's cursor. Reuses both buffers.
+    fn rebuild<'p>(&mut self, n: usize, frame: usize, roster: impl Fn(usize) -> &'p [u32]) {
+        self.off.clear();
+        self.off.resize(n + 1, 0);
+        for i in 0..frame {
+            for &v in roster(i) {
+                self.off[v as usize + 1] += 1;
+            }
+        }
+        for v in 0..n {
+            self.off[v + 1] += self.off[v];
+        }
+        // Place each slot at its node's cursor (off[v] walks from v's
+        // start to its end), then shift the ends back into starts.
+        self.slots.clear();
+        self.slots.resize(self.off[n] as usize, 0);
+        for i in 0..frame {
+            for &v in roster(i) {
+                let cursor = &mut self.off[v as usize];
+                self.slots[*cursor as usize] = i as u32;
+                *cursor += 1;
+            }
+        }
+        self.off.copy_within(0..n, 1);
+        self.off[0] = 0;
+    }
+
+    #[inline]
+    fn of(&self, v: usize) -> &[u32] {
+        &self.slots[self.off[v] as usize..self.off[v + 1] as usize]
     }
 }
 
@@ -496,17 +517,18 @@ mod tests {
         // Rebuild twice: the second pass reuses the buffers of the first.
         for _ in 0..2 {
             active.rebuild(&plan);
+            let slots = |f: &dyn Fn(u64) -> bool| -> Vec<u32> {
+                (0..11u32).filter(|&i| f(i as u64)).collect()
+            };
             for v in 0..70 {
-                let want: Vec<u32> = (0..11u32)
-                    .filter(|&i| mac.may_transmit(v, i as u64))
-                    .collect();
-                assert_eq!(active.tx_slots_of(v), want, "node {v}");
+                let tx = slots(&|i| mac.may_transmit(v, i));
+                let rx = slots(&|i| mac.may_receive(v, i));
+                assert_eq!(active.tx_slots_of(v), tx, "node {v}");
+                assert_eq!(active.rx_slots_of(v), rx, "node {v}");
             }
-            let busy = |f: &dyn Fn(usize) -> bool| (0..11u32).filter(|&i| f(i as usize)).collect();
-            let tx_busy: Vec<u32> = busy(&|i| !plan.transmitters(i).is_empty());
-            let rx_busy: Vec<u32> = busy(&|i| !plan.listeners(i).is_empty());
+            let tx_busy = slots(&|i| !plan.transmitters(i as usize).is_empty());
             assert_eq!(active.tx_busy, tx_busy);
-            assert_eq!(active.rx_busy, rx_busy);
+            assert_eq!(active.frame_len, 11);
         }
     }
 

@@ -23,8 +23,8 @@ use rayon::ThreadPool;
 use std::sync::OnceLock;
 use ttdc_core::Schedule;
 use ttdc_sim::{
-    CaptureModel, CrashModel, FaultPlan, GilbertElliott, MacProtocol, ScheduleMac, SimPath,
-    SimReport, Simulator, SimulatorBuilder, Topology, TrafficPattern,
+    CaptureModel, CrashModel, EnergyModel, FaultPlan, GilbertElliott, MacProtocol, ScheduleMac,
+    SimPath, SimReport, Simulator, SimulatorBuilder, Topology, TrafficPattern,
 };
 use ttdc_util::BitSet;
 
@@ -145,6 +145,19 @@ fn fresh(
     battery: Option<f64>,
     miss: f64,
 ) -> Simulator {
+    builder(scn, pattern, seed, faults, battery, miss)
+        .build()
+        .expect("valid scenario")
+}
+
+fn builder(
+    scn: &Scenario,
+    pattern: &TrafficPattern,
+    seed: u64,
+    faults: &FaultPlan,
+    battery: Option<f64>,
+    miss: f64,
+) -> SimulatorBuilder {
     let mut builder = SimulatorBuilder::new(scn.topo.clone(), *pattern)
         .seed(seed)
         .faults(*faults)
@@ -157,8 +170,29 @@ fn fresh(
         Some((positions, model)) => builder.capture(positions.clone(), *model),
         None => builder,
     }
-    .build()
-    .expect("valid scenario")
+}
+
+/// Energy models for the long quiet spans, whose debt settles thousands
+/// of slots at once: the default, a zero sleep cost, and two models whose
+/// slot costs round ties to even in a binade the ledgers reach within the
+/// run (`x ∈ [2^14, 2^15)`, where a listen of `2^-39` mJ is half an ulp;
+/// `x ∈ [2^12, 2^13)`, where a sleep of `3·2^-41` mJ is one and a half).
+fn arb_energy_model() -> impl Strategy<Value = EnergyModel> {
+    let tie_prone = |tx_mw: f64, rx_mw: f64, sleep_mw: f64| EnergyModel {
+        tx_mw,
+        rx_mw,
+        sleep_mw,
+        slot_seconds: 1.0,
+    };
+    prop_oneof![
+        Just(EnergyModel::default()),
+        Just(EnergyModel {
+            sleep_mw: 0.0,
+            ..EnergyModel::default()
+        }),
+        Just(tie_prone(2.0, (-39f64).exp2(), 1.0)),
+        Just(tie_prone(4.0, 1.0, 3.0 * (-41f64).exp2())),
+    ]
 }
 
 /// The per-slot reference: a one-slot scan call per slot. A one-slot call
@@ -219,6 +253,41 @@ proptest! {
         prop_assert_eq!(&skip_seq, &skip_par);
         // The trace really was compared, not disabled on both sides.
         prop_assert!(skip_seq.trace.enabled());
+    }
+
+    /// Long quiet spans: CBR periods of 10³–10⁵ slots over runs of many
+    /// frames, so nearly every slot is skipped and each node's debt holds
+    /// thousands of idle listens when it settles — under the default, a
+    /// zero-sleep and two tie-prone energy models, with battery caps that
+    /// kill nodes mid-run. Skip, plan and scan must give the same full
+    /// report.
+    #[test]
+    fn long_quiet_spans_settle_idle_listening_exactly(
+        scn in arb_scenario(),
+        period in 1_000u64..100_000,
+        energy in arb_energy_model(),
+        battery in prop::option::of(0.05f64..1.0),
+        seed in 0u64..500,
+        slots in 2_000u64..40_000,
+    ) {
+        let pattern = TrafficPattern::CbrUnicast { period };
+        // A cap between an all-sleep and an all-listen run's draw (mJ):
+        // nodes that listen or transmit more than that share die mid-run.
+        let battery = battery.map(|f| {
+            let per_slot = |mw: f64| mw * energy.slot_seconds * slots as f64;
+            f * (per_slot(energy.rx_mw) - per_slot(energy.sleep_mw)) + per_slot(energy.sleep_mw)
+        });
+        let faults = FaultPlan::none();
+        let [skip, plan, scan] = [SimPath::Skip, SimPath::Plan, SimPath::Scan].map(|path| {
+            let mut sim = builder(&scn, &pattern, seed, &faults, battery, 0.0)
+                .energy(energy)
+                .build()
+                .expect("valid scenario");
+            assert_eq!(sim.run_on(path, &scn.mac, slots), path);
+            sim.report()
+        });
+        prop_assert_eq!(&skip, &plan);
+        prop_assert_eq!(&skip, &scan);
     }
 
     /// Mid-run engine transitions on one simulator: skip → plan → skip
