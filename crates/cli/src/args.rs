@@ -70,10 +70,11 @@ SCHEDULE SYNTHESIS (synth):
 
 CAMPAIGNS:
   A campaign runs a named Monte-Carlo grid (smoke, e10, e12, e12-large,
-  e17) sharded over the thread pool, checkpointing every completed shard
-  to DIR/manifest.jsonl. `resume` replays the completed shards of a
-  killed campaign and executes only the missing ones; the merged output
-  is byte-identical to an uninterrupted run. `status` reports progress.
+  e12c, e17) sharded over the thread pool, checkpointing every
+  completed shard to DIR/manifest.jsonl. `resume` replays the completed
+  shards of a killed campaign and executes only the missing ones; the
+  merged output is byte-identical to an uninterrupted run. `status`
+  reports progress.
 
 EXIT CODES:
   0 success        1 runtime error    2 usage error      3 invalid value
@@ -648,6 +649,19 @@ mod tests {
 
     fn sv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn usage_names_every_campaign_grid() {
+        let campaigns = &USAGE[USAGE.find("CAMPAIGNS:").unwrap()..];
+        let listed = &campaigns[campaigns.find('(').unwrap() + 1..campaigns.find(')').unwrap()];
+        let names = listed.split(|c: char| c == ',' || c.is_whitespace());
+        for grid in ttdc_experiments::grid_names() {
+            assert!(
+                names.clone().any(|w| w == grid),
+                "USAGE's campaign grid list omits {grid:?}: {listed}"
+            );
+        }
     }
 
     #[test]

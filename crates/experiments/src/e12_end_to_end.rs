@@ -38,13 +38,7 @@ const RATE: f64 = 0.0008;
 const REPS: u64 = 6;
 
 fn make_topology(seed: u64) -> Topology {
-    let mut rng = SmallRng::seed_from_u64(seed * 7919 + 1);
-    loop {
-        let t = GeometricNetwork::random(N, 0.35, D, &mut rng).topology();
-        if t.is_connected() {
-            return t;
-        }
-    }
+    GeometricNetwork::connected(N, 0.35, D, &mut SmallRng::seed_from_u64(seed * 7919 + 1))
 }
 
 fn scenario(mac: &dyn MacProtocol, dynamic: bool, seed: u64) -> ttdc_sim::SimReport {
@@ -137,12 +131,7 @@ pub fn large_grid() -> GridScenario {
             let slots = frame as u64 * FRAMES;
             let rate = 0.25 / frame as f64;
             let mut rng = SmallRng::seed_from_u64(seed * 7919 + n as u64);
-            let topo = loop {
-                let t = GeometricNetwork::random(n, 0.35, D, &mut rng).topology();
-                if t.is_connected() {
-                    break t;
-                }
-            };
+            let topo = GeometricNetwork::connected(n, 0.35, D, &mut rng);
             let mut sim =
                 SimulatorBuilder::new(topo, TrafficPattern::Convergecast { sink: 0, rate })
                     .seed(seed)
@@ -219,12 +208,7 @@ pub fn low_traffic_grid() -> GridScenario {
             let n = LOW_SIZES[point];
             let mac = TtdcMac::new(n, D, 2, 4, PartitionStrategy::RoundRobin);
             let mut rng = SmallRng::seed_from_u64(seed * 6271 + n as u64);
-            let topo = loop {
-                let t = GeometricNetwork::random(n, 0.35, D, &mut rng).topology();
-                if t.is_connected() {
-                    break t;
-                }
-            };
+            let topo = GeometricNetwork::connected(n, 0.35, D, &mut rng);
             let mut sim =
                 SimulatorBuilder::new(topo, TrafficPattern::CbrUnicast { period: LOW_PERIOD })
                     .seed(seed)

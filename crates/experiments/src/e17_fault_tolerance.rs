@@ -45,13 +45,7 @@ const REPS: u64 = 4;
 const ARQ_LIMIT: u32 = 8;
 
 fn make_topology(seed: u64) -> Topology {
-    let mut rng = SmallRng::seed_from_u64(seed * 7919 + 1);
-    loop {
-        let t = GeometricNetwork::random(N, 0.35, D, &mut rng).topology();
-        if t.is_connected() {
-            return t;
-        }
-    }
+    GeometricNetwork::connected(N, 0.35, D, &mut SmallRng::seed_from_u64(seed * 7919 + 1))
 }
 
 /// The fault axes swept, as `(name, plan)`.

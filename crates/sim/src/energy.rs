@@ -89,28 +89,17 @@ impl EnergyLedger {
         }
     }
 
-    /// Charges `node` for `k` consecutive slots of the sleep floor in one
-    /// call, landing on exactly the `f64` that `k` individual
-    /// [`record`]`(…, Sleep)` calls would produce
-    /// ([`ttdc_util::iterate_add`] fast-forwards the repeated rounding in
-    /// O(binade crossings)). This is how the simulator settles a node's
-    /// sleep debt: the slots it slept since it was last charged.
+    /// Charges `node` its energy debt for the slots `[from, to)`: idle
+    /// listening in those whose frame index (frame length `l`) is in the
+    /// ascending list `listen_slots`, asleep in every other. It lands on
+    /// exactly the `f64` that one [`record`] per slot, in slot order, would
+    /// produce ([`ttdc_util::iterate_add_periodic`] fast-forwards the
+    /// repeated rounding in O(binade crossings)). With no listen slots the
+    /// whole span is sleep and the listen count is not touched.
     ///
     /// [`record`]: EnergyLedger::record
-    pub fn charge_sleep_slots(&mut self, sleep_mj: f64, node: usize, k: u64) {
-        self.consumed_mj[node] = ttdc_util::iterate_add(self.consumed_mj[node], sleep_mj, k);
-        self.sleep_slots[node] += k;
-    }
-
-    /// Charges `node` for the slots `[from, to)`, idle listening in those
-    /// whose frame index (frame length `l`) is in the ascending list
-    /// `listen_slots` and asleep in every other, landing on exactly the
-    /// `f64` that one [`record`] per slot, in slot order, would produce
-    /// ([`ttdc_util::iterate_add_periodic`]). This is how the skip engine
-    /// settles a node's debt, which holds its scheduled idle listening.
-    ///
-    /// [`record`]: EnergyLedger::record
-    pub(crate) fn charge_idle_slots(
+    #[inline(always)]
+    pub(crate) fn charge_debt(
         &mut self,
         model: &EnergyModel,
         node: usize,
@@ -129,7 +118,9 @@ impl EnergyLedger {
             to,
         );
         self.consumed_mj[node] = consumed;
-        self.listen_slots[node] += listens;
+        if listens > 0 {
+            self.listen_slots[node] += listens;
+        }
         self.sleep_slots[node] += to - from - listens;
     }
 

@@ -39,7 +39,7 @@ use crate::mac::MacProtocol;
 use crate::metrics::SimReport;
 use crate::observer::SlotEvent;
 use crate::phases;
-use crate::plan::SlotPlan;
+use crate::plan::{ActiveSlots, SlotPlan};
 use crate::roster::{PlanRoster, Roster, ScanRoster, SkewRoster};
 use crate::topology::Topology;
 use crate::trace::Trace;
@@ -134,9 +134,10 @@ pub struct Simulator {
     /// energy phase must read it mid-loop to decide battery death.
     pub(crate) energy: EnergyLedger,
     /// Per node, the first slot its energy has not been charged for. Every
-    /// uncharged slot of a live node is a sleep (or, on the skip path, an
-    /// idle listen at one of its scheduled listen slots), settled as debt
-    /// when the node next wakes or at a window boundary; every mark equals
+    /// uncharged slot of a live node is debt: an idle listen at one of the
+    /// run's listen slots (on the skip path, the node's scheduled ones;
+    /// on the others, none), a sleep at any other. It is settled when the
+    /// node next wakes or when the battery window ends; every mark equals
     /// `slot` whenever no run is in progress, so the ledger reads settled.
     pub(crate) settled: Vec<u64>,
     /// Fault-injection runtime state (crash flags, link channels, drift).
@@ -272,9 +273,16 @@ impl Simulator {
     /// Advances one slot: the fault phase, then `roster` is loaded (after
     /// the drift the fault phase accrued), then traffic, election,
     /// channel, delivery, ARQ and energy, and the slot counter advances.
-    /// With `bury` the energy phase also settles every live node and
-    /// checks it for battery death.
-    fn step_on<R: Roster>(&mut self, mac: &dyn MacProtocol, roster: &mut R, bury: bool) {
+    /// The energy pass settles debt with idle listening at `listens`
+    /// (the run's listen slots, if any). With `bury` it also settles
+    /// every live node and checks it for battery death.
+    fn step_on<R: Roster>(
+        &mut self,
+        mac: &dyn MacProtocol,
+        roster: &mut R,
+        listens: Option<&ActiveSlots>,
+        bury: bool,
+    ) {
         phases::faults::run(self);
         roster.load(mac, &self.faults, self.slot);
         phases::traffic::run(self);
@@ -282,11 +290,13 @@ impl Simulator {
         phases::channel::run(self, roster.listeners());
         phases::delivery::run(self);
         phases::arq::run(self);
-        phases::energy::run(self, roster.awake(), bury);
+        phases::energy::run(self, listens, roster.awake(), bury);
         self.slot += 1;
     }
 
-    /// Steps every slot up to (not including) `to` on `roster`.
+    /// Steps every slot up to (not including) `to` on `roster`, then
+    /// settles every live node: the battery window of the plan, skew and
+    /// scan paths.
     fn step_until<R: Roster>(
         &mut self,
         mac: &dyn MacProtocol,
@@ -295,8 +305,9 @@ impl Simulator {
         bury: bool,
     ) {
         while self.slot < to {
-            self.step_on(mac, roster, bury);
+            self.step_on(mac, roster, None, bury);
         }
+        phases::energy::flush_all(self, None);
     }
 
     /// The path a run asking for `want` takes: `want` itself when the
@@ -410,11 +421,12 @@ impl Simulator {
     }
 
     /// The [`SimPath::Skip`] loop: the clock jumps from one interesting
-    /// slot to the next, and the skipped slots stay on each node's debt.
-    /// Each interesting slot settles its awake roster's debt, is stepped on
-    /// the plan's rosters and re-arms the calendar; each window ends by
-    /// settling every live node. A bury window steps every slot like the
-    /// other paths, from the ledger the previous window left settled.
+    /// slot to the next, and the skipped slots stay on each node's debt,
+    /// whose listen slots are the calendar's scheduled ones. Each
+    /// interesting slot is stepped on the plan's rosters, where its energy
+    /// pass settles the awake roster, and re-arms the calendar; each
+    /// window ends by settling every live node. A bury window runs the
+    /// same loop with every slot interesting.
     fn skip_through(&mut self, mac: &dyn MacProtocol, slots: u64) {
         let n = self.topo.num_nodes();
         let mut plan = self.take_plan(mac);
@@ -423,35 +435,35 @@ impl Simulator {
         let mut skip = self.skip_cache.take().unwrap_or_default();
         skip.prepare(&plan, self.slot, &self.queues, &self.dead);
         self.drive(slots, |sim, to, bury| {
-            if bury {
-                // Depletion imminent: step every slot so the death lands
-                // on its exact slot, then re-sync the calendar.
-                sim.step_until(mac, &mut PlanRoster::new(&mut plan), to, true);
-                skip.reseed(sim.slot, &sim.queues, &sim.dead);
-                return;
-            }
             loop {
                 // The skipped slots stay on each node's debt.
-                sim.slot = skip
-                    .next_interesting(sim.slot, &sim.pattern, n, &sim.queues, &sim.dead)
-                    .min(to);
+                let next = if bury {
+                    sim.slot
+                } else {
+                    skip.next_interesting(sim.slot, &sim.pattern, n, &sim.queues, &sim.dead)
+                };
+                sim.slot = next.min(to);
                 if sim.slot == to {
                     break;
                 }
                 skip.pop_due(sim.slot);
-                let awake = plan.awake(plan.slot_index(sim.slot));
-                phases::energy::settle_roster(sim, &skip.active, awake);
-                sim.step_on(mac, &mut PlanRoster::new(&mut plan), false);
+                sim.step_on(
+                    mac,
+                    &mut PlanRoster::new(&mut plan),
+                    Some(&skip.active),
+                    bury,
+                );
                 skip.rearm_after_step(&plan, sim.slot - 1, &sim.pattern, &sim.queues, &sim.dead);
             }
-            phases::energy::settle_all(sim, &skip.active);
+            phases::energy::flush_all(sim, Some(&skip.active));
         });
         self.skip_cache = Some(skip);
         self.plan_cache = Some(plan);
     }
 
     /// Advances `slots` slots in battery windows, the one loop of every
-    /// path. `advance(sim, to, bury)` must bring `sim.slot` to `to`.
+    /// path. `advance(sim, to, bury)` must bring `sim.slot` to `to` and
+    /// leave every live node settled there.
     ///
     /// Without a battery the whole run is one window. With one, each
     /// window is bounded by [`Simulator::battery_epoch_slots`], so no node
@@ -459,9 +471,9 @@ impl Simulator {
     /// only. When that bound falls below `MIN_EPOCH` a depletion is
     /// imminent: a short window runs with `bury` set, where every stepped
     /// slot settles every live node and checks deaths in ascending order,
-    /// so each `NodeDied` lands on its exact slot. Sleep debt is flushed at
-    /// every window boundary, which leaves the ledger settled for the next
-    /// headroom and for [`Simulator::report`] at the end.
+    /// so each `NodeDied` lands on its exact slot. Each window ends
+    /// settled, which leaves the ledger exact for the next headroom and
+    /// for [`Simulator::report`] at the end.
     fn drive(&mut self, slots: u64, mut advance: impl FnMut(&mut Simulator, u64, bool)) {
         // Below this many slots of guaranteed headroom, bury-step instead
         // of opening another (flush-bracketed) window.
@@ -478,7 +490,6 @@ impl Simulator {
                 None => (end, false),
             };
             advance(self, to, bury);
-            phases::energy::flush_all(self);
         }
     }
 

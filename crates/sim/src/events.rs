@@ -37,11 +37,16 @@
 //!   node's queue emptied in the meantime), and `in_heap` flags keep at
 //!   most one entry per node live.
 //!
+//! Every heap entry is at or after the current slot: [`SkipState::prepare`]
+//! arms from it, and each stepped slot pops what was due there and re-arms
+//! after it.
+//!
 //! Fault transitions never enter the calendar because the eligibility
 //! predicate excludes crash plans outright, and battery-depletion
 //! horizons are handled by the engine's battery-window loop, shared
 //! with every stepped path (it bounds each window so no node can die
-//! inside it), rather than as point events.
+//! inside it), rather than as point events. A window in which a depletion
+//! is imminent runs the same calendar loop with every slot interesting.
 
 use crate::plan::{ActiveSlots, SlotPlan};
 use crate::traffic::{cbr_generators, Packet, TrafficPattern};
@@ -76,13 +81,6 @@ impl SkipState {
         dead: &[bool],
     ) {
         self.active.rebuild(plan);
-        self.reseed(now, queues, dead);
-    }
-
-    /// Re-synchronises after slots ran outside the calendar (a stepped
-    /// battery window, or run entry): the heap is reseeded from scratch
-    /// (packets may have been generated or dropped, nodes may have died).
-    pub(crate) fn reseed(&mut self, now: u64, queues: &[VecDeque<Packet>], dead: &[bool]) {
         self.heap.clear();
         self.in_heap.clear();
         self.in_heap.resize(queues.len(), false);
@@ -135,14 +133,11 @@ impl SkipState {
                 self.in_heap[v] = false;
                 continue;
             }
-            if s < now {
-                // Stale occurrence from before an externally-run window:
-                // re-arm at the next occurrence from `now`.
-                self.heap.pop();
-                self.in_heap[v] = false;
-                self.arm(v, now);
-                continue;
-            }
+            debug_assert!(
+                s >= now,
+                "heap entry behind the clock: `prepare` arms at or after `now` \
+                 and every stepped slot pops its due entries"
+            );
             next = next.min(s);
             break;
         }

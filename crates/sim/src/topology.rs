@@ -238,6 +238,19 @@ impl GeometricNetwork {
         }
     }
 
+    /// A connected deployment: draws [`random`](Self::random) fields from
+    /// `rng` until one's [`topology`](Self::topology) is connected, and
+    /// returns that topology. Loops forever if `radius` and `max_degree`
+    /// can never connect `n` nodes.
+    pub fn connected(n: usize, radius: f64, max_degree: usize, rng: &mut SmallRng) -> Topology {
+        loop {
+            let t = Self::random(n, radius, max_degree, rng).topology();
+            if t.is_connected() {
+                return t;
+            }
+        }
+    }
+
     /// Node positions.
     pub fn positions(&self) -> &[(f64, f64)] {
         &self.positions
@@ -395,6 +408,20 @@ mod tests {
         let d = disc.bfs_distances(0);
         assert_eq!(d[2], usize::MAX);
         assert!(!disc.is_connected());
+    }
+
+    #[test]
+    fn connected_deployment_is_the_first_connected_draw() {
+        let mut draws = rng(3);
+        let want = loop {
+            let t = GeometricNetwork::random(25, 0.35, 4, &mut draws).topology();
+            if t.is_connected() {
+                break t;
+            }
+        };
+        let mut same = rng(3);
+        assert_eq!(GeometricNetwork::connected(25, 0.35, 4, &mut same), want);
+        assert!(want.is_connected() && want.max_degree() <= 4);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Exact fast-forwarding of repeated floating-point addition.
 //!
-//! The time-skipping simulator must charge a node `k` slots of the sleep
-//! floor in one call and land on *exactly* the `f64` that `k` individual
-//! `x += c` additions would have produced — bit-identity with the dense
-//! and sleep-sparse engine paths is the repo's non-negotiable contract,
-//! and `x + k·c` (one multiply) rounds differently. [`iterate_add`]
-//! closes the gap in O(binade crossings) instead of O(k):
+//! The simulator must charge a node a span of slots in one call — idle
+//! listening at its listen slots, the sleep floor at every other — and
+//! land on *exactly* the `f64` that one `x += c` per slot would have
+//! produced: bit-identity between the engine paths is the repo's
+//! non-negotiable contract, and `x + k·c` (one multiply) rounds
+//! differently. [`iterate_add_periodic`] is that fold. For one addend
+//! its helper `iterate_add` closes the gap in O(binade crossings)
+//! instead of O(k):
 //!
 //! Within one binade every representable value is an integer multiple of
 //! the unit in the last place `u`, i.e. `x = m·u` with `m ≤ 2^53`. The
@@ -31,10 +33,10 @@
 //! value) and short-circuited.
 //!
 //! [`iterate_add_periodic`] extends this to two addends in a periodic
-//! pattern — the skip engine's idle debt, a listen cost on a node's
-//! scheduled listen slots and the sleep floor on every other slot: each
-//! addend moves the multiplier by its own constant, so a range folds to
-//! `bits + n_lo·d_lo + n_hi·d_hi`.
+//! pattern — a listen cost on a node's listen slots and the sleep floor
+//! on every other slot: each addend moves the multiplier by its own
+//! constant, so a range folds to `bits + n_lo·d_lo + n_hi·d_hi`. With no
+//! marked slots it is `iterate_add` itself.
 
 const MASK52: u64 = (1 << 52) - 1;
 const TWO53: u64 = 1 << 53;
@@ -146,7 +148,7 @@ fn fast_span(x: f64, c: f64, k: u64) -> Option<(f64, u64)> {
 /// through binades and are not fast-forwarded (debug-asserted, and fall
 /// back to the literal loop, which may be slow but stays correct).
 /// Non-finite inputs terminate through the absorbing-fixed-point check.
-pub fn iterate_add(mut x: f64, c: f64, mut k: u64) -> f64 {
+fn iterate_add(mut x: f64, c: f64, mut k: u64) -> f64 {
     debug_assert!(
         c >= 0.0 || c.is_nan(),
         "iterate_add requires a non-negative (or NaN) increment, got {c}"
@@ -176,19 +178,39 @@ pub fn iterate_add(mut x: f64, c: f64, mut k: u64) -> f64 {
 /// every slot `s` with `s % l` in `marks` and `lo` on every other slot,
 /// bit for bit, together with the number of marked slots. `marks` must be
 /// ascending and below `l`; the addends must be non-negative (or NaN), as
-/// for [`iterate_add`].
+/// for `iterate_add`.
 ///
-/// Inside one binade each addend moves the ulp multiplier by a constant
+/// With no marks this is one `iterate_add` of `lo`, inlined into the
+/// caller so that a sleep-only span pays no second call. Otherwise,
+/// inside one binade each addend moves the ulp multiplier by a constant
 /// (see the module doc) unless it rounds a tie, so a range of `n_lo`
 /// unmarked and `n_hi` marked slots lands on `bits + n_lo·d_lo + n_hi·d_hi`,
 /// and `n_hi` is one binary search on `marks`. The last prefix that stays
 /// in the binade is found by bisection and the crossing step taken
 /// manually. In a binade where either addend ties, the parity of the
 /// multiplier makes the moves depend on their order, so the range is
-/// walked run by run: [`iterate_add`] for each unmarked run, one addition
+/// walked run by run: `iterate_add` for each unmarked run, one addition
 /// per marked slot. An addend ties in exactly one binade, so that walk
 /// happens in at most two.
+#[inline]
 pub fn iterate_add_periodic(
+    x: f64,
+    lo: f64,
+    hi: f64,
+    marks: &[u32],
+    l: u64,
+    from: u64,
+    to: u64,
+) -> (f64, u64) {
+    debug_assert!(from <= to);
+    if marks.is_empty() {
+        return (iterate_add(x, lo, to - from), 0);
+    }
+    fold_marked(x, lo, hi, marks, l, from, to)
+}
+
+/// [`iterate_add_periodic`] over a nonempty mark list.
+fn fold_marked(
     mut x: f64,
     lo: f64,
     hi: f64,
@@ -201,7 +223,7 @@ pub fn iterate_add_periodic(
         (lo >= 0.0 || lo.is_nan()) && (hi >= 0.0 || hi.is_nan()),
         "iterate_add_periodic requires non-negative (or NaN) addends, got {lo} and {hi}"
     );
-    debug_assert!(l > 0 && from <= to);
+    debug_assert!(l > 0 && !marks.is_empty());
     debug_assert!(marks.windows(2).all(|w| w[0] < w[1]) && marks.iter().all(|&i| (i as u64) < l));
     // Marked slots in [0, s).
     let before = |s: u64| {
@@ -262,7 +284,6 @@ pub fn iterate_add_periodic(
                 let i = marks.partition_point(|&f| (f as u64) < r);
                 let next = match marks.get(i) {
                     Some(&f) => s - r + f as u64,
-                    None if marks.is_empty() => to,
                     None => (s - r).saturating_add(l + marks[0] as u64),
                 };
                 if next > s {

@@ -26,7 +26,7 @@ pub use atomic::{fnv1a64, write_atomic};
 pub use binomial::{binomial_exact, binomial_f64, binomial_ratio, ln_binomial, BinomialTable};
 pub use bitset::{for_each_subset, for_each_subset_of, BitSet};
 pub use cover::{CoverCounter, CoverMark};
-pub use fpfold::{iterate_add, iterate_add_periodic};
+pub use fpfold::iterate_add_periodic;
 pub use histogram::Histogram;
 pub use lp::{DualAscent, LpItem};
 pub use manifest::{

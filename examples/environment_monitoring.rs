@@ -20,13 +20,7 @@ const D: usize = 4;
 const SLOTS: u64 = 60_000;
 
 fn field_deployment(seed: u64) -> ttdc::sim::Topology {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    loop {
-        let t = GeometricNetwork::random(N, 0.3, D, &mut rng).topology();
-        if t.is_connected() {
-            return t;
-        }
-    }
+    GeometricNetwork::connected(N, 0.3, D, &mut SmallRng::seed_from_u64(seed))
 }
 
 fn monitor(mac: &dyn MacProtocol, topo: ttdc::sim::Topology) -> SimReport {
